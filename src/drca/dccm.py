@@ -245,7 +245,7 @@ def compress(saliency: np.ndarray, non_saliency: np.ndarray,
     vals = vals.reshape(k * ml * nl, c)
 
     att = numerics.matmul(q, keys.T)                   # [R, g, K*g]
-    att = att / F32(np.sqrt(c))
+    att /= F32(np.sqrt(c))
     att = numerics.softmax_lastdim(att)
     mixed = numerics.matmul(att, vals).reshape(r, ml, nl, c)
     return mixed + numerics.avgpool_downsample(non_saliency, h)

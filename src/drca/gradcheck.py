@@ -14,10 +14,10 @@ Two independent routes check the same estimator:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .numerics import F32, RandomStream
 from .ranking import PerturbConfig, _check_scores, _sample_orders
@@ -48,7 +48,7 @@ class CheckReport:
 
 def t2_top_prob(a: float, b: float, sigma: float) -> float:
     """P(frame 0 ranked first) for scores (a, b) under the smoothing."""
-    return float(ndtr((a - b) / (sigma * np.sqrt(2.0))))
+    return 0.5 * math.erfc(-(a - b) / (2.0 * sigma))
 
 
 def t2_top_prob_grad(a: float, b: float, sigma: float) -> float:

@@ -12,12 +12,24 @@ element, pooling 1 per input element, elementwise nonlinearities 1 per
 element).  Residual additions, scalar scalings, position-embedding adds
 and data movement are never counted, on either the instrumented or the
 analytic side.
+
+Kernel arithmetic is float32: reductions are numpy's float32 sums and
+matmul accumulates in 32 bits.  A kernel's result for one token depends
+only on that token's row, so slices of two or more rows match the full
+batch bitwise (a single row takes numpy's matrix-vector path).
+
+GELU is the exact erf form, evaluated as relu(x) - |x| Phi(-|x|) with
+Phi(-a) = erfc(a / sqrt 2) / 2 and erfc from the Numerical Recipes
+``erfcc`` fit (relative error below 1.2e-7 in exact arithmetic).  In
+float32 its tested error is at most 3e-7 absolute over [-12, 12] and
+within (1e-7 + 1e-6 |gelu(x)|) / 2 at every point.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erf
 
 F32 = np.float32
 
@@ -26,11 +38,6 @@ SOFTMAX_FLOPS_PER_ELEMENT = 5
 NORM_FLOPS_PER_ELEMENT = 4
 POOL_FLOPS_PER_ELEMENT = 1
 NONLINEARITY_FLOPS_PER_ELEMENT = 1
-
-# self-test fault-injection hook: a nonzero value is added to every softmax
-# output, deliberately breaking row normalisation so the harness can prove
-# it notices.  Never set outside `drca selftest --inject-softmax-fault`.
-_SOFTMAX_FAULT = 0.0
 
 
 class ShapeError(ValueError):
@@ -133,7 +140,7 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
         bias = np.asarray(bias, dtype=F32)
         if bias.shape != (c_out,):
             raise ShapeError(f"linear bias shape {bias.shape} does not match out width {c_out}")
-        out = out + bias
+        out += bias
         flops += tokens * c_out
     _count(flops)
     return out.reshape(x.shape[:-1] + (c_out,))
@@ -144,11 +151,9 @@ def softmax_lastdim(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=F32)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError(f"softmax needs a non-empty last axis, got {x.shape}")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True, dtype=F32)
-    if _SOFTMAX_FAULT:
-        out = out + F32(_SOFTMAX_FAULT)
+    out = np.subtract(x, x.max(axis=-1, keepdims=True))
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True, dtype=F32)
     _count(SOFTMAX_FLOPS_PER_ELEMENT * x.size)
     return out
 
@@ -166,9 +171,11 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
     mu = x.mean(axis=-1, keepdims=True, dtype=F32)
-    centred = x - mu
-    var = np.mean(centred * centred, axis=-1, keepdims=True, dtype=F32)
-    out = centred / np.sqrt(var + F32(eps)) * gain + shift
+    out = np.subtract(x, mu)
+    var = np.mean(np.multiply(out, out), axis=-1, keepdims=True, dtype=F32)
+    out /= np.sqrt(var + F32(eps))
+    out *= gain
+    out += shift
     _count(NORM_FLOPS_PER_ELEMENT * x.size)
     return out
 
@@ -250,12 +257,54 @@ def relu(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Numerical Recipes erfcc: erfc(z) = t exp(-z^2 + P(t)), t = 1 / (1 + z/2).
+# With z = a / sqrt 2 this gives Phi(-a) = t exp(P(t) - ln 2 - a^2 / 2),
+# t = 2 sqrt 2 / (2 sqrt 2 + a); the ln 2 is folded into the constant term.
+_ERFCC = (-1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
+          0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277)
+_PHI_C0 = F32(_ERFCC[0] - math.log(2.0))
+_PHI_HORNER = tuple(F32(c) for c in _ERFCC[:0:-1])  # highest degree first
+_PHI_T_SCALE = F32(2.0 * math.sqrt(2.0))
+# |x| is clamped here so a*a cannot overflow; a Phi(-a) is ~1e-44 at the clamp
+_GELU_CLAMP = F32(10.0 * math.sqrt(2.0))
+# elements per pass: the ~30 ufunc passes over a block stay in cache
+_GELU_BLOCK = 1 << 15
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU."""
-    x = np.asarray(x, dtype=F32)
-    out = F32(0.5) * x * (F32(1) + erf(x * F32(1 / np.sqrt(2))))
+    """Exact (erf-based) GELU, x Phi(x), as relu(x) - |x| Phi(-|x|).
+
+    Runs over contiguous blocks with out= ufuncs only; see the module
+    docstring for the erfc fit and its tested error.
+    """
+    x = np.asarray(x, dtype=F32, order="C")
+    out = np.empty_like(x)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    width = min(_GELU_BLOCK, flat_x.size)
+    a_buf, t_buf, p_buf = (np.empty(width, F32) for _ in range(3))
+    for lo in range(0, flat_x.size, _GELU_BLOCK):
+        xb = flat_x[lo:lo + _GELU_BLOCK]
+        ob = flat_out[lo:lo + _GELU_BLOCK]
+        a, t, p = a_buf[:xb.size], t_buf[:xb.size], p_buf[:xb.size]
+        np.abs(xb, out=a)
+        np.minimum(a, _GELU_CLAMP, out=a)
+        np.add(a, _PHI_T_SCALE, out=t)
+        np.divide(_PHI_T_SCALE, t, out=t)
+        np.multiply(t, _PHI_HORNER[0], out=p)
+        for c in _PHI_HORNER[1:]:
+            p += c
+            p *= t
+        p += _PHI_C0
+        np.multiply(a, a, out=ob)  # ob is scratch until the last two lines
+        ob *= F32(0.5)
+        p -= ob
+        np.exp(p, out=p)
+        p *= t
+        p *= a                     # p = |x| Phi(-|x|)
+        np.maximum(xb, F32(0), out=ob)
+        ob -= p
     _count(NONLINEARITY_FLOPS_PER_ELEMENT * x.size)
-    return out.astype(F32, copy=False)
+    return out
 
 
 def l2_normalize(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:

@@ -106,7 +106,7 @@ def _multihead(x: np.ndarray, p: AttentionParams, heads: int) -> np.ndarray:
     v = np.swapaxes(v, -3, -2)
 
     att = numerics.matmul(q, np.swapaxes(k, -1, -2))  # [..., heads, tokens, tokens]
-    att = att / F32(np.sqrt(d))
+    att /= F32(np.sqrt(d))
     att = numerics.softmax_lastdim(att)
     out = numerics.matmul(att, v)                     # [..., heads, tokens, d]
     out = np.swapaxes(out, -3, -2).reshape(*lead, tokens, c)

@@ -3,6 +3,7 @@ errors, and the pass/fail plumbing."""
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from drca.gradcheck import (
     CheckReport,
@@ -24,6 +25,15 @@ def test_t2_closed_form_limits_and_symmetry():
     assert t2_top_prob(-1.0, 1.0, 0.05) == pytest.approx(0.0, abs=1e-12)
     for a, b in [(0.02, -0.01), (-0.3, 0.1)]:
         assert t2_top_prob(a, b, 0.1) + t2_top_prob(b, a, 0.1) == pytest.approx(1.0)
+
+
+def test_t2_closed_form_matches_scipy_ndtr():
+    # the closed form uses math.erfc so that importing drca needs no scipy
+    for sigma in (0.01, 0.05, 0.2, 1.0):
+        for u in np.linspace(-5.0, 5.0, 401):
+            gap = u * sigma * np.sqrt(2.0)
+            want = float(ndtr(gap / (sigma * np.sqrt(2.0))))
+            assert t2_top_prob(gap / 2, -gap / 2, sigma) == pytest.approx(want, rel=1e-14)
 
 
 def test_t2_gradient_matches_derivative_of_probability():

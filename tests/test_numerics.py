@@ -2,12 +2,19 @@
 float64 twins) plus the flop-counting contract."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import erfc
+
+import drca
 
 from drca import numerics
 from drca.numerics import (
@@ -86,6 +93,21 @@ def test_linear_matches_affine_oracle():
     want = want + b.astype(np.float64)
     np.testing.assert_allclose(linear(x, w, b), want, rtol=1e-5, atol=1e-6)
     np.testing.assert_allclose(linear(x, w), want - b, rtol=1e-5, atol=1e-6)
+
+
+def test_linear_row_slice_is_bitwise_the_full_rows():
+    # slice independence holds for slices of two or more rows; a single
+    # row goes through numpy's matrix-vector path and may differ in the
+    # last bits
+    s = _stream(18)
+    x = s.gaussian((1568, 384))
+    w = s.gaussian((384, 96))
+    b = s.gaussian(96)
+    full = linear(x, w, b)
+    for lo, hi in [(0, 2), (5, 37), (100, 900), (1566, 1568), (0, 1568)]:
+        assert np.array_equal(linear(x[lo:hi], w, b), full[lo:hi]), (lo, hi)
+    frames = x.reshape(8, 196, 384)
+    assert np.array_equal(linear(frames[3:5], w, b), full[3 * 196:5 * 196].reshape(2, 196, 96))
 
 
 def test_linear_rejects_bad_shapes():
@@ -255,6 +277,86 @@ def test_relu_and_gelu_pointwise():
     want = [0.5 * v * (1 + math.erf(v / math.sqrt(2))) for v in x.astype(np.float64)]
     np.testing.assert_allclose(gelu(x), want, rtol=1e-6, atol=1e-7)
     assert gelu(x).dtype == F32
+
+
+def _gelu_oracle(x):
+    x = np.asarray(x, np.float64)
+    return x * 0.5 * erfc(-x / math.sqrt(2.0))
+
+
+def test_gelu_error_bound_on_dense_grid():
+    x = np.linspace(-12, 12, 1_200_001).astype(F32)
+    want = _gelu_oracle(x)
+    err = np.abs(gelu(x) - want)
+    assert err.max() <= 3e-7
+    assert np.all(err <= 0.5 * (1e-7 + 1e-6 * np.abs(want)))
+
+
+def test_gelu_extremes_nan_and_empty():
+    x = np.array([3.4e38, -3.4e38, np.inf, -np.inf, np.nan, 1.0], F32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gelu(x)
+    assert out[0] == x[0] and out[2] == np.inf
+    assert np.all(np.isfinite(out[[1, 3]])) and np.abs(out[[1, 3]]).max() < 1e-30
+    assert np.isnan(out[4])
+    assert out[5] == pytest.approx(_gelu_oracle(1.0), abs=1e-7)
+    empty = gelu(np.zeros((0, 4), F32))
+    assert empty.shape == (0, 4) and empty.dtype == F32
+
+
+def test_gelu_independent_of_strides_and_blocks():
+    base = _stream(16).gaussian((300, 400)) * F32(4)
+    strided = base[:, ::2]
+    assert not strided.flags.c_contiguous
+    assert strided.size > numerics._GELU_BLOCK
+    assert np.array_equal(gelu(strided), gelu(np.ascontiguousarray(strided)))
+    flat = base.reshape(-1)
+    lo, hi = 1001, 1001 + 2 * numerics._GELU_BLOCK + 7
+    assert np.array_equal(gelu(flat[lo:hi]), gelu(flat)[lo:hi])
+
+
+# The expression forms the in-place kernels replaced; the kernels must
+# stay bitwise equal to them.
+
+def _softmax_expr(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True, dtype=F32)
+
+
+def _layer_norm_expr(x, gain, shift, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True, dtype=F32)
+    centred = x - mu
+    var = np.mean(centred * centred, axis=-1, keepdims=True, dtype=F32)
+    return centred / np.sqrt(var + F32(eps)) * gain + shift
+
+
+def _linear_expr(x, weight, bias):
+    out = np.matmul(x.reshape(-1, weight.shape[0]), weight)
+    out = out + bias
+    return out.reshape(x.shape[:-1] + (weight.shape[1],))
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 196, 196), (1568, 384), (3, 5, 7)])
+def test_in_place_kernels_bitwise_match_expression_forms(shape):
+    s = _stream(17)
+    x = s.gaussian(shape) * F32(3) + F32(0.5)
+    c = shape[-1]
+    gain, shift = s.gaussian(c), s.gaussian(c)
+    weight, bias = s.gaussian((c, 96)), s.gaussian(96)
+    before = [v.copy() for v in (x, gain, shift, weight, bias)]
+    assert np.array_equal(softmax_lastdim(x), _softmax_expr(x))
+    assert np.array_equal(layer_norm(x, gain, shift), _layer_norm_expr(x, gain, shift))
+    assert np.array_equal(linear(x, weight, bias), _linear_expr(x, weight, bias))
+    for old, now in zip(before, (x, gain, shift, weight, bias)):
+        assert np.array_equal(old, now)
+
+
+def test_import_drca_does_not_load_scipy():
+    code = "import sys, drca; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drca.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_l2_normalize_unit_norms():
