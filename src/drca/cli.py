@@ -189,6 +189,13 @@ def load_run_config(token: str, sets: list[str] | None,
 
 # --- subcommands ---------------------------------------------------------
 
+def _require_counts(args, **minimums: int) -> None:
+    for flag, low in minimums.items():
+        value = getattr(args, flag)
+        if value < low:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
+
+
 def cmd_rank(args) -> int:
     seed = _default_seed(args.seed)
     cfg = PerturbConfig(sigma=args.sigma, n_samples=args.n_samples, seed=seed)
@@ -221,6 +228,9 @@ def cmd_grad_check(args) -> int:
         "frames": args.frames, "n_samples": args.n_samples, "seed": seed,
         "sigma": args.sigma, "trials": args.trials,
     })
+    _require_counts(args, frames=2, trials=1)
+    if not 0 < args.sigma < np.inf:
+        raise ConfigError(f"--sigma must be positive and finite, got {args.sigma}")
     if args.n_samples < MIN_SAMPLES_FOR_CHECKS:
         print(
             f"insufficient statistical power: n_samples={args.n_samples} < "
@@ -316,6 +326,10 @@ def cmd_toy_train(args) -> int:
         "n_samples": args.n_samples, "salient": args.salient, "seed": seed,
         "sigma": args.sigma, "steps": args.steps, "videos": args.videos,
     })
+    _require_counts(args, videos=1, holdout=1, steps=0, frames=2, salient=1)
+    for flag in ("lr", "init_scale"):
+        if not np.isfinite(getattr(args, flag)):
+            raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {getattr(args, flag)}")
     videos = make_planted_dataset(
         args.videos + args.holdout, frames=args.frames,
         salient_count=args.salient, seed=seed,
@@ -439,6 +453,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_INPUT
     except FileNotFoundError as err:
         print(f"error: {err.filename or err} not found", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OSError as err:
+        print(f"error: {err.filename}: {err.strerror}" if err.filename else f"error: {err}",
+              file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

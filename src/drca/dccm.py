@@ -55,15 +55,6 @@ class ScoreNetParams:
 
 
 @dataclass(frozen=True)
-class ScoreNetGrads:
-    conv_kernel: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass(frozen=True)
 class CompressorParams:
     """Projection weights for the saliency-reference cross-attention."""
 
@@ -160,6 +151,11 @@ def score_net_forward(tokens: np.ndarray, p: ScoreNetParams) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=F32)
     if tokens.ndim != 4:
         raise ShapeError(f"score-net input must be [T, M, N, C], got {tokens.shape}")
+    if p.w2.shape[1:] != (1,) or p.b2.shape != (1,):
+        raise ShapeError(
+            f"score head must have one output column, got w2 {p.w2.shape} "
+            f"and b2 {p.b2.shape}"
+        )
     conv_out = numerics.conv3d(tokens, p.conv_kernel)          # [T, M, N, C_mid]
     pooled = numerics.mean_pool(conv_out, axes=(1, 2))         # [T, C_mid]
     hidden = numerics.relu(numerics.linear(pooled, p.w1, p.b1))
@@ -168,8 +164,9 @@ def score_net_forward(tokens: np.ndarray, p: ScoreNetParams) -> np.ndarray:
 
 
 def score_net_backward(tokens: np.ndarray, p: ScoreNetParams,
-                       upstream: np.ndarray) -> ScoreNetGrads:
-    """Reverse-mode parameter gradients of sum(upstream * scores).
+                       upstream: np.ndarray) -> ScoreNetParams:
+    """Reverse-mode parameter gradients of sum(upstream * scores), as a
+    tree shaped like the parameters.
 
     Recomputes the forward intermediates (they are tiny) and walks the
     chain backwards by hand; the relu subgradient at exactly zero is zero.
@@ -208,7 +205,7 @@ def score_net_backward(tokens: np.ndarray, p: ScoreNetParams,
                 d_kernel[dt, dh, dw] = np.einsum(
                     "tmnc,tmno->co", window, d_conv, dtype=F32, casting="same_kind"
                 )
-    return ScoreNetGrads(d_kernel, d_w1, d_b1, d_w2, d_b2)
+    return ScoreNetParams(d_kernel, d_w1, d_b1, d_w2, d_b2)
 
 
 def compress(saliency: np.ndarray, non_saliency: np.ndarray,
@@ -356,8 +353,12 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
     ranking of the scores>.  Returns the final parameters and a trace with
     one row per step plus the initial row; accuracy is measured on the
     holdout split with the hard top-k."""
+    if not train or not holdout:
+        raise ValueError("toy training needs at least one training and one holdout video")
     if len(train) >= 100_000:
         raise ValueError("training set too large for the seed derivation")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     trace = []
     for step in range(steps + 1):
         loss_sum = 0.0
@@ -369,22 +370,14 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
             )
             loss_sum += loss_v
             g = score_net_backward(v.tokens, p, d_scores)
-            if grads_sum is None:
-                grads_sum = [g.conv_kernel, g.w1, g.b1, g.w2, g.b2]
-            else:
-                for acc, part in zip(grads_sum, (g.conv_kernel, g.w1, g.b1, g.w2, g.b2)):
-                    acc += part
+            grads_sum = g if grads_sum is None else numerics.tree_map(
+                lambda _, acc, part: acc + part, ScoreNetParams, grads_sum, g)
         scale = F32(1.0 / len(train))
         loss = loss_sum / len(train)
         trace.append(TraceRow(step, loss, selection_accuracy(p, holdout, k)))
         if step == steps:
             break
         rate = F32(lr)
-        p = ScoreNetParams(
-            conv_kernel=p.conv_kernel - rate * scale * grads_sum[0],
-            w1=p.w1 - rate * scale * grads_sum[1],
-            b1=p.b1 - rate * scale * grads_sum[2],
-            w2=p.w2 - rate * scale * grads_sum[3],
-            b2=p.b2 - rate * scale * grads_sum[4],
-        )
+        p = numerics.tree_map(lambda _, w, grad: w - rate * scale * grad,
+                              ScoreNetParams, p, grads_sum)
     return p, trace

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numerics import F32, RandomStream
-from .ranking import PerturbConfig, _check_scores, _sample_orders
+from .ranking import PerturbConfig, _objective_samples
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,11 @@ def t2_top_prob_grad(a: float, b: float, sigma: float) -> float:
     return float(np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi) / (sigma * np.sqrt(2.0)))
 
 
-def objective_samples(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
-    """Per-sample Frobenius products <G, Y_j> plus the shared noise draw."""
-    s64 = _check_scores(s)
-    t = s64.shape[0]
-    g = np.asarray(grad_matrix, dtype=np.float64)
-    orders, z = _sample_orders(s64, cfg)
-    dots = g[orders, np.arange(t)[None, :]].sum(axis=1)
-    return dots, z
-
-
 def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     """MC gradient of <G, smoothed rank(s)> and its per-coordinate
-    standard error."""
-    dots, z = objective_samples(s, cfg, grad_matrix)
+    standard error, from the ranking module's sampler; the mean stays
+    float64 (perturbed_objective rounds its gradient to float32)."""
+    dots, z = _objective_samples(s, cfg, grad_matrix)
     # same control variate as the production estimator (see ranking module)
     samples = (dots - dots.mean())[:, None] * z / cfg.sigma  # [n, T]
     grad = samples.mean(axis=0)
@@ -80,7 +71,7 @@ def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
 
 def objective_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     """MC value of <G, smoothed rank(s)> and its standard error."""
-    dots, _ = objective_samples(s, cfg, grad_matrix)
+    dots, _ = _objective_samples(s, cfg, grad_matrix)
     return float(dots.mean()), float(dots.std(ddof=1) / np.sqrt(cfg.n_samples))
 
 
@@ -88,6 +79,8 @@ def run_t2_check(sigma: float = 0.05, n_samples: int = 100_000, seed: int = 0,
                  trials: int = 10, rel_tol: float = 0.05) -> CheckReport:
     """Compare the MC top-probability gradient against the closed form over
     score pairs whose gap spans the smoothing scale (|a-b| <= 3 sigma)."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     stream = RandomStream(seed)
     g = np.zeros((2, 2))
     g[0, 0] = 1.0  # pick out P(frame 0 first)
@@ -120,6 +113,8 @@ def run_fd_check(frames: int = 4, sigma: float = 0.05, n_samples: int = 100_000,
     O(delta^2) curvature error of the central difference well under one
     standard error; widening it past ~0.4 sigma makes the check fail for
     reasons that have nothing to do with the estimator."""
+    if frames < 2 or vectors < 1:
+        raise ValueError(f"need frames >= 2 and vectors >= 1, got {frames} and {vectors}")
     if delta is None:
         delta = 0.2 * sigma
     stream = RandomStream(seed)

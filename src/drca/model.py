@@ -47,6 +47,12 @@ class ModelConfig:
     embed_out: int = 0  # retrieval output width; 0 means embed_dim
 
     def __post_init__(self) -> None:
+        for key in ("embed_dim", "head_count", "patch_size", "frames", "height",
+                    "width", "compression_factor", "num_classes"):
+            if getattr(self, key) < 1:
+                raise ShapeError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.embed_out < 0:
+            raise ShapeError(f"embed_out must be >= 0, got {self.embed_out}")
         if self.height % self.patch_size or self.width % self.patch_size:
             raise ShapeError(
                 f"patch size {self.patch_size} must divide {self.height}x{self.width}"
@@ -179,100 +185,36 @@ def init_params(config: ModelConfig, seed: int = 0, scale: float = 0.02) -> Drca
     )
 
 
+# on-disk names are the dotted field paths (tuple items by index), except
+# for these fields; the dccm level adds no prefix
+_NAME_ALIASES = {
+    "patch_w": "patch.weight", "patch_b": "patch.bias",
+    "pos_spatial": "pos.spatial", "pos_temporal": "pos.temporal",
+    "dccm": "", "head_w": "head.weight", "head_b": "head.bias",
+}
+
+
 def named_params(params: DrcaParams) -> dict[str, np.ndarray]:
-    """Flatten the parameter tree into name -> tensor, stable order."""
-    out: dict[str, np.ndarray] = {
-        "patch.weight": params.patch_w,
-        "patch.bias": params.patch_b,
-        "pos.spatial": params.pos_spatial,
-        "pos.temporal": params.pos_temporal,
-    }
-
-    def add_layer(prefix: str, layer: RatLayerParams) -> None:
-        for block_name, block in (("temporal", layer.temporal), ("spatial", layer.spatial)):
-            out[f"{prefix}.{block_name}.wq"] = block.wq
-            out[f"{prefix}.{block_name}.wk"] = block.wk
-            out[f"{prefix}.{block_name}.wv"] = block.wv
-            out[f"{prefix}.{block_name}.wo"] = block.wo
-            out[f"{prefix}.{block_name}.ln_gain"] = block.ln_gain
-            out[f"{prefix}.{block_name}.ln_shift"] = block.ln_shift
-        out[f"{prefix}.ffn.w1"] = layer.ffn.w1
-        out[f"{prefix}.ffn.b1"] = layer.ffn.b1
-        out[f"{prefix}.ffn.w2"] = layer.ffn.w2
-        out[f"{prefix}.ffn.b2"] = layer.ffn.b2
-        out[f"{prefix}.ffn.ln_gain"] = layer.ffn.ln_gain
-        out[f"{prefix}.ffn.ln_shift"] = layer.ffn.ln_shift
-
-    for i, layer in enumerate(params.stage1):
-        add_layer(f"stage1.{i}", layer)
-    out["score.conv_kernel"] = params.dccm.score.conv_kernel
-    out["score.w1"] = params.dccm.score.w1
-    out["score.b1"] = params.dccm.score.b1
-    out["score.w2"] = params.dccm.score.w2
-    out["score.b2"] = params.dccm.score.b2
-    out["compressor.w_a"] = params.dccm.compressor.w_a
-    out["compressor.w_b"] = params.dccm.compressor.w_b
-    out["compressor.w_c"] = params.dccm.compressor.w_c
-    for i, layer in enumerate(params.rat):
-        add_layer(f"rat.{i}", layer)
-    out["head.weight"] = params.head_w
-    out["head.bias"] = params.head_b
-    return out
+    """Flatten the parameter tree into name -> tensor, in field order."""
+    named: dict[str, np.ndarray] = {}
+    # setdefault records each leaf under its name and hands it back unchanged
+    numerics.tree_map(named.setdefault, DrcaParams, params, aliases=_NAME_ALIASES)
+    return named
 
 
 def params_from_named(config: ModelConfig, named: dict[str, np.ndarray]) -> DrcaParams:
     """Rebuild the parameter tree for a configuration from named tensors,
     demanding an exact key match."""
-    from .rat import AttentionParams, FeedForwardParams
+    def take(name: str) -> np.ndarray:
+        if name not in named:
+            raise ValueError(f"parameter set is missing tensor {name!r}")
+        return named[name]
 
-    def attention(prefix: str) -> AttentionParams:
-        return AttentionParams(
-            wq=named[f"{prefix}.wq"], wk=named[f"{prefix}.wk"],
-            wv=named[f"{prefix}.wv"], wo=named[f"{prefix}.wo"],
-            ln_gain=named[f"{prefix}.ln_gain"], ln_shift=named[f"{prefix}.ln_shift"],
-        )
-
-    def layer(prefix: str) -> RatLayerParams:
-        return RatLayerParams(
-            temporal=attention(f"{prefix}.temporal"),
-            spatial=attention(f"{prefix}.spatial"),
-            ffn=FeedForwardParams(
-                w1=named[f"{prefix}.ffn.w1"], b1=named[f"{prefix}.ffn.b1"],
-                w2=named[f"{prefix}.ffn.w2"], b2=named[f"{prefix}.ffn.b2"],
-                ln_gain=named[f"{prefix}.ffn.ln_gain"],
-                ln_shift=named[f"{prefix}.ffn.ln_shift"],
-            ),
-            head_count=config.head_count,
-        )
-
-    try:
-        params = DrcaParams(
-            patch_w=named["patch.weight"],
-            patch_b=named["patch.bias"],
-            pos_spatial=named["pos.spatial"],
-            pos_temporal=named["pos.temporal"],
-            stage1=tuple(layer(f"stage1.{i}") for i in range(config.dccm_insert_after)),
-            dccm=DccmParams(
-                score=ScoreNetParams(
-                    conv_kernel=named["score.conv_kernel"],
-                    w1=named["score.w1"], b1=named["score.b1"],
-                    w2=named["score.w2"], b2=named["score.b2"],
-                ),
-                compressor=CompressorParams(
-                    w_a=named["compressor.w_a"],
-                    w_b=named["compressor.w_b"],
-                    w_c=named["compressor.w_c"],
-                ),
-            ),
-            rat=tuple(
-                layer(f"rat.{i}")
-                for i in range(config.depth - config.dccm_insert_after)
-            ),
-            head_w=named["head.weight"],
-            head_b=named["head.bias"],
-        )
-    except KeyError as missing:
-        raise ValueError(f"parameter set is missing tensor {missing}") from None
+    params = numerics.tree_map(take, DrcaParams, aliases=_NAME_ALIASES, given={
+        "stage1": config.dccm_insert_after,
+        "rat": config.depth - config.dccm_insert_after,
+        "head_count": config.head_count,
+    })
     extra = set(named) - set(named_params(params))
     if extra:
         raise ValueError(f"parameter set has unexpected tensors: {sorted(extra)}")

@@ -23,11 +23,17 @@ Phi(-a) = erfc(a / sqrt 2) / 2 and erfc from the Numerical Recipes
 ``erfcc`` fit (relative error below 1.2e-7 in exact arithmetic).  In
 float32 its tested error is at most 3e-7 absolute over [-12, 12] and
 within (1e-7 + 1e-6 |gelu(x)|) / 2 at every point.
+
+``tree_map`` is the single walk over the parameter dataclass trees: it
+names, rebuilds and updates them field by field.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import typing
 
 import numpy as np
 
@@ -77,6 +83,48 @@ def _count(flops: int) -> None:
 def as_f32(x) -> np.ndarray:
     """Coerce to a C-contiguous float32 array."""
     return np.ascontiguousarray(x, dtype=F32)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_hints(kind: type) -> tuple[tuple[str, object], ...]:
+    hints = typing.get_type_hints(kind)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(kind))
+
+
+def tree_map(fn, kind: type, *trees, aliases: dict[str, str] | None = None,
+             given: dict[str, int] | None = None):
+    """Build a ``kind`` parameter tree (a dataclass whose fields are
+    arrays, dataclasses, tuples of dataclasses or plain values) with
+    ``fn(name, *leaves)`` at every array field, in declaration order.
+
+    ``leaves`` are the same field of each of ``trees``.  ``name`` joins
+    the field names with dots and tuple items by index; ``aliases``
+    renames a field, and a field renamed to "" adds no level.  Tuple
+    lengths and plain values come from ``given`` by field name, else
+    from the first tree.  This one walk flattens, rebuilds and updates
+    every parameter tree of the package.
+    """
+    aliases, given = aliases or {}, given or {}
+
+    def build(kind: type, trees, prefix: str):
+        out = {}
+        for field, hint in _field_hints(kind):
+            name = ".".join(filter(None, (prefix, aliases.get(field, field))))
+            subs = [getattr(t, field) for t in trees]
+            if hint is np.ndarray:
+                out[field] = fn(name, *subs)
+            elif typing.get_origin(hint) is tuple:
+                item = typing.get_args(hint)[0]
+                count = given[field] if field in given else len(subs[0])
+                out[field] = tuple(build(item, [s[i] for s in subs], f"{name}.{i}")
+                                   for i in range(count))
+            elif dataclasses.is_dataclass(hint):
+                out[field] = build(hint, subs, name)
+            else:
+                out[field] = given[field] if field in given else subs[0]
+        return kind(**out)
+
+    return build(kind, trees, "")
 
 
 class RandomStream:

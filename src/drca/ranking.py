@@ -34,8 +34,8 @@ class PerturbConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (0 < self.sigma < np.inf):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
@@ -126,6 +126,23 @@ def _sample_orders(s64: np.ndarray, cfg: PerturbConfig) -> tuple[np.ndarray, np.
     return orders, z
 
 
+def _objective_samples(s, cfg: PerturbConfig,
+                       grad_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Monte Carlo sampler behind every estimate of <G, smoothed
+    rank(s)>: float64 per-sample Frobenius products <G, Y(s + sigma z_j)>
+    [n] and the shared draws z [n, T]."""
+    s64 = _check_scores(s)
+    t = s64.shape[0]
+    g = np.asarray(grad_matrix, dtype=np.float64)
+    if g.shape != (t, t):
+        raise ShapeError(f"gradient matrix must be {t}x{t}, got {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient matrix must be finite")
+    orders, z = _sample_orders(s64, cfg)
+    dots = g[orders, np.arange(t)[None, :]].sum(axis=1)
+    return dots, z
+
+
 def perturbed_rank(s, cfg: PerturbConfig) -> SoftRankMatrix:
     """Monte Carlo estimate of the noise-smoothed ranking matrix."""
     s64 = _check_scores(s)
@@ -151,19 +168,11 @@ def perturbed_objective(s, cfg: PerturbConfig, grad_matrix: np.ndarray) -> tuple
     """Fused <G, smoothed-rank(s)> value and its score gradient from one
     set of draws; equals (sum(G * perturbed_rank(s).matrix),
     perturbed_rank_vjp(s, cfg, G)) by construction."""
-    s64 = _check_scores(s)
-    t = s64.shape[0]
-    g = np.asarray(grad_matrix, dtype=np.float64)
-    if g.shape != (t, t):
-        raise ShapeError(f"gradient matrix must be {t}x{t}, got {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient matrix must be finite")
-    orders, z = _sample_orders(s64, cfg)
-    # per-sample Frobenius products <G, Y_j>, then correlate with the noise;
-    # subtracting the sample mean is a control variate: the expectation is
-    # untouched up to O(1/n) while the variance no longer blows up once the
-    # ranking saturates (all samples equal -> rounding-level gradient)
-    dots = g[orders, np.arange(t)[None, :]].sum(axis=1)
+    dots, z = _objective_samples(s, cfg, grad_matrix)
+    # correlate the per-sample products with the noise; subtracting the
+    # sample mean is a control variate: the expectation is untouched up to
+    # O(1/n) while the variance no longer blows up once the ranking
+    # saturates (all samples equal -> rounding-level gradient)
     ds = (dots - dots.mean()) @ z / (cfg.n_samples * cfg.sigma)
     return float(dots.mean()), ds.astype(F32)
 

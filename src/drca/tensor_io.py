@@ -3,7 +3,9 @@
 File layout (all little-endian): magic ``TNSR``, uint32 rank, one uint32
 extent per axis, then float32 values in row-major order.  A directory of
 tensors carries a ``manifest.tsv`` with one ``name<TAB>dim0xdim1x...``
-line per tensor, in write order.
+line per tensor, in write order.  A name must stay inside its directory:
+empty, absolute, ``..`` and path-separator names are refused on write
+and on read.
 """
 
 from __future__ import annotations
@@ -62,8 +64,18 @@ def _shape_token(shape: tuple[int, ...]) -> str:
     return "x".join(str(e) for e in shape) if shape else "scalar"
 
 
+def _check_name(name: str, where: str) -> None:
+    # a name is one file inside the directory: no separators, no parent
+    # steps, nothing that would break a manifest line
+    if (not name or os.path.isabs(name) or ".." in name
+            or any(c in name for c in ("/", "\\", "\t", "\n"))):
+        raise TensorFileError(f"{where}: bad tensor name {name!r}")
+
+
 def save_tensor_dir(directory: str | os.PathLike, tensors: dict[str, np.ndarray]) -> None:
     """Write every named tensor as ``<name>.tnsr`` plus a manifest."""
+    for name in tensors:
+        _check_name(name, str(directory))
     os.makedirs(directory, exist_ok=True)
     lines = []
     for name, tensor in tensors.items():
@@ -89,6 +101,7 @@ def load_tensor_dir(directory: str | os.PathLike) -> dict[str, np.ndarray]:
             if len(parts) != 2:
                 raise TensorFileError(f"{manifest}:{line_no}: expected name<TAB>shape")
             name, shape_token = parts
+            _check_name(name, f"{manifest}:{line_no}")
             tensor = read_tnsr(os.path.join(directory, name + ".tnsr"))
             if _shape_token(tensor.shape) != shape_token:
                 raise TensorFileError(

@@ -1,10 +1,22 @@
 """Command-line surface: exit codes, echoed configuration, output
 formats, and byte-stable stdout."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from drca.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_INSUFFICIENT, EXIT_OK, main
+from drca.cli import (
+    _MODEL_KEYS,
+    EXIT_BAD_INPUT,
+    EXIT_CHECK_FAILED,
+    EXIT_INSUFFICIENT,
+    EXIT_OK,
+    main,
+)
 from drca.flops import compare, count_flops
 from drca.model import ModelConfig, init_params, named_params
 from drca.numerics import F32, RandomStream
@@ -135,6 +147,72 @@ def test_forward_rejects_wrong_video_shape(tmp_path, capsys):
     code = main(["forward", "toy", "--video", str(video_path)])
     assert code == EXIT_BAD_INPUT
     assert "video shape" in capsys.readouterr().err
+
+
+def test_forward_rejects_a_multi_column_score_head(tmp_path, capsys):
+    named = named_params(init_params(ModelConfig.toy(), seed=5))
+    hidden = named["score.w2"].shape[0]
+    named["score.w2"] = np.ones((hidden, 3), F32)
+    named["score.b2"] = np.zeros(3, F32)
+    save_tensor_dir(tmp_path / "weights", named)
+    code = main(["forward", "toy", "--params", str(tmp_path / "weights")])
+    assert code == EXIT_BAD_INPUT
+    assert "one output column" in capsys.readouterr().err
+
+
+# --- exit-code contract ----------------------------------------------------
+
+def _one_line_error(capsys, *names: str) -> None:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert all(name in err[0] for name in names), err
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["forward", "toy", "--set", "compression_factor=0"], ["compression_factor"]),
+    (["forward", "toy", "--set", "patch_size=0"], ["patch_size"]),
+    (["forward", "toy", "--set", "head_count=0"], ["head_count"]),
+    (["forward", "toy", "--set", "height=0"], ["height"]),
+    (["toy-train", "--videos", "0"], ["--videos"]),
+    (["toy-train", "--holdout", "0"], ["--holdout"]),
+    (["toy-train", "--steps", "-1"], ["--steps"]),
+    (["toy-train", "--lr", "nan"], ["--lr"]),
+    (["toy-train", "--init-scale", "inf"], ["--init-scale"]),
+    (["grad-check", "--trials", "0"], ["--trials"]),
+    (["grad-check", "--frames", "1"], ["--frames"]),
+    (["grad-check", "--sigma", "0"], ["--sigma"]),
+    (["grad-check", "--sigma", "inf"], ["--sigma"]),
+])
+def test_bad_values_exit_2_with_one_line_error(capsys, argv, names):
+    assert main(argv) == EXIT_BAD_INPUT
+    _one_line_error(capsys, *names)
+
+
+def test_writing_over_a_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["forward", "toy", "--out", str(target)]) == EXIT_BAD_INPUT
+    _one_line_error(capsys, str(target))
+
+
+_INT_MODEL_KEYS = sorted(k for k, kind in _MODEL_KEYS.items() if kind is int)
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(_INT_MODEL_KEYS), value=st.integers(-2, 8))
+def test_any_small_integer_override_exits_0_or_2(key, value):
+    # patch sizes 1 and 2 are valid but give 4096- and 1024-token frames
+    # whose attention matrices take gigabytes; they test memory, not input
+    # checking
+    assume(not (key == "patch_size" and value in (1, 2)))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["forward", "toy", "--set", f"{key}={value}"])
+    assert code in (EXIT_OK, EXIT_BAD_INPUT)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_BAD_INPUT:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # --- configuration resolution ----------------------------------------------

@@ -29,7 +29,7 @@ from drca.dccm import (
     toy_train_scorenet,
 )
 from drca.numerics import F32, RandomStream, ShapeError
-from drca.ranking import PerturbConfig, TimeIndexMap, hard_rank
+from drca.ranking import PerturbConfig, TimeIndexMap, hard_rank, perturbed_objective
 
 
 def _score_params(seed: int) -> ScoreNetParams:
@@ -71,6 +71,19 @@ def test_score_net_input_validation():
                            np.zeros(4, F32))
 
 
+def test_score_net_needs_a_single_output_column():
+    tokens = RandomStream(0).gaussian((5, 2, 2, 3))
+    p = _score_params(1)
+    hidden = p.w1.shape[1]
+    wide = replace(p, w2=RandomStream(2).gaussian((hidden, 3)), b2=np.zeros(3, F32))
+    with pytest.raises(ShapeError, match="one output column"):
+        score_net_forward(tokens, wide)
+    with pytest.raises(ShapeError, match="one output column"):
+        score_net_forward(tokens, replace(p, b2=np.zeros(3, F32)))
+    with pytest.raises(ShapeError, match="one output column"):
+        score_net_forward(tokens, replace(p, w2=p.w2[:, 0]))
+
+
 def _weighted_score_sum(tokens, p, upstream) -> float:
     scores = score_net_forward(tokens, p)
     return float(np.sum(np.float64(upstream) * np.float64(scores)))
@@ -100,6 +113,16 @@ def test_score_net_backward_matches_finite_differences(field):
             - _weighted_score_sum(tokens, replace(p, **{field: minus}), upstream)
         ) / (2 * delta)
     np.testing.assert_allclose(analytic, fd, rtol=2e-2, atol=5e-4)
+
+
+def test_score_net_backward_returns_a_parameter_shaped_tree():
+    tokens = RandomStream(6).gaussian((4, 2, 2, 3))
+    p = _score_params(8)
+    grads = score_net_backward(tokens, p, RandomStream(7).gaussian(4))
+    assert type(grads) is ScoreNetParams
+    for field in ("conv_kernel", "w1", "b1", "w2", "b2"):
+        got, want = getattr(grads, field), getattr(p, field)
+        assert (got.shape, got.dtype) == (want.shape, F32), field
 
 
 def test_score_net_backward_final_bias_is_upstream_sum():
@@ -381,3 +404,40 @@ def test_toy_train_runs_and_is_deterministic():
     assert trace1 == trace2
     assert np.array_equal(p1.w2, p2.w2)
     assert np.array_equal(p1.conv_kernel, p2.conv_kernel)
+
+
+def test_toy_train_step_is_the_in_order_gradient_sum():
+    # one step by hand: per-video gradients summed in video order, then
+    # w - lr * (1 / videos) * sum, all in float32
+    videos = make_planted_dataset(5, frames=4, salient_count=1,
+                                  grid=2, channels=4, seed=21)
+    train, holdout = videos[:3], videos[3:]
+    p0 = ScoreNetParams.init(4, 2, 4, RandomStream(22), scale=0.1)
+    cfg = PerturbConfig(sigma=0.3, n_samples=40, seed=23)
+    p1, _ = toy_train_scorenet(train, holdout, p0, k=1, steps=1, lr=0.05, cfg=cfg)
+
+    fields = ("conv_kernel", "w1", "b1", "w2", "b2")
+    total = None
+    for vid, v in enumerate(train):
+        _, d_scores = perturbed_objective(score_net_forward(v.tokens, p0),
+                                          replace(cfg, seed=cfg.seed + vid),
+                                          -v.target_matrix)
+        g = score_net_backward(v.tokens, p0, d_scores)
+        parts = [getattr(g, f) for f in fields]
+        total = parts if total is None else [a + b for a, b in zip(total, parts)]
+    rate, scale = F32(0.05), F32(1.0 / 3)
+    for field, g_sum in zip(fields, total):
+        want = getattr(p0, field) - rate * scale * g_sum
+        assert getattr(p1, field).tobytes() == want.tobytes(), field
+
+
+def test_toy_train_validation():
+    videos = make_planted_dataset(3, frames=4, salient_count=1, grid=2, channels=4)
+    p0 = ScoreNetParams.init(4, 2, 4, RandomStream(0))
+    cfg = PerturbConfig(sigma=0.3, n_samples=10)
+    with pytest.raises(ValueError, match="at least one"):
+        toy_train_scorenet([], videos, p0, k=1, steps=1, lr=0.1, cfg=cfg)
+    with pytest.raises(ValueError, match="at least one"):
+        toy_train_scorenet(videos, [], p0, k=1, steps=1, lr=0.1, cfg=cfg)
+    with pytest.raises(ValueError, match="steps"):
+        toy_train_scorenet(videos, videos, p0, k=1, steps=-1, lr=0.1, cfg=cfg)

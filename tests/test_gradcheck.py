@@ -15,7 +15,7 @@ from drca.gradcheck import (
     t2_top_prob_grad,
     vjp_with_se,
 )
-from drca.numerics import F32, RandomStream
+from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import PerturbConfig, perturbed_objective
 
 
@@ -69,6 +69,39 @@ def test_vjp_matches_production_estimator():
     grad, _ = vjp_with_se(s, cfg, g)
     _, ds = perturbed_objective(s, cfg, g)
     np.testing.assert_allclose(grad.astype(F32), ds, rtol=1e-6, atol=1e-7)
+
+
+def test_objective_matches_production_estimator_exactly():
+    s = RandomStream(2).gaussian(5)
+    g = RandomStream(3).gaussian64((5, 5))
+    cfg = PerturbConfig(0.05, 600, seed=9)
+    value, _ = objective_with_se(s, cfg, g)
+    assert value == perturbed_objective(s, cfg, g)[0]
+
+
+@pytest.mark.parametrize("estimator", [vjp_with_se, objective_with_se])
+def test_estimators_validate_scores_and_gradient_matrix(estimator):
+    cfg = PerturbConfig(0.05, 100, seed=1)
+    s = np.array([0.1, -0.2, 0.3], F32)
+    with pytest.raises(ShapeError, match="3x3"):
+        estimator(s, cfg, np.ones((2, 2)))
+    bad = np.ones((3, 3))
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        estimator(s, cfg, bad)
+    with pytest.raises(ValueError, match="finite"):
+        estimator(np.array([0.1, np.inf, 0.0], F32), cfg, np.ones((3, 3)))
+    with pytest.raises(ShapeError, match="non-empty"):
+        estimator(np.zeros(0, F32), cfg, np.ones((0, 0)))
+
+
+def test_checks_refuse_empty_reports():
+    with pytest.raises(ValueError, match="trials"):
+        run_t2_check(n_samples=100, trials=0)
+    with pytest.raises(ValueError, match="frames"):
+        run_fd_check(frames=1, n_samples=100)
+    with pytest.raises(ValueError, match="vectors"):
+        run_fd_check(n_samples=100, vectors=0)
 
 
 def test_objective_se_tracks_sample_spread():

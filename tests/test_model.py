@@ -4,6 +4,7 @@ patch embedding, and the compressed vs uncompressed forward passes."""
 import numpy as np
 import pytest
 
+from drca import model as model_module
 from drca.model import (
     ModelConfig,
     baseline_forward,
@@ -16,6 +17,40 @@ from drca.model import (
 from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import PerturbConfig
 from drca.tensor_io import load_tensor_dir, save_tensor_dir
+
+
+# the on-disk names of `forward --params` directories, in write order
+TOY_PARAM_NAMES = [
+    "patch.weight", "patch.bias",
+    "pos.spatial", "pos.temporal",
+    "stage1.0.temporal.wq", "stage1.0.temporal.wk", "stage1.0.temporal.wv", "stage1.0.temporal.wo",
+    "stage1.0.temporal.ln_gain", "stage1.0.temporal.ln_shift",
+    "stage1.0.spatial.wq", "stage1.0.spatial.wk", "stage1.0.spatial.wv", "stage1.0.spatial.wo",
+    "stage1.0.spatial.ln_gain", "stage1.0.spatial.ln_shift",
+    "stage1.0.ffn.w1", "stage1.0.ffn.b1", "stage1.0.ffn.w2", "stage1.0.ffn.b2",
+    "stage1.0.ffn.ln_gain", "stage1.0.ffn.ln_shift",
+    "score.conv_kernel", "score.w1", "score.b1", "score.w2", "score.b2",
+    "compressor.w_a", "compressor.w_b", "compressor.w_c",
+    "rat.0.temporal.wq", "rat.0.temporal.wk", "rat.0.temporal.wv", "rat.0.temporal.wo",
+    "rat.0.temporal.ln_gain", "rat.0.temporal.ln_shift",
+    "rat.0.spatial.wq", "rat.0.spatial.wk", "rat.0.spatial.wv", "rat.0.spatial.wo",
+    "rat.0.spatial.ln_gain", "rat.0.spatial.ln_shift",
+    "rat.0.ffn.w1", "rat.0.ffn.b1", "rat.0.ffn.w2", "rat.0.ffn.b2", "rat.0.ffn.ln_gain",
+    "rat.0.ffn.ln_shift",
+    "rat.1.temporal.wq", "rat.1.temporal.wk", "rat.1.temporal.wv", "rat.1.temporal.wo",
+    "rat.1.temporal.ln_gain", "rat.1.temporal.ln_shift",
+    "rat.1.spatial.wq", "rat.1.spatial.wk", "rat.1.spatial.wv", "rat.1.spatial.wo",
+    "rat.1.spatial.ln_gain", "rat.1.spatial.ln_shift",
+    "rat.1.ffn.w1", "rat.1.ffn.b1", "rat.1.ffn.w2", "rat.1.ffn.b2", "rat.1.ffn.ln_gain",
+    "rat.1.ffn.ln_shift",
+    "rat.2.temporal.wq", "rat.2.temporal.wk", "rat.2.temporal.wv", "rat.2.temporal.wo",
+    "rat.2.temporal.ln_gain", "rat.2.temporal.ln_shift",
+    "rat.2.spatial.wq", "rat.2.spatial.wk", "rat.2.spatial.wv", "rat.2.spatial.wo",
+    "rat.2.spatial.ln_gain", "rat.2.spatial.ln_shift",
+    "rat.2.ffn.w1", "rat.2.ffn.b1", "rat.2.ffn.w2", "rat.2.ffn.b2", "rat.2.ffn.ln_gain",
+    "rat.2.ffn.ln_shift",
+    "head.weight", "head.bias",
+]
 
 
 def _toy_video(seed: int, config: ModelConfig) -> np.ndarray:
@@ -64,6 +99,19 @@ def test_config_validation():
         ModelConfig.toy(head_mode="sorting")
 
 
+@pytest.mark.parametrize("key", ["embed_dim", "head_count", "patch_size", "frames",
+                                 "height", "width", "compression_factor", "num_classes"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_config_rejects_non_positive_sizes(key, value):
+    with pytest.raises(ShapeError, match=f"{key} must be positive"):
+        ModelConfig.toy(**{key: value})
+
+
+def test_config_rejects_negative_embed_out():
+    with pytest.raises(ShapeError, match="embed_out"):
+        ModelConfig.toy(head_mode="retrieval", embed_out=-1)
+
+
 def test_retrieval_out_dim():
     assert ModelConfig.toy(head_mode="retrieval").out_dim == 16
     assert ModelConfig.toy(head_mode="retrieval", embed_out=6).out_dim == 6
@@ -91,6 +139,31 @@ def test_named_params_round_trip():
     assert named.keys() == rebuilt.keys()
     for key in named:
         assert np.array_equal(named[key], rebuilt[key]), key
+
+
+def test_named_params_pins_the_on_disk_names():
+    assert list(named_params(init_params(ModelConfig.toy()))) == TOY_PARAM_NAMES
+    named = named_params(init_params(ModelConfig.from_name("DRCA-S-K4")))
+    assert len(named) == 230
+    assert list(named)[:5] == ["patch.weight", "patch.bias", "pos.spatial",
+                               "pos.temporal", "stage1.0.temporal.wq"]
+    assert list(named)[-2:] == ["head.weight", "head.bias"]
+
+
+def test_params_from_named_takes_structure_from_config_only(monkeypatch):
+    cfg = ModelConfig.toy(depth=5, dccm_insert_after=2, head_count=2)
+    params = init_params(cfg, seed=8)
+    named = named_params(params)
+
+    def no_draws(*_):
+        raise AssertionError("rebuilding must not draw random numbers")
+
+    monkeypatch.setattr(model_module, "RandomStream", no_draws)
+    rebuilt = params_from_named(cfg, named)
+    assert (len(rebuilt.stage1), len(rebuilt.rat)) == (2, 3)
+    assert all(layer.head_count == 2 for layer in rebuilt.stage1 + rebuilt.rat)
+    assert all(rebuilt_leaf is named[name]
+               for name, rebuilt_leaf in named_params(rebuilt).items())
 
 
 def test_named_params_round_trip_through_files(tmp_path):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -436,3 +437,37 @@ def test_flop_counters_nest_and_detach():
     before = outer.total
     matmul(s.gaussian((2, 2)), s.gaussian((2, 2)))  # outside the block
     assert outer.total == before
+
+
+# --- parameter-tree walk --------------------------------------------------
+
+@dataclass(frozen=True)
+class _Leafy:
+    a: np.ndarray
+    width: int
+
+
+@dataclass(frozen=True)
+class _Tree:
+    w: np.ndarray
+    inner: _Leafy
+    items: tuple[_Leafy, ...]
+
+
+def test_tree_map_names_rebuilds_and_combines():
+    leaf = _Leafy(np.full(1, 2, F32), 4)
+    t = _Tree(w=np.ones(2, F32), inner=_Leafy(np.zeros(1, F32), 3), items=(leaf, leaf))
+
+    seen = []
+    same = numerics.tree_map(lambda name, x: seen.append(name) or x, _Tree, t,
+                             aliases={"w": "weight", "inner": ""})
+    assert seen == ["weight", "a", "items.0.a", "items.1.a"]
+    assert same.w is t.w and same.items[1].a is leaf.a and same.inner.width == 3
+
+    built = numerics.tree_map(lambda name: np.array([len(name)], F32), _Tree,
+                              given={"items": 3, "width": 7})
+    assert len(built.items) == 3 and built.items[2].width == 7
+    assert built.items[2].a[0] == len("items.2.a")
+
+    summed = numerics.tree_map(lambda _, x, y: x + y, _Tree, t, t)
+    assert summed.items[1].a[0] == 4 and summed.w.tolist() == [2, 2]

@@ -90,8 +90,9 @@ def test_score_validation():
         hard_rank(np.array([1.0, np.nan], F32))
     with pytest.raises(ShapeError):
         hard_rank(np.zeros((2, 2), F32))
-    with pytest.raises(ValueError):
-        PerturbConfig(sigma=0.0)
+    for sigma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            PerturbConfig(sigma=sigma)
     with pytest.raises(ValueError):
         PerturbConfig(n_samples=0)
 

@@ -125,3 +125,21 @@ def test_tensor_dir_missing_manifest(tmp_path):
     os.makedirs(tmp_path / "empty", exist_ok=True)
     with pytest.raises(TensorFileError, match="manifest"):
         load_tensor_dir(tmp_path / "empty")
+
+
+@pytest.mark.parametrize("name", ["../secret", "/abs/secret", "sub/w", "a..b", "..", "", "sub\\w"])
+def test_tensor_dir_manifest_names_stay_inside(tmp_path, name):
+    d = tmp_path / "store"
+    save_tensor_dir(d, {"w": np.ones(3, F32)})
+    write_tnsr(tmp_path / "secret.tnsr", np.ones(3, F32))  # the escape target
+    (d / "manifest.tsv").write_text(f"{name}\t3\n")
+    with pytest.raises(TensorFileError, match="bad tensor name"):
+        load_tensor_dir(d)
+
+
+@pytest.mark.parametrize("name", ["../secret", "/abs/secret", "sub/w", "..", "", "a\tb", "a\nb"])
+def test_tensor_dir_save_refuses_bad_names(tmp_path, name):
+    with pytest.raises(TensorFileError, match="bad tensor name"):
+        save_tensor_dir(tmp_path / "store", {"ok": np.ones(2, F32), name: np.ones(3, F32)})
+    assert not (tmp_path / "store").exists()
+    assert not (tmp_path / "secret.tnsr").exists()
