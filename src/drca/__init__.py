@@ -33,6 +33,7 @@ from .dccm import (
     DccmParams,
     MultiResSequence,
     ScoreNetParams,
+    ScoreNetPass,
     compress,
     dccm_forward,
     full_res_sequence,

@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -40,6 +41,10 @@ EXIT_BAD_INPUT = 2
 EXIT_INSUFFICIENT = 3
 
 MIN_SAMPLES_FOR_CHECKS = 1000
+
+# refuse a model whose largest attention-score tensor exceeds this; fixed,
+# so the same command succeeds or fails the same way on every machine
+MAX_ATTENTION_SCORE_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -72,15 +77,6 @@ def _echo(pairs: dict[str, object]) -> None:
 
 # --- run configuration files -------------------------------------------
 
-_MODEL_KEYS: dict[str, type] = {
-    "embed_dim": int, "depth": int, "head_count": int, "patch_size": int,
-    "frames": int, "height": int, "width": int, "saliency_count": int,
-    "compression_factor": int, "dccm_insert_after": int, "num_classes": int,
-    "embed_out": int, "head_mode": str,
-}
-_RUN_KEYS: dict[str, type] = {"sigma": float, "n_samples": int, "seed": int, "mode": str}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig
@@ -89,17 +85,30 @@ class RunConfig:
     seed: int = 0
     mode: str = "infer"
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("infer", "train"):
+            raise ConfigError(f"mode must be infer or train, got {self.mode!r}")
+
     def echo_pairs(self) -> dict[str, object]:
         pairs: dict[str, object] = {
             f.name: getattr(self.model, f.name) for f in fields(ModelConfig)
         }
-        pairs.update(sigma=self.sigma, n_samples=self.n_samples,
-                     seed=self.seed, mode=self.mode)
+        pairs.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "model")
         return pairs
 
     @property
     def perturb(self) -> PerturbConfig:
         return PerturbConfig(sigma=self.sigma, n_samples=self.n_samples, seed=self.seed)
+
+
+def _settable(kind: type, skip: str) -> dict[str, type]:
+    hints = typing.get_type_hints(kind)
+    return {f.name: hints[f.name] for f in fields(kind) if f.name != skip}
+
+
+# keys a config file or --set may give; the variant picks the base model
+_MODEL_KEYS = _settable(ModelConfig, "variant")
+_RUN_KEYS = _settable(RunConfig, "model")
 
 
 def _parse_config_text(text: str, source: str) -> dict[str, str]:
@@ -153,38 +162,41 @@ def load_run_config(token: str, sets: list[str] | None,
         raw[key] = value
 
     def take(key: str, kind: type):
-        if key not in raw:
-            return None
         value = raw.pop(key)
         try:
             return kind(value)
         except ValueError:
             raise ConfigError(f"key {key!r} needs a {kind.__name__}, got {value!r}") from None
 
-    run_values = {key: take(key, kind) for key, kind in _RUN_KEYS.items()}
+    run_values = {key: take(key, kind) for key, kind in _RUN_KEYS.items() if key in raw}
     variant = raw.pop("variant", "toy")
     model = _base_model_config(variant)
 
-    overrides = {}
-    for key, kind in _MODEL_KEYS.items():
-        value = take(key, kind)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: take(key, kind) for key, kind in _MODEL_KEYS.items() if key in raw}
     if raw:
         raise ConfigError(f"unknown configuration keys: {sorted(raw)}")
     if overrides:
         model = replace(model, **overrides)
+    if "seed" not in run_values:
+        run_values["seed"] = _default_seed(seed_flag)
+    return RunConfig(model=model, **run_values)
 
-    mode = run_values["mode"] or "infer"
-    if mode not in ("infer", "train"):
-        raise ConfigError(f"mode must be infer or train, got {mode!r}")
-    return RunConfig(
-        model=model,
-        sigma=run_values["sigma"] if run_values["sigma"] is not None else 0.05,
-        n_samples=run_values["n_samples"] if run_values["n_samples"] is not None else 500,
-        seed=run_values["seed"] if run_values["seed"] is not None else _default_seed(seed_flag),
-        mode=mode,
-    )
+
+def _check_model_size(config: ModelConfig) -> None:
+    """Refuse, before anything is allocated, a model whose largest
+    float32 attention-score tensor would exceed the fixed limit: spatial
+    scores over one full-resolution frame, [frames, heads, g, g], or
+    temporal scores over all frames, [g, heads, frames, frames], with g
+    tokens per frame (stage-1 and baseline layers attend in time on the
+    full grid)."""
+    m, n = config.grid
+    g = m * n
+    size = 4 * config.head_count * config.frames * g * max(g, config.frames)
+    if size > MAX_ATTENTION_SCORE_BYTES:
+        raise ConfigError(
+            f"model too large: an attention-score tensor would take {size} bytes "
+            f"(limit {MAX_ATTENTION_SCORE_BYTES})"
+        )
 
 
 # --- subcommands ---------------------------------------------------------
@@ -256,6 +268,7 @@ def cmd_forward(args) -> int:
     run = load_run_config(args.config, args.set, args.seed)
     _echo(run.echo_pairs())
     config = run.model
+    _check_model_size(config)
 
     if args.params:
         params = params_from_named(config, tensor_io.load_tensor_dir(args.params))
@@ -312,6 +325,7 @@ def cmd_flops(args) -> int:
             print(other.render())
         print(f"ratio = {report.total / other.total:.4f}")
     if args.instrument:
+        _check_model_size(run.model)
         result = instrument_check(run.model, seed=run.seed)
         print(f"instrumented = {result.measured} flops "
               f"(analytic {result.analytic}, gap {result.rel_gap * 100:.3f}%)")

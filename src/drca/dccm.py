@@ -146,7 +146,16 @@ def full_res_sequence(tokens: np.ndarray) -> MultiResSequence:
     )
 
 
-def score_net_forward(tokens: np.ndarray, p: ScoreNetParams) -> np.ndarray:
+class ScoreNetPass(NamedTuple):
+    """One score-net forward: the scores and what the backward reads."""
+
+    scores: np.ndarray  # [T]
+    tokens: np.ndarray  # [T, M, N, C] float32 input
+    pooled: np.ndarray  # [T, C_mid] spatial mean of the conv output
+    hidden: np.ndarray  # [T, C_hidden] relu output
+
+
+def score_net_forward(tokens: np.ndarray, p: ScoreNetParams) -> ScoreNetPass:
     """Per-frame saliency scores from a [T, M, N, C] token video."""
     tokens = np.asarray(tokens, dtype=F32)
     if tokens.ndim != 4:
@@ -160,51 +169,35 @@ def score_net_forward(tokens: np.ndarray, p: ScoreNetParams) -> np.ndarray:
     pooled = numerics.mean_pool(conv_out, axes=(1, 2))         # [T, C_mid]
     hidden = numerics.relu(numerics.linear(pooled, p.w1, p.b1))
     scores = numerics.linear(hidden, p.w2, p.b2)               # [T, 1]
-    return scores[:, 0]
+    return ScoreNetPass(scores[:, 0], tokens, pooled, hidden)
 
 
-def score_net_backward(tokens: np.ndarray, p: ScoreNetParams,
+def score_net_backward(fwd: ScoreNetPass, p: ScoreNetParams,
                        upstream: np.ndarray) -> ScoreNetParams:
     """Reverse-mode parameter gradients of sum(upstream * scores), as a
     tree shaped like the parameters.
 
-    Recomputes the forward intermediates (they are tiny) and walks the
-    chain backwards by hand; the relu subgradient at exactly zero is zero.
+    Walks the chain backwards from the recorded forward ``fwd`` of the
+    same parameters; the relu subgradient at exactly zero is zero.
     """
-    tokens = np.asarray(tokens, dtype=F32)
     upstream = np.asarray(upstream, dtype=F32)
-    t, m, n, _ = tokens.shape
+    t, m, n, _ = fwd.tokens.shape
     if upstream.shape != (t,):
         raise ShapeError(f"upstream gradient must be [{t}], got {upstream.shape}")
 
-    conv_out = numerics.conv3d(tokens, p.conv_kernel)
-    pooled = conv_out.mean(axis=(1, 2), dtype=F32)
-    pre = pooled @ p.w1 + p.b1
-    hidden = np.maximum(pre, F32(0))
-
     d_scores = upstream[:, None]                       # [T, 1]
-    d_w2 = hidden.T @ d_scores
+    d_w2 = fwd.hidden.T @ d_scores
     d_b2 = d_scores.sum(axis=0)
     d_hidden = d_scores @ p.w2.T
-    d_pre = d_hidden * (pre > 0)
-    d_w1 = pooled.T @ d_pre
+    d_pre = d_hidden * (fwd.hidden > 0)
+    d_w1 = fwd.pooled.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
     d_pooled = d_pre @ p.w1.T                          # [T, C_mid]
     # mean over M*N spatial positions spreads the gradient uniformly
     d_conv = np.broadcast_to(
-        d_pooled[:, None, None, :] / F32(m * n), conv_out.shape
+        d_pooled[:, None, None, :] / F32(m * n), (t, m, n, d_pooled.shape[1])
     ).astype(F32)
-
-    kt, kh, kw, _, _ = p.conv_kernel.shape
-    padded = np.pad(tokens, ((kt // 2,) * 2, (kh // 2,) * 2, (kw // 2,) * 2, (0, 0)))
-    d_kernel = np.zeros_like(p.conv_kernel)
-    for dt in range(kt):
-        for dh in range(kh):
-            for dw in range(kw):
-                window = padded[dt:dt + t, dh:dh + m, dw:dw + n, :]
-                d_kernel[dt, dh, dw] = np.einsum(
-                    "tmnc,tmno->co", window, d_conv, dtype=F32, casting="same_kind"
-                )
+    d_kernel = numerics.conv3d_kernel_grad(fwd.tokens, d_conv, p.conv_kernel.shape)
     return ScoreNetParams(d_kernel, d_w1, d_b1, d_w2, d_b2)
 
 
@@ -271,7 +264,7 @@ def dccm_forward(tokens: np.ndarray, params: DccmParams, k: int, h: int,
     if tokens.ndim != 4:
         raise ShapeError(f"tokens must be [T, M, N, C], got {tokens.shape}")
 
-    scores = score_net_forward(tokens, params.score)
+    scores = score_net_forward(tokens, params.score).scores
     perm = hard_rank(scores)
     sal, non, times = topk_split(tokens, perm, k)
     if h == 1:
@@ -331,7 +324,7 @@ def selection_accuracy(p: ScoreNetParams, videos: list[PlantedVideo], k: int) ->
     """Mean fraction of planted frames recovered by the hard top-k split."""
     hits = 0.0
     for v in videos:
-        order = hard_rank(score_net_forward(v.tokens, p)).order
+        order = hard_rank(score_net_forward(v.tokens, p).scores).order
         hits += len(np.intersect1d(order[:k], v.salient_times)) / k
     return hits / len(videos)
 
@@ -364,12 +357,14 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
         loss_sum = 0.0
         grads_sum = None
         for vid, v in enumerate(train):
-            scores = score_net_forward(v.tokens, p)
+            fwd = score_net_forward(v.tokens, p)
             loss_v, d_scores = perturbed_objective(
-                scores, _video_config(cfg, vid), -v.target_matrix
+                fwd.scores, _video_config(cfg, vid), -v.target_matrix
             )
             loss_sum += loss_v
-            g = score_net_backward(v.tokens, p, d_scores)
+            if step == steps:
+                continue  # the last pass only records the trace row
+            g = score_net_backward(fwd, p, d_scores)
             grads_sum = g if grads_sum is None else numerics.tree_map(
                 lambda _, acc, part: acc + part, ScoreNetParams, grads_sum, g)
         scale = F32(1.0 / len(train))

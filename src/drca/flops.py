@@ -34,17 +34,6 @@ from .numerics import (
 )
 from .model import ModelConfig, forward, init_params
 
-OP_CLASSES = (
-    "projection",
-    "attention-scores",
-    "attention-apply",
-    "feed-forward",
-    "conv",
-    "pooling",
-    "head",
-)
-
-
 @dataclass(frozen=True)
 class CostConvention:
     macs_to_flops: int = MACS_TO_FLOPS

@@ -290,7 +290,7 @@ def baseline_forward(video: np.ndarray, params: DrcaParams,
     seq = full_res_sequence(tokens)
     for layer in params.stage1:
         seq = rat_layer_forward(seq, layer)
-    scores = score_net_forward(seq.saliency, params.dccm.score)
+    scores = score_net_forward(seq.saliency, params.dccm.score).scores
     for layer in params.rat:
         seq = rat_layer_forward(seq, layer)
     order = hard_rank(scores).order

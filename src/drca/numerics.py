@@ -24,8 +24,9 @@ Phi(-a) = erfc(a / sqrt 2) / 2 and erfc from the Numerical Recipes
 float32 its tested error is at most 3e-7 absolute over [-12, 12] and
 within (1e-7 + 1e-6 |gelu(x)|) / 2 at every point.
 
-``tree_map`` is the single walk over the parameter dataclass trees: it
-names, rebuilds and updates them field by field.
+``conv3d`` and its kernel gradient ``conv3d_kernel_grad`` share one
+padded-window walk.  ``tree_map`` is the single walk over the parameter
+dataclass trees: it names, rebuilds and updates them field by field.
 """
 
 from __future__ import annotations
@@ -78,11 +79,6 @@ def _count(flops: int) -> None:
     if _ACTIVE_COUNTERS:
         for counter in _ACTIVE_COUNTERS:
             counter.total += int(flops)
-
-
-def as_f32(x) -> np.ndarray:
-    """Coerce to a C-contiguous float32 array."""
-    return np.ascontiguousarray(x, dtype=F32)
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,6 +265,27 @@ def mean_pool(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _padded_windows(x: np.ndarray, kernel_shape: tuple[int, ...]):
+    """The one window walk behind ``conv3d`` and its kernel gradient:
+    validate a [T, M, N, C_in] input against a [kt, kh, kw, C_in, C_out]
+    kernel shape, zero-pad it by half the kernel extents, and return
+    ``(tap, window)`` for every kernel tap, ``window`` being the
+    [T, M, N, C_in] view that tap reads."""
+    if x.ndim != 4:
+        raise ShapeError(f"conv3d input must be [T, M, N, C], got {x.shape}")
+    if len(kernel_shape) != 5:
+        raise ShapeError(f"conv3d kernel must be [kt, kh, kw, Cin, Cout], got {kernel_shape}")
+    kt, kh, kw, c_in, _ = kernel_shape
+    if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"conv3d kernel extents must be odd, got {(kt, kh, kw)}")
+    if x.shape[-1] != c_in:
+        raise ShapeError(f"conv3d channels {x.shape[-1]} do not match kernel {c_in}")
+    t, m, n, _ = x.shape
+    xp = np.pad(x, ((kt // 2,) * 2, (kh // 2,) * 2, (kw // 2,) * 2, (0, 0)))
+    return [((dt, dh, dw), xp[dt:dt + t, dh:dh + m, dw:dw + n, :])
+            for dt in range(kt) for dh in range(kh) for dw in range(kw)]
+
+
 def conv3d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Same-padded cross-correlation over (time, height, width).
 
@@ -277,25 +294,36 @@ def conv3d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=F32)
     kernel = np.asarray(kernel, dtype=F32)
-    if x.ndim != 4:
-        raise ShapeError(f"conv3d input must be [T, M, N, C], got {x.shape}")
-    if kernel.ndim != 5:
-        raise ShapeError(f"conv3d kernel must be [kt, kh, kw, Cin, Cout], got {kernel.shape}")
-    kt, kh, kw, c_in, c_out = kernel.shape
-    if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv3d kernel extents must be odd, got {(kt, kh, kw)}")
-    if x.shape[-1] != c_in:
-        raise ShapeError(f"conv3d channels {x.shape[-1]} do not match kernel {c_in}")
-    t, m, n, _ = x.shape
-    xp = np.pad(x, ((kt // 2,) * 2, (kh // 2,) * 2, (kw // 2,) * 2, (0, 0)))
-    out = np.zeros((t, m, n, c_out), dtype=F32)
-    for dt in range(kt):
-        for dh in range(kh):
-            for dw in range(kw):
-                window = xp[dt:dt + t, dh:dh + m, dw:dw + n, :]
-                out += np.matmul(window, kernel[dt, dh, dw])
-    _count(MACS_TO_FLOPS * out.size * kt * kh * kw * c_in)
+    windows = _padded_windows(x, kernel.shape)
+    out = np.zeros(x.shape[:3] + kernel.shape[-1:], dtype=F32)
+    for tap, window in windows:
+        out += np.matmul(window, kernel[tap])
+    _count(MACS_TO_FLOPS * out.size * len(windows) * kernel.shape[3])
     return out
+
+
+def conv3d_kernel_grad(x: np.ndarray, d_out: np.ndarray,
+                       kernel_shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of sum(d_out * conv3d(x, K)) with respect to K.
+
+    x: [T, M, N, C_in], d_out: [T, M, N, C_out]; returns a kernel-shaped
+    [kt, kh, kw, C_in, C_out] array, each tap the window-by-gradient
+    contraction over time and space.  Counted like the forward conv.
+    """
+    x = np.asarray(x, dtype=F32)
+    d_out = np.asarray(d_out, dtype=F32)
+    kernel_shape = tuple(int(e) for e in kernel_shape)
+    windows = _padded_windows(x, kernel_shape)
+    if d_out.shape != x.shape[:3] + kernel_shape[-1:]:
+        raise ShapeError(
+            f"conv3d output gradient must be {x.shape[:3] + kernel_shape[-1:]}, "
+            f"got {d_out.shape}"
+        )
+    grad = np.zeros(kernel_shape, dtype=F32)
+    for tap, window in windows:
+        grad[tap] = np.einsum("tmnc,tmno->co", window, d_out, dtype=F32, casting="same_kind")
+    _count(MACS_TO_FLOPS * d_out.size * len(windows) * kernel_shape[3])
+    return grad
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -147,35 +147,36 @@ def temporal_attention(seq: MultiResSequence, p: AttentionParams,
     return MultiResSequence(new_sal, new_non, seq.times, seq.h)
 
 
+def _map_parts(seq: MultiResSequence, fn) -> MultiResSequence:
+    """Apply ``fn`` to each non-empty part at its own resolution."""
+
+    def run(part: np.ndarray) -> np.ndarray:
+        return part if part.shape[0] == 0 else fn(part)
+
+    return MultiResSequence(run(seq.saliency), run(seq.non_saliency), seq.times, seq.h)
+
+
 def spatial_attention(seq: MultiResSequence, p: AttentionParams,
                       heads: int) -> MultiResSequence:
     """Per-frame self-attention, each part at its native resolution."""
 
-    def run(part: np.ndarray) -> np.ndarray:
-        if part.shape[0] == 0:
-            return part
+    def attend(part: np.ndarray) -> np.ndarray:
         f, m, n, c = part.shape
         x = part.reshape(f, m * n, c)
         return (x + _multihead(x, p, heads)).reshape(f, m, n, c)
 
-    return MultiResSequence(
-        run(seq.saliency), run(seq.non_saliency), seq.times, seq.h
-    )
+    return _map_parts(seq, attend)
 
 
 def feed_forward(seq: MultiResSequence, p: FeedForwardParams) -> MultiResSequence:
     """Token-wise two-layer GELU block applied to both parts."""
 
-    def run(part: np.ndarray) -> np.ndarray:
-        if part.shape[0] == 0:
-            return part
+    def mlp(part: np.ndarray) -> np.ndarray:
         ln = numerics.layer_norm(part, p.ln_gain, p.ln_shift)
         hidden = numerics.gelu(numerics.linear(ln, p.w1, p.b1))
         return part + numerics.linear(hidden, p.w2, p.b2)
 
-    return MultiResSequence(
-        run(seq.saliency), run(seq.non_saliency), seq.times, seq.h
-    )
+    return _map_parts(seq, mlp)
 
 
 def rat_layer_forward(seq: MultiResSequence, p: RatLayerParams) -> MultiResSequence:

@@ -5,7 +5,8 @@ extent per axis, then float32 values in row-major order.  A directory of
 tensors carries a ``manifest.tsv`` with one ``name<TAB>dim0xdim1x...``
 line per tensor, in write order.  A name must stay inside its directory:
 empty, absolute, ``..`` and path-separator names are refused on write
-and on read.
+and on read.  Every tensor file is written atomically: a temporary file
+beside the target is renamed into place.
 """
 
 from __future__ import annotations
@@ -26,14 +27,29 @@ class TensorFileError(ValueError):
 
 
 def write_tnsr(path: str | os.PathLike, tensor: np.ndarray) -> None:
+    """Write ``tensor`` atomically: the bytes go to a fresh temporary file
+    beside ``path``, which then replaces ``path`` in one rename, so a
+    failed write leaves any old file untouched and no stray file behind."""
     tensor = np.ascontiguousarray(tensor, dtype=F32)
     if not np.all(np.isfinite(tensor)):
         raise TensorFileError(f"refusing to write non-finite values to {path}")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", tensor.ndim))
-        f.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-        f.write(tensor.astype("<f4", copy=False).tobytes())
+    directory, base = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{base}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        # O_EXCL never reuses a file; 0o666 lets the umask set the mode as open() would
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", tensor.ndim))
+            f.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+            f.write(tensor.astype("<f4", copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException as err:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(err, OSError) and err.filename == tmp:
+            # name the file the caller asked for, not the temporary one
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from None
+        raise
 
 
 def read_tnsr(path: str | os.PathLike) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from drca.cli import (
     _MODEL_KEYS,
+    _check_model_size,
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
     EXIT_INSUFFICIENT,
@@ -201,10 +202,10 @@ _INT_MODEL_KEYS = sorted(k for k, kind in _MODEL_KEYS.items() if kind is int)
 @settings(max_examples=80, deadline=None)
 @given(key=st.sampled_from(_INT_MODEL_KEYS), value=st.integers(-2, 8))
 def test_any_small_integer_override_exits_0_or_2(key, value):
-    # patch sizes 1 and 2 are valid but give 4096- and 1024-token frames
-    # whose attention matrices take gigabytes; they test memory, not input
-    # checking
-    assume(not (key == "patch_size" and value in (1, 2)))
+    # patch size 2 is valid but gives 1024-token frames whose attention
+    # matrices take hundreds of megabytes; it tests memory, not input
+    # checking (patch size 1 is refused by the model size check)
+    assume(not (key == "patch_size" and value == 2))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["forward", "toy", "--set", f"{key}={value}"])
@@ -213,6 +214,32 @@ def test_any_small_integer_override_exits_0_or_2(key, value):
     if code == EXIT_BAD_INPUT:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "toy", "--set", "patch_size=1"],
+    ["forward", "toy", "--set", "height=4096", "--set", "width=4096"],
+    ["forward", "toy", "--set", "frames=20000"],
+    ["flops", "toy", "--set", "patch_size=1", "--instrument"],
+])
+def test_oversized_model_exits_2_before_allocating(capsys, argv):
+    # toy at patch size 1: 4 heads x 8 frames x 4096^2 float32 spatial scores
+    assert main(argv) == EXIT_BAD_INPUT
+    _one_line_error(capsys, "model too large", "bytes")
+
+
+@pytest.mark.parametrize("name", ["DRCA-S-K4", "DRCA-B-K2"])
+def test_model_size_limit_admits_the_presets(name):
+    config = ModelConfig.from_name(name)
+    _check_model_size(config)
+    _check_model_size(config.baseline())
+
+
+def test_every_model_field_but_the_variant_is_a_config_key():
+    assert set(_MODEL_KEYS) == set(vars(ModelConfig())) - {"variant"}
+    assert all(_MODEL_KEYS[key] is type(value)
+               for key, value in vars(ModelConfig()).items() if key != "variant")
 
 
 # --- configuration resolution ----------------------------------------------

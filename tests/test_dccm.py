@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drca import numerics
+from drca import dccm, numerics
 from drca.dccm import (
     CompressorParams,
     DccmParams,
@@ -57,9 +57,9 @@ def _toy_params(channels: int, seed: int) -> DccmParams:
 def test_score_net_shape_and_determinism():
     tokens = RandomStream(0).gaussian((5, 2, 2, 3))
     p = _score_params(1)
-    scores = score_net_forward(tokens, p)
+    scores = score_net_forward(tokens, p).scores
     assert scores.shape == (5,) and scores.dtype == F32
-    assert np.array_equal(scores, score_net_forward(tokens, p))
+    assert np.array_equal(scores, score_net_forward(tokens, p).scores)
 
 
 def test_score_net_input_validation():
@@ -67,8 +67,8 @@ def test_score_net_input_validation():
     with pytest.raises(ShapeError):
         score_net_forward(RandomStream(0).gaussian((2, 2, 3)), p)
     with pytest.raises(ShapeError):
-        score_net_backward(RandomStream(0).gaussian((5, 2, 2, 3)), p,
-                           np.zeros(4, F32))
+        score_net_backward(score_net_forward(RandomStream(0).gaussian((5, 2, 2, 3)), p),
+                           p, np.zeros(4, F32))
 
 
 def test_score_net_needs_a_single_output_column():
@@ -85,7 +85,7 @@ def test_score_net_needs_a_single_output_column():
 
 
 def _weighted_score_sum(tokens, p, upstream) -> float:
-    scores = score_net_forward(tokens, p)
+    scores = score_net_forward(tokens, p).scores
     return float(np.sum(np.float64(upstream) * np.float64(scores)))
 
 
@@ -100,7 +100,7 @@ def test_score_net_backward_matches_finite_differences(field):
     pooled = numerics.mean_pool(numerics.conv3d(tokens, p.conv_kernel), axes=(1, 2))
     assert np.min(np.abs(pooled @ p.w1 + p.b1)) > 0.02
 
-    analytic = getattr(score_net_backward(tokens, p, upstream), field)
+    analytic = getattr(score_net_backward(score_net_forward(tokens, p), p, upstream), field)
     base = getattr(p, field)
     delta = 3e-3
     fd = np.zeros(base.shape, np.float64)
@@ -118,7 +118,7 @@ def test_score_net_backward_matches_finite_differences(field):
 def test_score_net_backward_returns_a_parameter_shaped_tree():
     tokens = RandomStream(6).gaussian((4, 2, 2, 3))
     p = _score_params(8)
-    grads = score_net_backward(tokens, p, RandomStream(7).gaussian(4))
+    grads = score_net_backward(score_net_forward(tokens, p), p, RandomStream(7).gaussian(4))
     assert type(grads) is ScoreNetParams
     for field in ("conv_kernel", "w1", "b1", "w2", "b2"):
         got, want = getattr(grads, field), getattr(p, field)
@@ -128,7 +128,8 @@ def test_score_net_backward_returns_a_parameter_shaped_tree():
 def test_score_net_backward_final_bias_is_upstream_sum():
     tokens = RandomStream(6).gaussian((4, 2, 2, 3))
     upstream = RandomStream(7).gaussian(4)
-    grads = score_net_backward(tokens, _score_params(8), upstream)
+    p = _score_params(8)
+    grads = score_net_backward(score_net_forward(tokens, p), p, upstream)
     np.testing.assert_allclose(grads.b2, [upstream.sum()], rtol=1e-6)
 
 
@@ -221,7 +222,7 @@ def test_dccm_forward_h1_is_a_plain_split():
     tokens = RandomStream(22).gaussian((6, 2, 2, 4))
     params = _toy_params(4, 23)
     res = dccm_forward(tokens, params, k=2, h=1)
-    assert np.array_equal(res.scores, score_net_forward(tokens, params.score))
+    assert np.array_equal(res.scores, score_net_forward(tokens, params.score).scores)
     order = hard_rank(res.scores).order
     assert np.array_equal(res.sequence.times.saliency, order[:2])
     assert np.array_equal(res.sequence.times.non_saliency, order[2:])
@@ -419,16 +420,56 @@ def test_toy_train_step_is_the_in_order_gradient_sum():
     fields = ("conv_kernel", "w1", "b1", "w2", "b2")
     total = None
     for vid, v in enumerate(train):
-        _, d_scores = perturbed_objective(score_net_forward(v.tokens, p0),
-                                          replace(cfg, seed=cfg.seed + vid),
+        fwd = score_net_forward(v.tokens, p0)
+        _, d_scores = perturbed_objective(fwd.scores, replace(cfg, seed=cfg.seed + vid),
                                           -v.target_matrix)
-        g = score_net_backward(v.tokens, p0, d_scores)
+        g = score_net_backward(fwd, p0, d_scores)
         parts = [getattr(g, f) for f in fields]
         total = parts if total is None else [a + b for a, b in zip(total, parts)]
     rate, scale = F32(0.05), F32(1.0 / 3)
     for field, g_sum in zip(fields, total):
         want = getattr(p0, field) - rate * scale * g_sum
         assert getattr(p1, field).tobytes() == want.tobytes(), field
+
+
+def test_toy_train_runs_one_score_net_forward_per_video_per_step(monkeypatch):
+    # every step scores each training and holdout video once; the backward
+    # reuses the training forward and the last pass runs no backward
+    videos = make_planted_dataset(7, frames=4, salient_count=1, grid=2, channels=4, seed=3)
+    train, holdout = videos[:5], videos[5:]
+    p0 = ScoreNetParams.init(4, 2, 4, RandomStream(4), scale=0.1)
+    cfg = PerturbConfig(sigma=0.3, n_samples=20, seed=5)
+    calls = {"conv3d": 0, "backward": 0}
+    conv3d, backward = numerics.conv3d, dccm.score_net_backward
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(numerics, "conv3d", counting("conv3d", conv3d))
+    monkeypatch.setattr(dccm, "score_net_backward", counting("backward", backward))
+    for steps in (0, 1, 3):
+        calls.update(conv3d=0, backward=0)
+        toy_train_scorenet(train, holdout, p0, k=1, steps=steps, lr=0.05, cfg=cfg)
+        assert calls == {"conv3d": (steps + 1) * 7, "backward": steps * 5}, steps
+
+
+def test_chunked_steps_walk_the_contiguous_trajectory():
+    # two 2-step calls, the second resuming from the first's parameters,
+    # give bitwise the parameters and trace of one 4-step call
+    videos = make_planted_dataset(12, frames=6, salient_count=2, seed=31)
+    train, holdout = videos[:9], videos[9:]
+    p0 = ScoreNetParams.init(8, 4, 8, RandomStream(32), scale=0.1, zero_final=True)
+    cfg = PerturbConfig(sigma=0.2, n_samples=100, seed=33)
+    p4, trace4 = toy_train_scorenet(train, holdout, p0, k=2, steps=4, lr=0.05, cfg=cfg)
+    p2, first = toy_train_scorenet(train, holdout, p0, k=2, steps=2, lr=0.05, cfg=cfg)
+    p22, second = toy_train_scorenet(train, holdout, p2, k=2, steps=2, lr=0.05, cfg=cfg)
+    assert second[0][1:] == first[-1][1:]
+    assert [r[1:] for r in first + second[1:]] == [r[1:] for r in trace4]
+    for field in ("conv_kernel", "w1", "b1", "w2", "b2"):
+        assert getattr(p22, field).tobytes() == getattr(p4, field).tobytes(), field
 
 
 def test_toy_train_validation():

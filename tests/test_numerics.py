@@ -25,6 +25,7 @@ from drca.numerics import (
     ShapeError,
     avgpool_downsample,
     conv3d,
+    conv3d_kernel_grad,
     gelu,
     l2_normalize,
     layer_norm,
@@ -268,6 +269,44 @@ def test_conv3d_rejects_even_kernel_and_channel_mismatch():
         conv3d(x, np.zeros((2, 3, 3, 3, 1), F32))
     with pytest.raises(ShapeError):
         conv3d(x, np.zeros((3, 3, 3, 5, 1), F32))
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.integers(1, 4), m=st.integers(1, 4), n=st.integers(1, 4),
+       c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+       extents=st.tuples(*[st.sampled_from([1, 3, 5])] * 3), seed=st.integers(0, 2**16))
+def test_conv3d_kernel_grad_is_the_adjoint_of_conv3d(t, m, n, c_in, c_out, extents, seed):
+    # <conv3d(x, K), D> = <K, conv3d_kernel_grad(x, D, K.shape)>, both
+    # inner products taken in float64 over the float32 kernel outputs
+    s = _stream(seed)
+    x = s.gaussian((t, m, n, c_in))
+    kernel = s.gaussian((*extents, c_in, c_out))
+    d_out = s.gaussian((t, m, n, c_out))
+    grad = conv3d_kernel_grad(x, d_out, kernel.shape)
+    assert grad.shape == kernel.shape and grad.dtype == F32
+    lhs = np.sum(np.float64(conv3d(x, kernel)) * np.float64(d_out))
+    rhs = np.sum(np.float64(kernel) * np.float64(grad))
+    scale = np.sum(np.abs(np.float64(kernel))) * np.max(np.abs(np.float64(grad)))
+    assert abs(lhs - rhs) <= 1e-5 * (scale + 1.0)
+
+
+def test_conv3d_kernel_grad_counts_like_the_conv_and_validates_shapes():
+    s = _stream(13)
+    x = s.gaussian((3, 4, 5, 2))
+    d_out = s.gaussian((3, 4, 5, 6))
+    with FlopCounter() as fc:
+        conv3d_kernel_grad(x, d_out, (3, 3, 3, 2, 6))
+    assert fc.total == 2 * 3 * 4 * 5 * 2 * 6 * 27
+    for kernel_shape in [(2, 3, 3, 2, 6), (3, 3, 3, 5, 6), (3, 3, 2, 6)]:
+        with pytest.raises(ShapeError):
+            conv3d_kernel_grad(x, d_out, kernel_shape)
+    with pytest.raises(ShapeError, match="output gradient"):
+        conv3d_kernel_grad(x, d_out, (3, 3, 3, 2, 4))
+    with pytest.raises(ShapeError, match="output gradient"):
+        conv3d_kernel_grad(x, d_out[:2], (3, 3, 3, 2, 6))
+    with pytest.raises(ShapeError):
+        conv3d_kernel_grad(x[0], d_out[0], (3, 3, 3, 2, 6))
 
 
 # --- elementwise -------------------------------------------------------

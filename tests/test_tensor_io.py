@@ -58,6 +58,36 @@ def test_non_finite_values_are_refused(tmp_path):
     assert not path.exists() or path.read_bytes() == b""
 
 
+def test_failed_write_leaves_the_old_file_and_no_stray_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.tnsr"
+    write_tnsr(path, np.arange(6, dtype=F32))
+    before = path.read_bytes()
+    pack, packs = struct.pack, []
+
+    def failing_pack(fmt, *values):
+        # the second pack is the extent list: magic and rank are written
+        packs.append(fmt)
+        if len(packs) == 2:
+            raise OSError("injected write failure")
+        return pack(fmt, *values)
+
+    monkeypatch.setattr(struct, "pack", failing_pack)
+    with pytest.raises(OSError, match="injected"):
+        write_tnsr(path, np.ones((2, 3), F32))
+    monkeypatch.undo()
+    assert len(packs) == 2
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["t.tnsr"]
+
+
+def test_write_replaces_an_existing_file(tmp_path):
+    path = tmp_path / "t.tnsr"
+    write_tnsr(path, np.arange(6, dtype=F32))
+    write_tnsr(path, np.ones((2, 3), F32))
+    np.testing.assert_array_equal(read_tnsr(path), np.ones((2, 3), F32))
+    assert os.listdir(tmp_path) == ["t.tnsr"]
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "x.tnsr"
     write_tnsr(path, np.ones(3, F32))
