@@ -62,8 +62,6 @@ from .model import (
     params_from_named,
 )
 from .flops import (
-    CONVENTION,
-    CostConvention,
     FlopsEntry,
     FlopsReport,
     compare,

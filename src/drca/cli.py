@@ -24,15 +24,15 @@ import os
 import sys
 import tempfile
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import gradcheck, numerics, selftest as selftest_mod, tensor_io
+from . import gradcheck, selftest as selftest_mod, tensor_io
 from .dccm import make_planted_dataset, toy_train_scorenet, ScoreNetParams
-from .flops import compare, count_flops, instrument_check
+from .flops import count_flops, instrument_check
 from .model import ModelConfig, baseline_forward, forward, init_params, params_from_named
-from .numerics import F32, RandomStream, ShapeError
+from .numerics import RandomStream, ShapeError
 from .ranking import PerturbConfig, hard_rank, perturbed_rank
 
 EXIT_OK = 0
@@ -84,26 +84,27 @@ class RunConfig:
     n_samples: int = 500
     seed: int = 0
     mode: str = "infer"
+    perturb: PerturbConfig = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("infer", "train"):
             raise ConfigError(f"mode must be infer or train, got {self.mode!r}")
+        # built in every mode, so a bad sigma or n_samples is refused even
+        # where only train mode would use it
+        object.__setattr__(self, "perturb", PerturbConfig(
+            sigma=self.sigma, n_samples=self.n_samples, seed=self.seed))
 
     def echo_pairs(self) -> dict[str, object]:
         pairs: dict[str, object] = {
             f.name: getattr(self.model, f.name) for f in fields(ModelConfig)
         }
-        pairs.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "model")
+        pairs.update((key, getattr(self, key)) for key in _RUN_KEYS)
         return pairs
-
-    @property
-    def perturb(self) -> PerturbConfig:
-        return PerturbConfig(sigma=self.sigma, n_samples=self.n_samples, seed=self.seed)
 
 
 def _settable(kind: type, skip: str) -> dict[str, type]:
     hints = typing.get_type_hints(kind)
-    return {f.name: hints[f.name] for f in fields(kind) if f.name != skip}
+    return {f.name: hints[f.name] for f in fields(kind) if f.init and f.name != skip}
 
 
 # keys a config file or --set may give; the variant picks the base model
@@ -126,21 +127,6 @@ def _parse_config_text(text: str, source: str) -> dict[str, str]:
             raise ConfigError(f"{source}:{line_no}: duplicate key {key!r}")
         raw[key] = value
     return raw
-
-
-def _base_model_config(variant: str) -> ModelConfig:
-    if variant == "S":
-        return ModelConfig.small()
-    if variant == "B":
-        return ModelConfig.base()
-    if variant == "toy":
-        return ModelConfig.toy()
-    try:
-        return ModelConfig.from_name(variant)
-    except ValueError:
-        raise ConfigError(
-            f"unknown variant {variant!r} (want S, B, toy, or DRCA-<B|S>-K<n>)"
-        ) from None
 
 
 def load_run_config(token: str, sets: list[str] | None,
@@ -170,7 +156,12 @@ def load_run_config(token: str, sets: list[str] | None,
 
     run_values = {key: take(key, kind) for key, kind in _RUN_KEYS.items() if key in raw}
     variant = raw.pop("variant", "toy")
-    model = _base_model_config(variant)
+    try:
+        model = ModelConfig.from_name(variant)
+    except ValueError:
+        raise ConfigError(
+            f"unknown variant {variant!r} (want S, B, toy, or DRCA-<B|S>-K<n>)"
+        ) from None
 
     overrides = {key: take(key, kind) for key, kind in _MODEL_KEYS.items() if key in raw}
     if raw:
@@ -201,6 +192,16 @@ def _check_model_size(config: ModelConfig) -> None:
 
 # --- subcommands ---------------------------------------------------------
 
+# path arguments are not configuration and stay out of the echo
+_NOT_ECHOED = ("command", "func", "scores", "out")
+
+
+def _echo_flags(args, seed: int) -> None:
+    """Echo a command's flags, with the seed as resolved."""
+    pairs = {key: value for key, value in vars(args).items() if key not in _NOT_ECHOED}
+    _echo({**pairs, "seed": seed})
+
+
 def _require_counts(args, **minimums: int) -> None:
     for flag, low in minimums.items():
         value = getattr(args, flag)
@@ -211,7 +212,7 @@ def _require_counts(args, **minimums: int) -> None:
 def cmd_rank(args) -> int:
     seed = _default_seed(args.seed)
     cfg = PerturbConfig(sigma=args.sigma, n_samples=args.n_samples, seed=seed)
-    _echo({"n_samples": cfg.n_samples, "seed": cfg.seed, "sigma": cfg.sigma})
+    _echo_flags(args, seed)
     scores = tensor_io.read_tnsr(args.scores)
     if scores.ndim != 1:
         raise ShapeError(f"{args.scores}: scores must be rank 1, got rank {scores.ndim}")
@@ -236,10 +237,7 @@ def _print_check(report: gradcheck.CheckReport, unit: str) -> None:
 
 def cmd_grad_check(args) -> int:
     seed = _default_seed(args.seed)
-    _echo({
-        "frames": args.frames, "n_samples": args.n_samples, "seed": seed,
-        "sigma": args.sigma, "trials": args.trials,
-    })
+    _echo_flags(args, seed)
     _require_counts(args, frames=2, trials=1)
     if not 0 < args.sigma < np.inf:
         raise ConfigError(f"--sigma must be positive and finite, got {args.sigma}")
@@ -288,7 +286,7 @@ def cmd_forward(args) -> int:
     if args.baseline:
         out = baseline_forward(video, params, config)
     else:
-        out = forward(video, params, config, mode=run.mode,
+        out = forward(video, params, config,
                       perturb=run.perturb if run.mode == "train" else None)
 
     print("scores:", " ".join(f"{float(v):.6f}" for v in out.scores))
@@ -334,12 +332,7 @@ def cmd_flops(args) -> int:
 
 def cmd_toy_train(args) -> int:
     seed = _default_seed(args.seed)
-    _echo({
-        "frames": args.frames, "holdout": args.holdout,
-        "init_scale": args.init_scale, "lr": args.lr,
-        "n_samples": args.n_samples, "salient": args.salient, "seed": seed,
-        "sigma": args.sigma, "steps": args.steps, "videos": args.videos,
-    })
+    _echo_flags(args, seed)
     _require_counts(args, videos=1, holdout=1, steps=0, frames=2, salient=1)
     for flag in ("lr", "init_scale"):
         if not np.isfinite(getattr(args, flag)):
@@ -371,10 +364,6 @@ def cmd_toy_train(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    softmax = numerics.softmax_lastdim
-    if args.inject_softmax_fault:
-        # deliberate corruption used to prove the battery can fail
-        numerics.softmax_lastdim = lambda x: softmax(x) + F32(1e-3)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             results = selftest_mod.run_all(tmp)
@@ -382,8 +371,6 @@ def cmd_selftest(args) -> int:
         print(str(err), file=sys.stderr)
         print("selftest: FAIL")
         return EXIT_CHECK_FAILED
-    finally:
-        numerics.softmax_lastdim = softmax
     for name, count in results:
         print(f"suite {name}: {count} checks ok")
     print("selftest: PASS")
@@ -450,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_toy_train)
 
     p = sub.add_parser("selftest", help="run the per-module sanity battery")
-    p.add_argument("--inject-softmax-fault", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -244,22 +244,19 @@ def compress(saliency: np.ndarray, non_saliency: np.ndarray,
 class DccmResult(NamedTuple):
     sequence: MultiResSequence
     scores: np.ndarray               # float32 [T]
-    soft: SoftRankMatrix | None      # only in train mode
+    soft: SoftRankMatrix | None      # only given a PerturbConfig
 
 
 def dccm_forward(tokens: np.ndarray, params: DccmParams, k: int, h: int,
-                 mode: str = "infer", perturb: PerturbConfig | None = None) -> DccmResult:
+                 perturb: PerturbConfig | None = None) -> DccmResult:
     """Score, rank, split and compress one token video.
 
-    The token path is hard in both modes; train mode additionally returns
-    the smoothed ranking matrix for loss terms.  At h == 1 the two parts
-    already share a grid and the compressor is skipped entirely, which
-    keeps K=T/h=1 configurations bit-comparable to an unsplit pipeline.
+    The token path is always hard; given a PerturbConfig, the result also
+    carries the smoothed ranking matrix for loss terms.  At h == 1 the two
+    parts already share a grid and the compressor is skipped entirely,
+    which keeps K=T/h=1 configurations bit-comparable to an unsplit
+    pipeline.
     """
-    if mode not in ("infer", "train"):
-        raise ValueError(f"mode must be 'infer' or 'train', got {mode!r}")
-    if mode == "train" and perturb is None:
-        raise ValueError("train mode needs a PerturbConfig")
     tokens = np.asarray(tokens, dtype=F32)
     if tokens.ndim != 4:
         raise ShapeError(f"tokens must be [T, M, N, C], got {tokens.shape}")
@@ -272,7 +269,7 @@ def dccm_forward(tokens: np.ndarray, params: DccmParams, k: int, h: int,
     else:
         compressed = compress(sal, non, params.compressor, h)
     seq = MultiResSequence(saliency=sal, non_saliency=compressed, times=times, h=h)
-    soft = perturbed_rank(scores, perturb) if mode == "train" else None
+    soft = None if perturb is None else perturbed_rank(scores, perturb)
     return DccmResult(seq, scores, soft)
 
 

@@ -20,9 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import numerics
 from .numerics import (
     FlopCounter,
     MACS_TO_FLOPS,
@@ -33,17 +30,6 @@ from .numerics import (
     RandomStream,
 )
 from .model import ModelConfig, forward, init_params
-
-@dataclass(frozen=True)
-class CostConvention:
-    macs_to_flops: int = MACS_TO_FLOPS
-    softmax_flops_per_element: int = SOFTMAX
-    norm_flops_per_element: int = NORM
-    pool_flops_per_element: int = POOL
-    nonlinearity_flops_per_element: int = NONLIN
-
-
-CONVENTION = CostConvention()
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,13 @@ import numpy as np
 from .numerics import F32, RandomStream
 from .ranking import PerturbConfig, _objective_samples
 
+# pass thresholds: relative error against the closed form, and the
+# finite-difference disagreement in combined standard errors
+T2_REL_TOL = 0.05
+FD_SE_LIMIT = 3.0
+# finite-difference step as a fraction of sigma (see run_fd_check)
+FD_DELTA_PER_SIGMA = 0.2
+
 
 @dataclass(frozen=True)
 class CheckRow:
@@ -76,7 +83,7 @@ def objective_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
 
 
 def run_t2_check(sigma: float = 0.05, n_samples: int = 100_000, seed: int = 0,
-                 trials: int = 10, rel_tol: float = 0.05) -> CheckReport:
+                 trials: int = 10) -> CheckReport:
     """Compare the MC top-probability gradient against the closed form over
     score pairs whose gap spans the smoothing scale (|a-b| <= 3 sigma)."""
     if trials < 1:
@@ -97,14 +104,13 @@ def run_t2_check(sigma: float = 0.05, n_samples: int = 100_000, seed: int = 0,
         rows.append(CheckRow(
             label=f"pair {trial}: gap={b - a:+.4f}",
             analytic=exact, estimate=float(grad[0]),
-            error=float(rel), passed=bool(rel < rel_tol),
+            error=float(rel), passed=bool(rel < T2_REL_TOL),
         ))
     return CheckReport("closed-form (T=2)", tuple(rows))
 
 
 def run_fd_check(frames: int = 4, sigma: float = 0.05, n_samples: int = 100_000,
-                 seed: int = 0, vectors: int = 5, delta: float | None = None,
-                 se_limit: float = 3.0) -> CheckReport:
+                 seed: int = 0, vectors: int = 5) -> CheckReport:
     """Compare the MC gradient with central finite differences of the
     smoothed objective, each endpoint re-estimated with fresh seeds.
 
@@ -115,8 +121,7 @@ def run_fd_check(frames: int = 4, sigma: float = 0.05, n_samples: int = 100_000,
     reasons that have nothing to do with the estimator."""
     if frames < 2 or vectors < 1:
         raise ValueError(f"need frames >= 2 and vectors >= 1, got {frames} and {vectors}")
-    if delta is None:
-        delta = 0.2 * sigma
+    delta = FD_DELTA_PER_SIGMA * sigma
     stream = RandomStream(seed)
     rows = []
     for v in range(vectors):
@@ -137,6 +142,6 @@ def run_fd_check(frames: int = 4, sigma: float = 0.05, n_samples: int = 100_000,
             rows.append(CheckRow(
                 label=f"vector {v} coord {i}",
                 analytic=fd, estimate=float(grad[i]),
-                error=err, passed=bool(err < se_limit),
+                error=err, passed=bool(err < FD_SE_LIMIT),
             ))
     return CheckReport(f"finite differences (T={frames})", tuple(rows))

@@ -126,10 +126,15 @@ class ModelConfig:
 
     @classmethod
     def from_name(cls, name: str, **over) -> "ModelConfig":
-        """Parse DRCA-<B|S>-K<count> into a configuration."""
+        """A preset by name: S, B, toy, or DRCA-<B|S>-K<count>."""
+        presets = {"S": cls.small, "B": cls.base, "toy": cls.toy}
+        if name in presets:
+            return presets[name](**over)
         m = _NAME_RE.match(name)
         if not m:
-            raise ValueError(f"cannot parse model name {name!r} (want DRCA-<B|S>-K<n>)")
+            raise ValueError(
+                f"cannot parse model name {name!r} (want S, B, toy, or DRCA-<B|S>-K<n>)"
+            )
         variant, k = m.group(1), int(m.group(2))
         maker = cls.base if variant == "B" else cls.small
         return maker(saliency_count=k, **over)
@@ -156,13 +161,13 @@ class ModelOutput:
     soft: Optional[SoftRankMatrix] = None
 
 
-def init_params(config: ModelConfig, seed: int = 0, scale: float = 0.02) -> DrcaParams:
-    """All weights gaussian at the given scale from one seeded stream;
-    biases zero, norm gains one."""
+def init_params(config: ModelConfig, seed: int = 0) -> DrcaParams:
+    """All weights gaussian at scale 0.02 from one seeded stream; biases
+    zero, norm gains one."""
     stream = RandomStream(seed)
     c = config.embed_dim
     m, n = config.grid
-    s = F32(scale)
+    s = F32(0.02)
     return DrcaParams(
         patch_w=stream.gaussian((config.patch_size * config.patch_size * 3, c)) * s,
         patch_b=np.zeros(c, F32),
@@ -258,9 +263,10 @@ def _head(seq, params: DrcaParams, config: ModelConfig) -> np.ndarray:
 
 
 def forward(video: np.ndarray, params: DrcaParams, config: ModelConfig,
-            mode: str = "infer", perturb: PerturbConfig | None = None) -> ModelOutput:
+            perturb: PerturbConfig | None = None) -> ModelOutput:
     """Full pipeline with the compression split after `dccm_insert_after`
-    full-resolution layers."""
+    full-resolution layers; given a PerturbConfig, the output also carries
+    the smoothed ranking of the frame scores."""
     tokens = patch_embed(video, params, config)
     seq = full_res_sequence(tokens)
     for layer in params.stage1:
@@ -268,7 +274,7 @@ def forward(video: np.ndarray, params: DrcaParams, config: ModelConfig,
     # stage-1 times are the identity, so storage order is time order
     result = dccm_forward(
         seq.saliency, params.dccm, config.saliency_count,
-        config.compression_factor, mode, perturb,
+        config.compression_factor, perturb,
     )
     seq = result.sequence
     for layer in params.rat:

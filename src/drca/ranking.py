@@ -54,9 +54,6 @@ class SoftRankMatrix:
     """Monte Carlo estimate of the smoothed ranking matrix."""
 
     matrix: np.ndarray  # float32 [T, T], doubly stochastic up to MC accumulation
-    sample_count: int
-    sigma: float
-    seed: int
 
 
 class TimeIndexMap(NamedTuple):
@@ -151,7 +148,7 @@ def perturbed_rank(s, cfg: PerturbConfig) -> SoftRankMatrix:
     flat = orders * t + np.arange(t)[None, :]
     counts = np.bincount(flat.ravel(), minlength=t * t)
     m = (counts.astype(np.float64).reshape(t, t) / cfg.n_samples).astype(F32)
-    return SoftRankMatrix(matrix=m, sample_count=cfg.n_samples, sigma=cfg.sigma, seed=cfg.seed)
+    return SoftRankMatrix(matrix=m)
 
 
 def perturbed_rank_vjp(s, cfg: PerturbConfig, grad_matrix: np.ndarray) -> np.ndarray:

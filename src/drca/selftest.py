@@ -1,9 +1,8 @@
 """Fast per-module sanity battery behind ``drca selftest``.
 
 Each suite re-derives a handful of contracts with fixed seeds and tiny
-shapes; the whole battery runs in seconds.  A deliberately injected
-softmax fault (see the CLI flag) must make the numerics suite fail,
-which is itself checked by the test suite.
+shapes; the whole battery runs in seconds.  The test suite checks that
+a softmax fault patched into the numerics module makes the battery fail.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from drca import numerics
 from drca.cli import (
     _MODEL_KEYS,
     _check_model_size,
@@ -183,6 +184,8 @@ def _one_line_error(capsys, *names: str) -> None:
     (["grad-check", "--frames", "1"], ["--frames"]),
     (["grad-check", "--sigma", "0"], ["--sigma"]),
     (["grad-check", "--sigma", "inf"], ["--sigma"]),
+    (["forward", "toy", "--set", "n_samples=0"], ["n_samples"]),
+    (["forward", "toy", "--set", "sigma=nan"], ["sigma"]),
 ])
 def test_bad_values_exit_2_with_one_line_error(capsys, argv, names):
     assert main(argv) == EXIT_BAD_INPUT
@@ -387,8 +390,11 @@ def test_selftest_passes(capsys):
     assert "suite numerics:" in out and "suite model+flops:" in out
 
 
-def test_selftest_detects_injected_fault(capsys):
-    code = main(["selftest", "--inject-softmax-fault"])
+def test_selftest_detects_injected_fault(capsys, monkeypatch):
+    softmax = numerics.softmax_lastdim
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics, "softmax_lastdim", lambda x: softmax(x) + F32(1e-3))
+        code = main(["selftest"])
     captured = capsys.readouterr()
     assert code == EXIT_CHECK_FAILED
     assert captured.out.rstrip().endswith("selftest: FAIL")

@@ -11,8 +11,8 @@ model, and the published-scale configurations must land in their bands.
 import numpy as np
 import pytest
 
+from drca import numerics
 from drca.flops import (
-    CONVENTION,
     FlopsReport,
     compare,
     count_flops,
@@ -72,11 +72,11 @@ TOY_TOTAL = 7_146_925
 
 
 def test_convention_is_pinned():
-    assert CONVENTION.macs_to_flops == 2
-    assert CONVENTION.softmax_flops_per_element == 5
-    assert CONVENTION.norm_flops_per_element == 4
-    assert CONVENTION.pool_flops_per_element == 1
-    assert CONVENTION.nonlinearity_flops_per_element == 1
+    assert numerics.MACS_TO_FLOPS == 2
+    assert numerics.SOFTMAX_FLOPS_PER_ELEMENT == 5
+    assert numerics.NORM_FLOPS_PER_ELEMENT == 4
+    assert numerics.POOL_FLOPS_PER_ELEMENT == 1
+    assert numerics.NONLINEARITY_FLOPS_PER_ELEMENT == 1
 
 
 def test_toy_report_matches_hand_count():

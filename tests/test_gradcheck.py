@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from drca import gradcheck
 from drca.gradcheck import (
     CheckReport,
     CheckRow,
@@ -17,6 +18,11 @@ from drca.gradcheck import (
 )
 from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import PerturbConfig, perturbed_objective
+
+
+def test_pass_thresholds_are_pinned():
+    assert gradcheck.T2_REL_TOL == 0.05
+    assert gradcheck.FD_SE_LIMIT == 3.0
 
 
 def test_t2_closed_form_limits_and_symmetry():

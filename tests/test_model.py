@@ -68,6 +68,13 @@ def test_from_name_parses_both_variants():
     assert s.name == "DRCA-S-K4" and b.name == "DRCA-B-K6"
 
 
+def test_from_name_takes_the_preset_names():
+    assert ModelConfig.from_name("S") == ModelConfig.small()
+    assert ModelConfig.from_name("B") == ModelConfig.base()
+    assert ModelConfig.from_name("toy") == ModelConfig.toy()
+    assert ModelConfig.from_name("toy", depth=2) == ModelConfig.toy(depth=2)
+
+
 @pytest.mark.parametrize("bad", ["DRCA-X-K4", "drca-s-k4", "DRCA-S-K", "DRCA-S", ""])
 def test_from_name_rejects_garbage(bad):
     with pytest.raises(ValueError, match="parse"):
@@ -242,7 +249,7 @@ def test_forward_is_deterministic():
 def test_forward_train_mode_returns_smoothed_ranking():
     cfg = ModelConfig.toy()
     params = init_params(cfg, seed=15)
-    out = forward(_toy_video(16, cfg), params, cfg, mode="train",
+    out = forward(_toy_video(16, cfg), params, cfg,
                   perturb=PerturbConfig(sigma=0.3, n_samples=100, seed=0))
     assert out.soft is not None
     assert out.soft.matrix.shape == (8, 8)
