@@ -129,10 +129,11 @@ def _parse_config_text(text: str, source: str) -> dict[str, str]:
     return raw
 
 
-def load_run_config(token: str, sets: list[str] | None,
-                    seed_flag: int | None = None) -> RunConfig:
+def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = None,
+                    run_keys: typing.Collection[str] = tuple(_RUN_KEYS)) -> RunConfig:
     """Build a RunConfig from a config file path or a bare model name,
-    then apply key=value overrides.  Unknown keys are rejected."""
+    then apply key=value overrides.  Unknown keys are rejected, and so
+    are run keys outside ``run_keys``, the ones the command reads."""
     if os.path.exists(token):
         with open(token) as f:
             raw = _parse_config_text(f.read(), token)
@@ -154,6 +155,9 @@ def load_run_config(token: str, sets: list[str] | None,
         except ValueError:
             raise ConfigError(f"key {key!r} needs a {kind.__name__}, got {value!r}") from None
 
+    unread = sorted(key for key in _RUN_KEYS if key in raw and key not in run_keys)
+    if unread:
+        raise ConfigError(f"configuration keys {unread} have no effect on this command")
     run_values = {key: take(key, kind) for key, kind in _RUN_KEYS.items() if key in raw}
     variant = raw.pop("variant", "toy")
     try:
@@ -264,6 +268,9 @@ def cmd_grad_check(args) -> int:
 
 def cmd_forward(args) -> int:
     run = load_run_config(args.config, args.set, args.seed)
+    if args.baseline and run.mode == "train":
+        raise ConfigError("mode=train needs the compressed pipeline; "
+                          "--baseline computes no smoothed ranking")
     _echo(run.echo_pairs())
     config = run.model
     _check_model_size(config)
@@ -303,12 +310,14 @@ def cmd_forward(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    run = load_run_config(args.config, args.set, None)
+    # the flop model reads only the model; the counted forward also the seed
+    run = load_run_config(args.config, args.set, None,
+                          run_keys=("seed",) if args.instrument else ())
     report = count_flops(run.model)
     if args.baseline == "baseline":
         other = count_flops(run.model.baseline())
     elif args.baseline:
-        other = count_flops(load_run_config(args.baseline, None, None).model)
+        other = count_flops(load_run_config(args.baseline, None, None, run_keys=()).model)
     else:
         other = None
 

@@ -8,10 +8,17 @@ tokens, keys/values from the saliency tokens, all three pooled to the
 target grid) plus a pooled residual.  Training reaches the score-net
 through the smoothed ranking of the ranking module; the token path
 itself stays hard.
+
+The score-net forward and backward also take a stack of videos with a
+leading axis, and each video of a stack gets bitwise its own call's
+scores and gradients.  The toy trainer uses this to run the training
+and holdout splits in fixed blocks of ``_VIDEO_BLOCK`` videos.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -147,29 +154,42 @@ def full_res_sequence(tokens: np.ndarray) -> MultiResSequence:
 
 
 class ScoreNetPass(NamedTuple):
-    """One score-net forward: the scores and what the backward reads."""
+    """One score-net forward: the scores and what the backward reads.
+    Every field carries the input's leading video axis, if it has one."""
 
-    scores: np.ndarray  # [T]
-    tokens: np.ndarray  # [T, M, N, C] float32 input
-    pooled: np.ndarray  # [T, C_mid] spatial mean of the conv output
-    hidden: np.ndarray  # [T, C_hidden] relu output
+    scores: np.ndarray  # [(B,) T]
+    tokens: np.ndarray  # [(B,) T, M, N, C] float32 input
+    pooled: np.ndarray  # [(B,) T, C_mid] spatial mean of the conv output
+    hidden: np.ndarray  # [(B,) T, C_hidden] relu output
+
+
+def _video_linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # in numpy's matrix-vector path (one row or one column) a row's result
+    # depends on its place in the call, so there each video of a stack
+    # makes its own call; elsewhere one call gives every row its own bits
+    if x.ndim == 2 or (x.shape[-2] > 1 and w.shape[1] > 1):
+        return numerics.linear(x, w, b)
+    return np.stack([numerics.linear(video, w, b) for video in x])
 
 
 def score_net_forward(tokens: np.ndarray, p: ScoreNetParams) -> ScoreNetPass:
-    """Per-frame saliency scores from a [T, M, N, C] token video."""
+    """Per-frame saliency scores from a [T, M, N, C] token video, or
+    [B, T] scores from a stack [B, T, M, N, C] of videos; each video of
+    a stack scores bitwise as it does alone."""
     tokens = np.asarray(tokens, dtype=F32)
-    if tokens.ndim != 4:
-        raise ShapeError(f"score-net input must be [T, M, N, C], got {tokens.shape}")
+    if tokens.ndim not in (4, 5):
+        raise ShapeError(
+            f"score-net input must be [T, M, N, C] or [B, T, M, N, C], got {tokens.shape}")
     if p.w2.shape[1:] != (1,) or p.b2.shape != (1,):
         raise ShapeError(
             f"score head must have one output column, got w2 {p.w2.shape} "
             f"and b2 {p.b2.shape}"
         )
-    conv_out = numerics.conv3d(tokens, p.conv_kernel)          # [T, M, N, C_mid]
-    pooled = numerics.mean_pool(conv_out, axes=(1, 2))         # [T, C_mid]
-    hidden = numerics.relu(numerics.linear(pooled, p.w1, p.b1))
-    scores = numerics.linear(hidden, p.w2, p.b2)               # [T, 1]
-    return ScoreNetPass(scores[:, 0], tokens, pooled, hidden)
+    conv_out = numerics.conv3d(tokens, p.conv_kernel)          # [(B,) T, M, N, C_mid]
+    pooled = numerics.mean_pool(conv_out, axes=(-3, -2))       # [(B,) T, C_mid]
+    hidden = numerics.relu(_video_linear(pooled, p.w1, p.b1))
+    scores = _video_linear(hidden, p.w2, p.b2)                 # [(B,) T, 1]
+    return ScoreNetPass(scores[..., 0], tokens, pooled, hidden)
 
 
 def score_net_backward(fwd: ScoreNetPass, p: ScoreNetParams,
@@ -178,24 +198,29 @@ def score_net_backward(fwd: ScoreNetPass, p: ScoreNetParams,
     tree shaped like the parameters.
 
     Walks the chain backwards from the recorded forward ``fwd`` of the
-    same parameters; the relu subgradient at exactly zero is zero.
+    same parameters; the relu subgradient at exactly zero is zero.  For
+    a forward over a stack of B videos, ``upstream`` is [B, T] and every
+    field of the result carries the leading B axis: the per-video
+    gradients, each bitwise its own video's, not their sum.
     """
     upstream = np.asarray(upstream, dtype=F32)
-    t, m, n, _ = fwd.tokens.shape
-    if upstream.shape != (t,):
-        raise ShapeError(f"upstream gradient must be [{t}], got {upstream.shape}")
+    m, n = fwd.tokens.shape[-3:-1]
+    if upstream.shape != fwd.scores.shape:
+        raise ShapeError(
+            f"upstream gradient must be {list(fwd.scores.shape)}, got {upstream.shape}")
 
-    d_scores = upstream[:, None]                       # [T, 1]
-    d_w2 = fwd.hidden.T @ d_scores
-    d_b2 = d_scores.sum(axis=0)
+    d_scores = upstream[..., None]                     # [(B,) T, 1]
+    d_w2 = np.swapaxes(fwd.hidden, -1, -2) @ d_scores
+    d_b2 = d_scores.sum(axis=-2)
     d_hidden = d_scores @ p.w2.T
     d_pre = d_hidden * (fwd.hidden > 0)
-    d_w1 = fwd.pooled.T @ d_pre
-    d_b1 = d_pre.sum(axis=0)
-    d_pooled = d_pre @ p.w1.T                          # [T, C_mid]
+    d_w1 = np.swapaxes(fwd.pooled, -1, -2) @ d_pre
+    d_b1 = d_pre.sum(axis=-2)
+    d_pooled = d_pre @ p.w1.T                          # [(B,) T, C_mid]
     # mean over M*N spatial positions spreads the gradient uniformly
     d_conv = np.broadcast_to(
-        d_pooled[:, None, None, :] / F32(m * n), (t, m, n, d_pooled.shape[1])
+        d_pooled[..., None, None, :] / F32(m * n),
+        fwd.tokens.shape[:-1] + d_pooled.shape[-1:],
     ).astype(F32)
     d_kernel = numerics.conv3d_kernel_grad(fwd.tokens, d_conv, p.conv_kernel.shape)
     return ScoreNetParams(d_kernel, d_w1, d_b1, d_w2, d_b2)
@@ -317,12 +342,21 @@ def make_planted_dataset(count: int, frames: int = 8, salient_count: int = 2,
     return videos
 
 
+# videos per score-net call: a cache-sized block; the whole split in one
+# stack would raise the trainer's peak memory for no further speed
+_VIDEO_BLOCK = 32
+
+
 def selection_accuracy(p: ScoreNetParams, videos: list[PlantedVideo], k: int) -> float:
-    """Mean fraction of planted frames recovered by the hard top-k split."""
+    """Mean fraction of planted frames recovered by the hard top-k split.
+    The videos share one shape and are scored in blocks of stacked videos."""
     hits = 0.0
-    for v in videos:
-        order = hard_rank(score_net_forward(v.tokens, p).scores).order
-        hits += len(np.intersect1d(order[:k], v.salient_times)) / k
+    for lo in range(0, len(videos), _VIDEO_BLOCK):
+        block = videos[lo:lo + _VIDEO_BLOCK]
+        scores = score_net_forward(np.stack([v.tokens for v in block]), p).scores
+        for v, s in zip(block, scores):
+            order = hard_rank(s).order
+            hits += len(np.intersect1d(order[:k], v.salient_times)) / k
     return hits / len(videos)
 
 
@@ -331,6 +365,17 @@ def _video_config(cfg: PerturbConfig, vid: int) -> PerturbConfig:
     # across steps: full-batch descent then walks a fixed sampled objective,
     # which keeps the loss trace smooth instead of resampling jitter
     return replace(cfg, seed=cfg.seed + vid)
+
+
+def _add_in_video_order(acc: ScoreNetParams | None, g: ScoreNetParams) -> ScoreNetParams:
+    # acc + g[0] + g[1] + ..., left to right per field: a numpy sum over
+    # the video axis would regroup the additions pairwise, and adding
+    # per-block sums is not the in-order sum either
+    if acc is None:
+        return numerics.tree_map(lambda _, part: functools.reduce(operator.add, part),
+                                 ScoreNetParams, g)
+    return numerics.tree_map(lambda _, total, part: functools.reduce(operator.add, part, total),
+                             ScoreNetParams, acc, g)
 
 
 def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
@@ -342,28 +387,35 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
     The per-step loss is the mean over videos of -<target, smoothed
     ranking of the scores>.  Returns the final parameters and a trace with
     one row per step plus the initial row; accuracy is measured on the
-    holdout split with the hard top-k."""
+    holdout split with the hard top-k.
+
+    The training split is stacked once and run through the score-net in
+    blocks of ``_VIDEO_BLOCK`` videos; the per-video gradients are summed
+    in video order, so the result is bitwise the one-video-at-a-time
+    loop's.  The smoothed ranking stays one call per video, each with its
+    own frozen draws."""
     if not train or not holdout:
         raise ValueError("toy training needs at least one training and one holdout video")
     if len(train) >= 100_000:
         raise ValueError("training set too large for the seed derivation")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    tokens = np.stack([v.tokens for v in train])
     trace = []
     for step in range(steps + 1):
         loss_sum = 0.0
         grads_sum = None
-        for vid, v in enumerate(train):
-            fwd = score_net_forward(v.tokens, p)
-            loss_v, d_scores = perturbed_objective(
-                fwd.scores, _video_config(cfg, vid), -v.target_matrix
-            )
-            loss_sum += loss_v
+        for lo in range(0, len(train), _VIDEO_BLOCK):
+            fwd = score_net_forward(tokens[lo:lo + _VIDEO_BLOCK], p)
+            d_scores = np.empty_like(fwd.scores)
+            for i, v in enumerate(train[lo:lo + _VIDEO_BLOCK]):
+                loss_v, d_scores[i] = perturbed_objective(
+                    fwd.scores[i], _video_config(cfg, lo + i), -v.target_matrix
+                )
+                loss_sum += loss_v
             if step == steps:
                 continue  # the last pass only records the trace row
-            g = score_net_backward(fwd, p, d_scores)
-            grads_sum = g if grads_sum is None else numerics.tree_map(
-                lambda _, acc, part: acc + part, ScoreNetParams, grads_sum, g)
+            grads_sum = _add_in_video_order(grads_sum, score_net_backward(fwd, p, d_scores))
         scale = F32(1.0 / len(train))
         loss = loss_sum / len(train)
         trace.append(TraceRow(step, loss, selection_accuracy(p, holdout, k)))

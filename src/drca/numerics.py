@@ -16,7 +16,9 @@ analytic side.
 Kernel arithmetic is float32: reductions are numpy's float32 sums and
 matmul accumulates in 32 bits.  A kernel's result for one token depends
 only on that token's row, so slices of two or more rows match the full
-batch bitwise (a single row takes numpy's matrix-vector path).
+batch bitwise.  A single row, or a weight with a single column, takes
+numpy's matrix-vector path, where a row's last bits depend on its place
+in the call.
 
 GELU is the exact erf form, evaluated as relu(x) - |x| Phi(-|x|) with
 Phi(-a) = erfc(a / sqrt 2) / 2 and erfc from the Numerical Recipes
@@ -25,8 +27,12 @@ float32 its tested error is at most 3e-7 absolute over [-12, 12] and
 within (1e-7 + 1e-6 |gelu(x)|) / 2 at every point.
 
 ``conv3d`` and its kernel gradient ``conv3d_kernel_grad`` share one
-padded-window walk.  ``tree_map`` is the single walk over the parameter
-dataclass trees: it names, rebuilds and updates them field by field.
+padded-window walk.  Both take a [T, M, N, C] video or a stack
+[B, T, M, N, C] of videos; the walk pads only the last four axes, so
+each video of a stack gets bitwise the result of its own call, and the
+kernel gradient of a stack is the per-video gradients, not their sum.
+``tree_map`` is the single walk over the parameter dataclass trees: it
+names, rebuilds and updates them field by field.
 """
 
 from __future__ import annotations
@@ -267,12 +273,12 @@ def mean_pool(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 def _padded_windows(x: np.ndarray, kernel_shape: tuple[int, ...]):
     """The one window walk behind ``conv3d`` and its kernel gradient:
-    validate a [T, M, N, C_in] input against a [kt, kh, kw, C_in, C_out]
-    kernel shape, zero-pad it by half the kernel extents, and return
-    ``(tap, window)`` for every kernel tap, ``window`` being the
-    [T, M, N, C_in] view that tap reads."""
-    if x.ndim != 4:
-        raise ShapeError(f"conv3d input must be [T, M, N, C], got {x.shape}")
+    validate a [T, M, N, C_in] or [B, T, M, N, C_in] input against a
+    [kt, kh, kw, C_in, C_out] kernel shape, zero-pad its last four axes
+    by half the kernel extents, and return ``(tap, window)`` for every
+    kernel tap, ``window`` being the input-shaped view that tap reads."""
+    if x.ndim not in (4, 5):
+        raise ShapeError(f"conv3d input must be [T, M, N, C] or [B, T, M, N, C], got {x.shape}")
     if len(kernel_shape) != 5:
         raise ShapeError(f"conv3d kernel must be [kt, kh, kw, Cin, Cout], got {kernel_shape}")
     kt, kh, kw, c_in, _ = kernel_shape
@@ -280,22 +286,24 @@ def _padded_windows(x: np.ndarray, kernel_shape: tuple[int, ...]):
         raise ShapeError(f"conv3d kernel extents must be odd, got {(kt, kh, kw)}")
     if x.shape[-1] != c_in:
         raise ShapeError(f"conv3d channels {x.shape[-1]} do not match kernel {c_in}")
-    t, m, n, _ = x.shape
-    xp = np.pad(x, ((kt // 2,) * 2, (kh // 2,) * 2, (kw // 2,) * 2, (0, 0)))
-    return [((dt, dh, dw), xp[dt:dt + t, dh:dh + m, dw:dw + n, :])
+    t, m, n, _ = x.shape[-4:]
+    pad = ((0, 0),) * (x.ndim - 4) + ((kt // 2,) * 2, (kh // 2,) * 2, (kw // 2,) * 2, (0, 0))
+    xp = np.pad(x, pad)
+    return [((dt, dh, dw), xp[..., dt:dt + t, dh:dh + m, dw:dw + n, :])
             for dt in range(kt) for dh in range(kh) for dw in range(kw)]
 
 
 def conv3d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Same-padded cross-correlation over (time, height, width).
 
-    x: [T, M, N, C_in], kernel: [kt, kh, kw, C_in, C_out] with odd
-    spatial/temporal extents.  Returns [T, M, N, C_out].
+    x: [T, M, N, C_in] or a stack [B, T, M, N, C_in] of videos, kernel:
+    [kt, kh, kw, C_in, C_out] with odd spatial/temporal extents.  Returns
+    [(B,) T, M, N, C_out]; each video of a stack is bitwise its own call.
     """
     x = np.asarray(x, dtype=F32)
     kernel = np.asarray(kernel, dtype=F32)
     windows = _padded_windows(x, kernel.shape)
-    out = np.zeros(x.shape[:3] + kernel.shape[-1:], dtype=F32)
+    out = np.zeros(x.shape[:-1] + kernel.shape[-1:], dtype=F32)
     for tap, window in windows:
         out += np.matmul(window, kernel[tap])
     _count(MACS_TO_FLOPS * out.size * len(windows) * kernel.shape[3])
@@ -308,20 +316,28 @@ def conv3d_kernel_grad(x: np.ndarray, d_out: np.ndarray,
 
     x: [T, M, N, C_in], d_out: [T, M, N, C_out]; returns a kernel-shaped
     [kt, kh, kw, C_in, C_out] array, each tap the window-by-gradient
-    contraction over time and space.  Counted like the forward conv.
+    contraction over time and space.  Given a stack [B, T, M, N, C_in]
+    and [B, T, M, N, C_out], returns the per-video gradients
+    [B, kt, kh, kw, C_in, C_out], each bitwise its own call.  Counted
+    like the forward conv.
     """
     x = np.asarray(x, dtype=F32)
     d_out = np.asarray(d_out, dtype=F32)
     kernel_shape = tuple(int(e) for e in kernel_shape)
     windows = _padded_windows(x, kernel_shape)
-    if d_out.shape != x.shape[:3] + kernel_shape[-1:]:
+    if d_out.shape != x.shape[:-1] + kernel_shape[-1:]:
         raise ShapeError(
-            f"conv3d output gradient must be {x.shape[:3] + kernel_shape[-1:]}, "
+            f"conv3d output gradient must be {x.shape[:-1] + kernel_shape[-1:]}, "
             f"got {d_out.shape}"
         )
-    grad = np.zeros(kernel_shape, dtype=F32)
+    grad = np.zeros(x.shape[:-4] + kernel_shape, dtype=F32)
+    videos = (slice(None),) * (x.ndim - 4)
     for tap, window in windows:
-        grad[tap] = np.einsum("tmnc,tmno->co", window, d_out, dtype=F32, casting="same_kind")
+        # einsum runs ~3x faster on a contiguous copy of the window than on
+        # the strided view, and takes the same loops for a stack as for
+        # each of its videos
+        grad[videos + tap] = np.einsum("...tmnc,...tmno->...co", np.ascontiguousarray(window),
+                                       d_out, dtype=F32, casting="same_kind")
     _count(MACS_TO_FLOPS * d_out.size * len(windows) * kernel_shape[3])
     return grad
 

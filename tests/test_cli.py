@@ -186,6 +186,11 @@ def _one_line_error(capsys, *names: str) -> None:
     (["grad-check", "--sigma", "inf"], ["--sigma"]),
     (["forward", "toy", "--set", "n_samples=0"], ["n_samples"]),
     (["forward", "toy", "--set", "sigma=nan"], ["sigma"]),
+    (["forward", "toy", "--baseline", "--set", "mode=train"], ["mode=train", "--baseline"]),
+    (["flops", "toy", "--set", "mode=train"], ["mode"]),
+    (["flops", "toy", "--set", "sigma=0.3"], ["sigma"]),
+    (["flops", "toy", "--set", "n_samples=4", "--instrument"], ["n_samples"]),
+    (["flops", "toy", "--set", "seed=5"], ["seed"]),
 ])
 def test_bad_values_exit_2_with_one_line_error(capsys, argv, names):
     assert main(argv) == EXIT_BAD_INPUT
@@ -361,6 +366,17 @@ def test_flops_instrument_gap_is_zero(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "instrumented = 7146925 flops (analytic 7146925, gap 0.000%)" in out
+
+
+def test_flops_reads_the_seed_only_for_the_counted_forward(tmp_path, capsys):
+    assert main(["flops", "toy", "--instrument", "--set", "seed=5"]) == EXIT_OK
+    assert "gap 0.000%" in capsys.readouterr().out
+    reference = tmp_path / "ref.conf"
+    reference.write_text("variant = DRCA-S-K8\nseed = 5\n")
+    for argv in (["flops", "DRCA-S-K4", str(reference)],
+                 ["flops", "DRCA-S-K4", str(reference), "--instrument"]):
+        assert main(argv) == EXIT_BAD_INPUT
+        _one_line_error(capsys, "seed")
 
 
 # --- toy-train ----------------------------------------------------------------

@@ -133,6 +133,54 @@ def test_score_net_backward_final_bias_is_upstream_sum():
     np.testing.assert_allclose(grads.b2, [upstream.sum()], rtol=1e-6)
 
 
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 5), t=st.integers(1, 5), m=st.integers(1, 4), n=st.integers(1, 4),
+       c_in=st.integers(1, 3), mid=st.integers(1, 3), hidden=st.integers(1, 4),
+       extents=st.tuples(*[st.sampled_from([1, 3, 5])] * 3), seed=st.integers(0, 2**16))
+def test_a_stack_of_videos_is_bitwise_its_per_video_calls(b, t, m, n, c_in, mid, hidden,
+                                                          extents, seed):
+    s = RandomStream(seed)
+    p = ScoreNetParams(conv_kernel=s.gaussian((*extents, c_in, mid)), w1=s.gaussian((mid, hidden)),
+                       b1=s.gaussian(hidden), w2=s.gaussian((hidden, 1)), b2=s.gaussian(1))
+    tokens = s.gaussian((b, t, m, n, c_in))
+    d_out = s.gaussian((b, t, m, n, mid))
+    upstream = s.gaussian((b, t))
+
+    def per_video(fn):
+        return np.stack([fn(i) for i in range(b)]).tobytes()
+
+    assert numerics.conv3d(tokens, p.conv_kernel).tobytes() == per_video(
+        lambda i: numerics.conv3d(tokens[i], p.conv_kernel))
+    assert numerics.conv3d_kernel_grad(tokens, d_out, p.conv_kernel.shape).tobytes() == per_video(
+        lambda i: numerics.conv3d_kernel_grad(tokens[i], d_out[i], p.conv_kernel.shape))
+    fwd = score_net_forward(tokens, p)
+    assert fwd.scores.shape == (b, t)
+    assert fwd.scores.tobytes() == per_video(lambda i: score_net_forward(tokens[i], p).scores)
+    grads = score_net_backward(fwd, p, upstream)
+    for field in ("conv_kernel", "w1", "b1", "w2", "b2"):
+        assert getattr(grads, field).tobytes() == per_video(lambda i: getattr(score_net_backward(
+            score_net_forward(tokens[i], p), p, upstream[i]), field)), field
+
+
+def test_stacked_score_net_counts_per_video_and_validates_shapes():
+    p = _score_params(5)
+    tokens = RandomStream(6).gaussian((2, 3, 2, 2, 3))
+    with numerics.FlopCounter() as one:
+        score_net_forward(tokens[0], p)
+    with numerics.FlopCounter() as two:
+        fwd = score_net_forward(tokens, p)
+    assert two.total == 2 * one.total
+    with pytest.raises(ShapeError, match="upstream"):
+        score_net_backward(fwd, p, np.zeros(3, F32))
+    with pytest.raises(ShapeError):
+        score_net_forward(tokens[None], p)
+    with pytest.raises(ShapeError):
+        numerics.conv3d(tokens[None], p.conv_kernel)
+    with pytest.raises(ShapeError, match="output gradient"):
+        numerics.conv3d_kernel_grad(tokens, np.zeros((2, 3, 2, 2, 4), F32),
+                                    p.conv_kernel.shape)
+
+
 # --- compressor --------------------------------------------------------
 
 def _compress_oracle(sal, non, p, h):
@@ -404,7 +452,7 @@ def test_toy_train_runs_and_is_deterministic():
     assert np.array_equal(p1.conv_kernel, p2.conv_kernel)
 
 
-def test_toy_train_step_is_the_in_order_gradient_sum():
+def _check_in_order_step():
     # one step by hand: per-video gradients summed in video order, then
     # w - lr * (1 / videos) * sum, all in float32
     videos = make_planted_dataset(5, frames=4, salient_count=1,
@@ -429,31 +477,45 @@ def test_toy_train_step_is_the_in_order_gradient_sum():
         assert getattr(p1, field).tobytes() == want.tobytes(), field
 
 
+def test_toy_train_step_is_the_in_order_gradient_sum():
+    _check_in_order_step()
+
+
 def test_toy_train_runs_one_score_net_forward_per_video_per_step(monkeypatch):
-    # every step scores each training and holdout video once; the backward
-    # reuses the training forward and the last pass runs no backward
+    # every step scores each training and holdout video once, in stacks of
+    # at most _VIDEO_BLOCK videos; the backward reuses the training forward
+    # and the last pass runs no backward
     videos = make_planted_dataset(7, frames=4, salient_count=1, grid=2, channels=4, seed=3)
     train, holdout = videos[:5], videos[5:]
     p0 = ScoreNetParams.init(4, 2, 4, RandomStream(4), scale=0.1)
     cfg = PerturbConfig(sigma=0.3, n_samples=20, seed=5)
-    calls = {"conv3d": 0, "backward": 0}
+    scored = {"conv3d": [], "backward": []}
     conv3d, backward = numerics.conv3d, dccm.score_net_backward
 
-    def counting(key, fn):
-        def wrapped(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def videos_in(x):
+        return x.shape[0] if x.ndim == 5 else 1
 
-    monkeypatch.setattr(numerics, "conv3d", counting("conv3d", conv3d))
-    monkeypatch.setattr(dccm, "score_net_backward", counting("backward", backward))
-    for steps in (0, 1, 3):
-        calls.update(conv3d=0, backward=0)
-        toy_train_scorenet(train, holdout, p0, k=1, steps=steps, lr=0.05, cfg=cfg)
-        assert calls == {"conv3d": (steps + 1) * 7, "backward": steps * 5}, steps
+    def counting_conv3d(x, kernel):
+        scored["conv3d"].append(videos_in(x))
+        return conv3d(x, kernel)
+
+    def counting_backward(fwd, p, upstream):
+        scored["backward"].append(videos_in(fwd.tokens))
+        return backward(fwd, p, upstream)
+
+    monkeypatch.setattr(numerics, "conv3d", counting_conv3d)
+    monkeypatch.setattr(dccm, "score_net_backward", counting_backward)
+    for block in (dccm._VIDEO_BLOCK, 2):
+        monkeypatch.setattr(dccm, "_VIDEO_BLOCK", block)
+        for steps in (0, 1, 3):
+            scored.update(conv3d=[], backward=[])
+            toy_train_scorenet(train, holdout, p0, k=1, steps=steps, lr=0.05, cfg=cfg)
+            assert sum(scored["conv3d"]) == (steps + 1) * 7, (block, steps)
+            assert sum(scored["backward"]) == steps * 5, (block, steps)
+            assert max(scored["conv3d"] + scored["backward"]) <= block, (block, steps)
 
 
-def test_chunked_steps_walk_the_contiguous_trajectory():
+def _check_chunked_steps():
     # two 2-step calls, the second resuming from the first's parameters,
     # give bitwise the parameters and trace of one 4-step call
     videos = make_planted_dataset(12, frames=6, salient_count=2, seed=31)
@@ -467,6 +529,18 @@ def test_chunked_steps_walk_the_contiguous_trajectory():
     assert [r[1:] for r in first + second[1:]] == [r[1:] for r in trace4]
     for field in ("conv_kernel", "w1", "b1", "w2", "b2"):
         assert getattr(p22, field).tobytes() == getattr(p4, field).tobytes(), field
+
+
+def test_chunked_steps_walk_the_contiguous_trajectory():
+    _check_chunked_steps()
+
+
+def test_video_blocks_keep_the_in_order_sum_and_the_trajectory(monkeypatch):
+    # blocks of two split both training sets (3 and 9 videos) mid-way, so
+    # the gradient sum and the trace cross block boundaries
+    monkeypatch.setattr(dccm, "_VIDEO_BLOCK", 2)
+    _check_in_order_step()
+    _check_chunked_steps()
 
 
 def test_toy_train_validation():
