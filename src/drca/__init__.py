@@ -3,7 +3,7 @@
 The package provides, as plain numpy:
 
 * differentiable frame ranking via Gaussian-perturbed sorting with a
-  Monte Carlo vector-Jacobian product (``ranking``, ``gradcheck``),
+  Monte Carlo score gradient (``ranking``, ``gradcheck``),
 * a saliency score-net plus a reference-frame compressor that shrinks
   non-salient frames onto a coarser grid (``dccm``),
 * transformer layers whose temporal attention runs on the aligned
@@ -24,8 +24,6 @@ from .ranking import (
     hard_rank,
     perturbed_objective,
     perturbed_rank,
-    perturbed_rank_vjp,
-    soft_sort_apply,
     topk_split,
 )
 from .dccm import (

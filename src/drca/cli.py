@@ -30,7 +30,7 @@ import numpy as np
 
 from . import gradcheck, selftest as selftest_mod, tensor_io
 from .dccm import make_planted_dataset, toy_train_scorenet, ScoreNetParams
-from .flops import count_flops, instrument_check
+from .flops import compare, count_flops, instrument_check
 from .model import ModelConfig, baseline_forward, forward, init_params, params_from_named
 from .numerics import RandomStream, ShapeError
 from .ranking import PerturbConfig, hard_rank, perturbed_rank
@@ -84,21 +84,22 @@ class RunConfig:
     n_samples: int = 500
     seed: int = 0
     mode: str = "infer"
-    perturb: PerturbConfig = field(init=False, repr=False)
+    # the smoothing the forward draws; None in infer mode
+    perturb: PerturbConfig | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("infer", "train"):
             raise ConfigError(f"mode must be infer or train, got {self.mode!r}")
-        # built in every mode, so a bad sigma or n_samples is refused even
-        # where only train mode would use it
         object.__setattr__(self, "perturb", PerturbConfig(
-            sigma=self.sigma, n_samples=self.n_samples, seed=self.seed))
+            sigma=self.sigma, n_samples=self.n_samples, seed=self.seed)
+            if self.mode == "train" else None)
 
     def echo_pairs(self) -> dict[str, object]:
         pairs: dict[str, object] = {
             f.name: getattr(self.model, f.name) for f in fields(ModelConfig)
         }
-        pairs.update((key, getattr(self, key)) for key in _RUN_KEYS)
+        pairs.update((key, getattr(self, key)) for key in _RUN_KEYS
+                     if self.mode == "train" or key not in _TRAIN_ONLY_KEYS)
         return pairs
 
 
@@ -110,6 +111,8 @@ def _settable(kind: type, skip: str) -> dict[str, type]:
 # keys a config file or --set may give; the variant picks the base model
 _MODEL_KEYS = _settable(ModelConfig, "variant")
 _RUN_KEYS = _settable(RunConfig, "model")
+# the smoothing settings, read only by the train-mode forward
+_TRAIN_ONLY_KEYS = ("sigma", "n_samples")
 
 
 def _parse_config_text(text: str, source: str) -> dict[str, str]:
@@ -133,7 +136,8 @@ def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = 
                     run_keys: typing.Collection[str] = tuple(_RUN_KEYS)) -> RunConfig:
     """Build a RunConfig from a config file path or a bare model name,
     then apply key=value overrides.  Unknown keys are rejected, and so
-    are run keys outside ``run_keys``, the ones the command reads."""
+    are run keys outside ``run_keys``, the ones the command reads, and
+    ``sigma`` and ``n_samples`` unless ``mode = train``."""
     if os.path.exists(token):
         with open(token) as f:
             raw = _parse_config_text(f.read(), token)
@@ -155,7 +159,8 @@ def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = 
         except ValueError:
             raise ConfigError(f"key {key!r} needs a {kind.__name__}, got {value!r}") from None
 
-    unread = sorted(key for key in _RUN_KEYS if key in raw and key not in run_keys)
+    unread = sorted(key for key in _RUN_KEYS if key in raw and (
+        key not in run_keys or key in _TRAIN_ONLY_KEYS and raw.get("mode") != "train"))
     if unread:
         raise ConfigError(f"configuration keys {unread} have no effect on this command")
     run_values = {key: take(key, kind) for key, kind in _RUN_KEYS.items() if key in raw}
@@ -293,8 +298,7 @@ def cmd_forward(args) -> int:
     if args.baseline:
         out = baseline_forward(video, params, config)
     else:
-        out = forward(video, params, config,
-                      perturb=run.perturb if run.mode == "train" else None)
+        out = forward(video, params, config, perturb=run.perturb)
 
     print("scores:", " ".join(f"{float(v):.6f}" for v in out.scores))
     print("selected_times:", " ".join(str(i) for i in out.selected_times))
@@ -313,24 +317,20 @@ def cmd_flops(args) -> int:
     # the flop model reads only the model; the counted forward also the seed
     run = load_run_config(args.config, args.set, None,
                           run_keys=("seed",) if args.instrument else ())
-    report = count_flops(run.model)
-    if args.baseline == "baseline":
-        other = count_flops(run.model.baseline())
-    elif args.baseline:
-        other = count_flops(load_run_config(args.baseline, None, None, run_keys=()).model)
+    if args.baseline:
+        # the word 'baseline' names the uncompressed twin, compare's default
+        reference = (None if args.baseline == "baseline" else
+                     load_run_config(args.baseline, None, None, run_keys=()).model)
+        comparison = compare(run.model, reference)
+        reports = (comparison.report, comparison.baseline)
     else:
-        other = None
+        comparison = None
+        reports = (count_flops(run.model),)
 
-    if args.machine:
-        print(report.machine_lines())
-    else:
-        print(report.render())
-    if other is not None:
-        if args.machine:
-            print(other.machine_lines())
-        else:
-            print(other.render())
-        print(f"ratio = {report.total / other.total:.4f}")
+    for report in reports:
+        print(report.machine_lines() if args.machine else report.render())
+    if comparison is not None:
+        print(f"ratio = {comparison.ratio:.4f}")
     if args.instrument:
         _check_model_size(run.model)
         result = instrument_check(run.model, seed=run.seed)

@@ -1,6 +1,10 @@
 """Statistical verification of the Monte Carlo ranking gradient.
 
-Two independent routes check the same estimator:
+Both oracles judge the production gradient itself: ``vjp_with_se``
+takes its estimate from ``ranking._score_gradient``, the function that
+``perturbed_objective`` and so the trainer call, looked up through the
+``ranking`` module so that a fault there reaches every caller.  Two
+independent routes check it:
 
 * For two frames the smoothed ranking has a closed form: the chance that
   frame 0 outranks frame 1 is Phi((a - b) / (sigma * sqrt(2))), since the
@@ -19,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import ranking
 from .numerics import F32, RandomStream
 from .ranking import PerturbConfig, _objective_samples
 
@@ -65,13 +70,12 @@ def t2_top_prob_grad(a: float, b: float, sigma: float) -> float:
 
 
 def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
-    """MC gradient of <G, smoothed rank(s)> and its per-coordinate
-    standard error, from the ranking module's sampler; the mean stays
-    float64 (perturbed_objective rounds its gradient to float32)."""
+    """The production MC gradient of <G, smoothed rank(s)>, kept in
+    float64 (perturbed_objective rounds it to float32), and its
+    per-coordinate standard error over the same centred samples."""
     dots, z = _objective_samples(s, cfg, grad_matrix)
-    # same control variate as the production estimator (see ranking module)
+    grad = ranking._score_gradient(dots, z, cfg)
     samples = (dots - dots.mean())[:, None] * z / cfg.sigma  # [n, T]
-    grad = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(cfg.n_samples)
     return grad, se
 

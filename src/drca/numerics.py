@@ -241,11 +241,7 @@ def avgpool_downsample(t: np.ndarray, h: int) -> np.ndarray:
     m, n, c = t.shape[-3:]
     if m % h or n % h:
         raise ShapeError(f"pool factor {h} does not divide grid {m}x{n}")
-    lead = t.shape[:-3]
-    blocks = t.reshape(*lead, m // h, h, n // h, h, c)
-    out = blocks.mean(axis=(-4, -2), dtype=F32)
-    _count(POOL_FLOPS_PER_ELEMENT * t.size)
-    return out
+    return mean_pool(t.reshape(*t.shape[:-3], m // h, h, n // h, h, c), axes=(-4, -2))
 
 
 def nearest_upsample(t: np.ndarray, h: int) -> np.ndarray:

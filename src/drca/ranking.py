@@ -1,5 +1,5 @@
 """Frame saliency ranking, its Gaussian-perturbed smoothing, and the
-Monte Carlo vector-Jacobian product that lets gradients flow through the
+Monte Carlo score gradient that lets gradients flow through the
 otherwise piecewise-constant sort.
 
 The smoothed ranking matrix is the expectation of the hard permutation
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import F32, RandomStream, ShapeError, matmul
+from .numerics import F32, RandomStream, ShapeError
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,6 @@ def hard_rank(s) -> SortPermutation:
     return SortPermutation(order=order, matrix=_matrix_from_order(order))
 
 
-def apply_sort(x: np.ndarray, perm: SortPermutation) -> np.ndarray:
-    """Reorder frames (axis 0) into rank order."""
-    x = np.asarray(x)
-    if x.shape[0] != perm.order.shape[0]:
-        raise ShapeError(f"cannot sort {x.shape[0]} frames with a {perm.order.shape[0]}-frame permutation")
-    return x[perm.order]
-
-
 def topk_split(tokens: np.ndarray, perm: SortPermutation, k: int):
     """Split frames into the top-k saliency part and the rest, both in rank
     order, returning (saliency, non_saliency, TimeIndexMap)."""
@@ -140,6 +132,16 @@ def _objective_samples(s, cfg: PerturbConfig,
     return dots, z
 
 
+def _score_gradient(dots: np.ndarray, z: np.ndarray, cfg: PerturbConfig) -> np.ndarray:
+    """The one Monte Carlo score gradient of <G, smoothed rank(s)>, float64
+    [T]: ds_i = (1 / (n * sigma)) * sum_j (dots_j - mean(dots)) * z_j[i].
+    Training (via perturbed_objective) and both grad-check oracles call
+    it.  Subtracting the sample mean is a control variate: the expectation
+    is untouched up to O(1/n) while the variance no longer blows up once
+    the ranking saturates (all samples equal -> rounding-level gradient)."""
+    return (dots - dots.mean()) @ z / (cfg.n_samples * cfg.sigma)
+
+
 def perturbed_rank(s, cfg: PerturbConfig) -> SoftRankMatrix:
     """Monte Carlo estimate of the noise-smoothed ranking matrix."""
     s64 = _check_scores(s)
@@ -151,35 +153,9 @@ def perturbed_rank(s, cfg: PerturbConfig) -> SoftRankMatrix:
     return SoftRankMatrix(matrix=m)
 
 
-def perturbed_rank_vjp(s, cfg: PerturbConfig, grad_matrix: np.ndarray) -> np.ndarray:
-    """Pull an upstream gradient on the smoothed ranking matrix back to the
-    scores: ds_i = (1 / (n * sigma)) * sum_j (<G, Y(s + sigma z_j)> - mean)
-    * z_j[i], using the same draws as perturbed_rank for the same config.
-    The mean subtraction is a variance-reducing control variate with no
-    effect on the expectation beyond O(1/n)."""
-    _, ds = perturbed_objective(s, cfg, grad_matrix)
-    return ds
-
-
 def perturbed_objective(s, cfg: PerturbConfig, grad_matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Fused <G, smoothed-rank(s)> value and its score gradient from one
-    set of draws; equals (sum(G * perturbed_rank(s).matrix),
-    perturbed_rank_vjp(s, cfg, G)) by construction."""
+    """<G, smoothed-rank(s)> and its float32 score gradient from one set
+    of draws; the value equals sum(G * perturbed_rank(s).matrix) up to
+    float32 rounding of the matrix."""
     dots, z = _objective_samples(s, cfg, grad_matrix)
-    # correlate the per-sample products with the noise; subtracting the
-    # sample mean is a control variate: the expectation is untouched up to
-    # O(1/n) while the variance no longer blows up once the ranking
-    # saturates (all samples equal -> rounding-level gradient)
-    ds = (dots - dots.mean()) @ z / (cfg.n_samples * cfg.sigma)
-    return float(dots.mean()), ds.astype(F32)
-
-
-def soft_sort_apply(x: np.ndarray, soft: SoftRankMatrix) -> np.ndarray:
-    """Smoothed reordering: position i of the output mixes frames with the
-    weights in column i of the soft matrix."""
-    x = np.asarray(x, dtype=F32)
-    t = soft.matrix.shape[0]
-    if x.shape[0] != t:
-        raise ShapeError(f"{x.shape[0]} frames vs {t}-frame soft matrix")
-    mixed = matmul(soft.matrix.T, x.reshape(t, -1))
-    return mixed.reshape(x.shape)
+    return float(dots.mean()), _score_gradient(dots, z, cfg).astype(F32)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import dccm, flops, model, numerics, ranking, rat, tensor_io
+from . import dccm, flops, gradcheck, model, numerics, ranking, rat, tensor_io
 from .numerics import F32
 
 
@@ -98,11 +98,19 @@ def _ranking() -> int:
     shifted = ranking.perturbed_rank(scores + F32(1.5), cfg)
     s.check("shift invariance under shared draws",
             bool(np.array_equal(soft.matrix, shifted.matrix)))
-    value, grad = ranking.perturbed_objective(scores, cfg, perm.matrix)
+    value, _ = ranking.perturbed_objective(scores, cfg, perm.matrix)
     s.check("objective matches the soft matrix",
             abs(value - float((perm.matrix * soft.matrix).sum())) < 1e-6)
-    s.check("vjp matches the fused path",
-            bool(np.array_equal(grad, ranking.perturbed_rank_vjp(scores, cfg, perm.matrix))))
+
+    # T=2 at a score gap of sigma: the chance frame 0 ranks first has an
+    # exact derivative; with 4000 samples the estimate was at most 10.3%
+    # off it over seeds 0-199, so the 25% gate flags faults, not noise
+    sigma = 0.05
+    pair = np.array([sigma, 0.0], F32)
+    first = np.array([[1.0, 0.0], [0.0, 0.0]])
+    _, grad = ranking.perturbed_objective(pair, ranking.PerturbConfig(sigma, 4000, seed=3), first)
+    exact = gradcheck.t2_top_prob_grad(float(pair[0]), float(pair[1]), sigma)
+    s.check("gradient matches the T=2 closed form", abs(float(grad[0]) - exact) < 0.25 * exact)
     return s.count
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drca import numerics
+from drca import numerics, ranking
 from drca.cli import (
     _MODEL_KEYS,
     _check_model_size,
@@ -191,6 +191,11 @@ def _one_line_error(capsys, *names: str) -> None:
     (["flops", "toy", "--set", "sigma=0.3"], ["sigma"]),
     (["flops", "toy", "--set", "n_samples=4", "--instrument"], ["n_samples"]),
     (["flops", "toy", "--set", "seed=5"], ["seed"]),
+    (["forward", "toy", "--set", "sigma=0.3", "--set", "n_samples=7"], ["sigma", "n_samples"]),
+    (["forward", "toy", "--baseline", "--set", "sigma=0.3", "--set", "n_samples=7"],
+     ["sigma", "n_samples"]),
+    (["forward", "toy", "--set", "mode=train", "--set", "n_samples=0"], ["n_samples"]),
+    (["forward", "toy", "--set", "mode=train", "--set", "sigma=nan"], ["sigma"]),
 ])
 def test_bad_values_exit_2_with_one_line_error(capsys, argv, names):
     assert main(argv) == EXIT_BAD_INPUT
@@ -256,6 +261,7 @@ def test_config_file_with_comments_and_overrides(tmp_path, capsys):
     cfg_path = tmp_path / "run.conf"
     cfg_path.write_text(
         "variant = toy\n"
+        "mode = train\n"
         "\n"
         "sigma = 0.1  # smoothing level\n"
         "num_classes = 7\n"
@@ -415,4 +421,17 @@ def test_selftest_detects_injected_fault(capsys, monkeypatch):
     assert code == EXIT_CHECK_FAILED
     assert captured.out.rstrip().endswith("selftest: FAIL")
     # the fault must not leak into later runs
+    assert main(["selftest"]) == EXIT_OK
+
+
+def test_selftest_checks_the_production_gradient(capsys, monkeypatch):
+    grad = ranking._score_gradient
+    with monkeypatch.context() as patch:
+        patch.setattr(ranking, "_score_gradient", lambda dots, z, cfg: -grad(dots, z, cfg))
+        code = main(["selftest"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CHECK_FAILED
+    assert captured.out.rstrip().endswith("selftest: FAIL")
+    assert "suite ranking" in captured.err and "gradient" in captured.err
+    assert ranking._score_gradient is grad
     assert main(["selftest"]) == EXIT_OK

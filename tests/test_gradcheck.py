@@ -1,11 +1,13 @@
 """The gradient verification harness itself: closed forms, standard
 errors, and the pass/fail plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from drca import gradcheck
+from drca import gradcheck, ranking
 from drca.gradcheck import (
     CheckReport,
     CheckRow,
@@ -69,12 +71,49 @@ def test_vjp_se_is_calibrated():
 
 
 def test_vjp_matches_production_estimator():
+    # one gradient formula: the oracles' float64 estimate is bitwise the
+    # shared function's, and rounds to exactly what training receives
     s = RandomStream(2).gaussian(5)
     g = RandomStream(3).gaussian64((5, 5))
     cfg = PerturbConfig(0.05, 600, seed=9)
     grad, _ = vjp_with_se(s, cfg, g)
+    dots, z = ranking._objective_samples(s, cfg, g)
+    assert grad.dtype == np.float64
+    assert grad.tobytes() == ranking._score_gradient(dots, z, cfg).tobytes()
     _, ds = perturbed_objective(s, cfg, g)
-    np.testing.assert_allclose(grad.astype(F32), ds, rtol=1e-6, atol=1e-7)
+    assert grad.astype(F32).tobytes() == ds.tobytes()
+
+
+# faults planted once in the shared gradient, each built from the real one
+_PLANTED = {
+    "sign flip": lambda grad: lambda dots, z, cfg: -grad(dots, z, cfg),
+    "missing 1/sigma": lambda grad: lambda dots, z, cfg: grad(dots, z, cfg) * cfg.sigma,
+    "sigma off by 10%": lambda grad: lambda dots, z, cfg: grad(
+        dots, z, replace(cfg, sigma=cfg.sigma * 1.1)),
+}
+
+
+_PLANTED_AT = dict(sigma=0.05, n_samples=100_000, seed=0)  # the CLI defaults
+
+
+def test_both_checks_pass_where_defects_are_planted():
+    assert run_t2_check(**_PLANTED_AT).passed
+    assert run_fd_check(**_PLANTED_AT).passed
+
+
+@pytest.mark.parametrize("defect", sorted(_PLANTED))
+def test_planted_gradient_defect_fails_both_checks(monkeypatch, defect):
+    faulty = _PLANTED[defect](ranking._score_gradient)
+    monkeypatch.setattr(ranking, "_score_gradient", faulty)
+    # the fault reaches training ...
+    s = RandomStream(6).gaussian(4)
+    g = RandomStream(7).gaussian64((4, 4))
+    cfg = PerturbConfig(0.05, 300, seed=8)
+    dots, z = ranking._objective_samples(s, cfg, g)
+    assert perturbed_objective(s, cfg, g)[1].tobytes() == faulty(dots, z, cfg).astype(F32).tobytes()
+    # ... and both oracles catch it
+    assert not run_t2_check(**_PLANTED_AT).passed
+    assert not run_fd_check(**_PLANTED_AT).passed
 
 
 def test_objective_matches_production_estimator_exactly():
