@@ -42,9 +42,10 @@ EXIT_INSUFFICIENT = 3
 
 MIN_SAMPLES_FOR_CHECKS = 1000
 
-# refuse a model whose largest attention-score tensor exceeds this; fixed,
-# so the same command succeeds or fails the same way on every machine
-MAX_ATTENTION_SCORE_BYTES = 1 << 30
+# refuse a model whose largest attention-score tensor, or a sample count
+# whose float64 Monte Carlo draws, would exceed this; fixed, so the same
+# command succeeds or fails the same way on every machine
+MAX_ARRAY_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -192,10 +193,21 @@ def _check_model_size(config: ModelConfig) -> None:
     m, n = config.grid
     g = m * n
     size = 4 * config.head_count * config.frames * g * max(g, config.frames)
-    if size > MAX_ATTENTION_SCORE_BYTES:
+    if size > MAX_ARRAY_BYTES:
         raise ConfigError(
             f"model too large: an attention-score tensor would take {size} bytes "
-            f"(limit {MAX_ATTENTION_SCORE_BYTES})"
+            f"(limit {MAX_ARRAY_BYTES})"
+        )
+
+
+def _check_draw_size(n_samples: int, frames: int) -> None:
+    """Refuse, before anything is drawn, a smoothed ranking whose float64
+    noise [n_samples, frames] would exceed the fixed limit."""
+    size = 8 * n_samples * frames
+    if size > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"n_samples too large: {n_samples} draws of {frames} frames would take "
+            f"{size} bytes (limit {MAX_ARRAY_BYTES})"
         )
 
 
@@ -225,6 +237,7 @@ def cmd_rank(args) -> int:
     scores = tensor_io.read_tnsr(args.scores)
     if scores.ndim != 1:
         raise ShapeError(f"{args.scores}: scores must be rank 1, got rank {scores.ndim}")
+    _check_draw_size(cfg.n_samples, scores.shape[0])
     perm = hard_rank(scores)
     print("order:", " ".join(str(i) for i in perm.order))
     soft = perturbed_rank(scores, cfg)
@@ -250,6 +263,7 @@ def cmd_grad_check(args) -> int:
     _require_counts(args, frames=2, trials=1)
     if not 0 < args.sigma < np.inf:
         raise ConfigError(f"--sigma must be positive and finite, got {args.sigma}")
+    _check_draw_size(args.n_samples, args.frames)
     if args.n_samples < MIN_SAMPLES_FOR_CHECKS:
         print(
             f"insufficient statistical power: n_samples={args.n_samples} < "
@@ -279,6 +293,8 @@ def cmd_forward(args) -> int:
     _echo(run.echo_pairs())
     config = run.model
     _check_model_size(config)
+    if run.perturb is not None:
+        _check_draw_size(run.perturb.n_samples, config.frames)
 
     if args.params:
         params = params_from_named(config, tensor_io.load_tensor_dir(args.params))
@@ -346,6 +362,7 @@ def cmd_toy_train(args) -> int:
     for flag in ("lr", "init_scale"):
         if not np.isfinite(getattr(args, flag)):
             raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {getattr(args, flag)}")
+    _check_draw_size(args.n_samples, args.frames)
     videos = make_planted_dataset(
         args.videos + args.holdout, frames=args.frames,
         salient_count=args.salient, seed=seed,

@@ -8,6 +8,17 @@ matrix of ``s + sigma * z`` over standard-normal ``z``, estimated with
 gradient estimate, so a loss value and its gradient always refer to the
 same randomness.
 
+One walk, ``_sample_blocks``, makes every sample: it draws the noise,
+forms the perturbed scores and sorts them in blocks of ``_SAMPLE_BLOCK``
+draws, small enough for a core's L2 cache, and each estimate reduces a
+block as soon as it is sorted.  ``perturbed_rank`` adds the block's
+exact integer counts, so it holds nothing whose size grows with
+``n_samples``; ``_objective_samples`` gathers each draw's <G, Y> and
+keeps only those [n] products and the draws z [n, T] that the score
+gradient needs.  No other [n, T] array outlives its block.  Successive
+blocks continue one random stream, so every output is bitwise what a
+single [n, T] draw would give.
+
 Numeric note: scores and noise are combined and compared in float64
 here (outputs stay float32).  Ranking is decided purely by comparisons,
 and float32 additions near ties flip comparisons often enough to break
@@ -72,11 +83,6 @@ def _check_scores(s) -> np.ndarray:
     return s.astype(np.float64)
 
 
-def _orders(perturbed: np.ndarray) -> np.ndarray:
-    # descending sort; stable kind breaks ties toward the smaller frame index
-    return np.argsort(-perturbed, axis=-1, kind="stable")
-
-
 def _matrix_from_order(order: np.ndarray) -> np.ndarray:
     t = order.shape[0]
     m = np.zeros((t, t), dtype=F32)
@@ -87,7 +93,8 @@ def _matrix_from_order(order: np.ndarray) -> np.ndarray:
 def hard_rank(s) -> SortPermutation:
     """Descending sort permutation of a score vector (ties: smaller index first)."""
     s = _check_scores(s)
-    order = _orders(s)
+    # stable kind breaks ties toward the smaller frame index
+    order = np.argsort(-s, kind="stable")
     return SortPermutation(order=order, matrix=_matrix_from_order(order))
 
 
@@ -108,18 +115,41 @@ def topk_split(tokens: np.ndarray, perm: SortPermutation, k: int):
     return ordered[:k], ordered[k:], times
 
 
-def _sample_orders(s64: np.ndarray, cfg: PerturbConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Common-random-number draws and the per-sample hard orders."""
-    z = RandomStream(cfg.seed).gaussian64((cfg.n_samples, s64.shape[0]))
-    orders = _orders(s64[None, :] + cfg.sigma * z)
-    return orders, z
+# draws per block of the sampling walk: at T = 4 a block's float64 noise,
+# key and gathered <G, Y> terms and its int64 cells take 256 KiB each, so
+# the walk stays in a core's 2 MiB L2 cache; 16384 measured slower on
+# grad-check and 4096 no faster
+_SAMPLE_BLOCK = 1 << 13
+
+
+def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig):
+    """The one sampling walk behind every estimate.  For each block of at
+    most ``_SAMPLE_BLOCK`` draws it yields the block's rows of the full
+    sample, the common-random-number draws z [rows, T], and the cells
+    [rows, T] that the hard ranking of s + sigma * z fills:
+    cells[j, c] = c * T + o for the frame o that draw j ranks c-th, the
+    flat index of entry (o, c) in a T x T matrix stored transposed.
+    Successive blocks continue one stream, so together they are the
+    one-shot [n_samples, T] draw."""
+    stream = RandomStream(cfg.seed)
+    t = s64.shape[0]
+    col_offsets = np.arange(t) * t
+    for lo in range(0, cfg.n_samples, _SAMPLE_BLOCK):
+        z = stream.gaussian64((min(_SAMPLE_BLOCK, cfg.n_samples - lo), t))
+        # bitwise -(s + sigma * z): the stable ascending sort is descending
+        # in s + sigma * z, ties toward the smaller frame index
+        key = z * -cfg.sigma
+        key -= s64
+        cells = np.argsort(key, axis=1, kind="stable")
+        cells += col_offsets
+        yield slice(lo, lo + z.shape[0]), z, cells
 
 
 def _objective_samples(s, cfg: PerturbConfig,
                        grad_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Monte Carlo sampler behind every estimate of <G, smoothed
-    rank(s)>: float64 per-sample Frobenius products <G, Y(s + sigma z_j)>
-    [n] and the shared draws z [n, T]."""
+    """Every estimate of <G, smoothed rank(s)> reduces these: float64
+    per-sample Frobenius products <G, Y(s + sigma z_j)> [n] and the
+    shared draws z [n, T]."""
     s64 = _check_scores(s)
     t = s64.shape[0]
     g = np.asarray(grad_matrix, dtype=np.float64)
@@ -127,9 +157,13 @@ def _objective_samples(s, cfg: PerturbConfig,
         raise ShapeError(f"gradient matrix must be {t}x{t}, got {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient matrix must be finite")
-    orders, z = _sample_orders(s64, cfg)
-    dots = g[orders, np.arange(t)[None, :]].sum(axis=1)
-    return dots, z
+    flat_gt = g.T.ravel()
+    dots = np.empty(cfg.n_samples)
+    zs = np.empty((cfg.n_samples, t))
+    for rows, z, cells in _sample_blocks(s64, cfg):
+        zs[rows] = z
+        dots[rows] = np.take(flat_gt, cells).sum(axis=1)
+    return dots, zs
 
 
 def _score_gradient(dots: np.ndarray, z: np.ndarray, cfg: PerturbConfig) -> np.ndarray:
@@ -146,11 +180,11 @@ def perturbed_rank(s, cfg: PerturbConfig) -> SoftRankMatrix:
     """Monte Carlo estimate of the noise-smoothed ranking matrix."""
     s64 = _check_scores(s)
     t = s64.shape[0]
-    orders, _ = _sample_orders(s64, cfg)
-    flat = orders * t + np.arange(t)[None, :]
-    counts = np.bincount(flat.ravel(), minlength=t * t)
-    m = (counts.astype(np.float64).reshape(t, t) / cfg.n_samples).astype(F32)
-    return SoftRankMatrix(matrix=m)
+    counts = np.zeros(t * t, dtype=np.int64)  # transposed, as the cells index it
+    for _, _, cells in _sample_blocks(s64, cfg):
+        counts += np.bincount(cells.ravel(), minlength=t * t)
+    freq = counts.reshape(t, t).T.astype(np.float64) / cfg.n_samples
+    return SoftRankMatrix(matrix=freq.astype(F32, order="C"))
 
 
 def perturbed_objective(s, cfg: PerturbConfig, grad_matrix: np.ndarray) -> tuple[float, np.ndarray]:

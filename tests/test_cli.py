@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from drca import numerics, ranking
 from drca.cli import (
     _MODEL_KEYS,
+    MAX_ARRAY_BYTES,
+    ConfigError,
+    _check_draw_size,
     _check_model_size,
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -240,6 +243,29 @@ def test_oversized_model_exits_2_before_allocating(capsys, argv):
     # toy at patch size 1: 4 heads x 8 frames x 4096^2 float32 spatial scores
     assert main(argv) == EXIT_BAD_INPUT
     _one_line_error(capsys, "model too large", "bytes")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "{scores}", "{out}", "--n-samples", "1000000000000"],
+    ["grad-check", "--n-samples", "1000000000000"],
+    ["toy-train", "--n-samples", "1000000000000"],
+    ["forward", "toy", "--set", "mode=train", "--set", "n_samples=1000000000000"],
+])
+def test_oversized_sample_count_exits_2_before_drawing(tmp_path, capsys, argv):
+    # 10^12 float64 draws of 3 to 8 frames: tens of terabytes
+    scores, out = tmp_path / "s.tnsr", tmp_path / "o.tnsr"
+    write_tnsr(scores, np.array([3.0, 1.0, 2.0], F32))
+    assert main([arg.format(scores=scores, out=out) for arg in argv]) == EXIT_BAD_INPUT
+    _one_line_error(capsys, "n_samples too large", "bytes")
+    assert not out.exists()
+
+
+def test_sample_size_limit_is_inclusive():
+    frames = 4
+    most = MAX_ARRAY_BYTES // (8 * frames)
+    _check_draw_size(most, frames)
+    with pytest.raises(ConfigError, match="n_samples too large"):
+        _check_draw_size(most + 1, frames)
 
 
 @pytest.mark.parametrize("name", ["DRCA-S-K4", "DRCA-B-K2"])

@@ -1,15 +1,19 @@
 """Hard ranking against a comparison-sort oracle, and the smoothed
 ranking's polytope, invariance, and consistency properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from drca import ranking
 from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import (
     PerturbConfig,
+    _objective_samples,
     hard_rank,
     perturbed_objective,
     perturbed_rank,
@@ -188,3 +192,86 @@ def test_doubly_stochastic_property(t, seed):
     soft = perturbed_rank(s, PerturbConfig(0.1, 64, seed=seed + 1))
     np.testing.assert_allclose(soft.matrix.sum(axis=0), 1.0, atol=1e-6)
     np.testing.assert_allclose(soft.matrix.sum(axis=1), 1.0, atol=1e-6)
+
+
+# --- the blocked sampling walk -----------------------------------------
+
+_BLOCK = ranking._SAMPLE_BLOCK
+
+
+def test_block_draws_continue_the_stream():
+    # the sampler draws in row blocks and relies on them concatenating to
+    # the one-shot draw; a numpy whose generator breaks this fails here
+    n, t = 2 * _BLOCK + 11, 5
+    whole = RandomStream(3).gaussian64((n, t))
+    stream = RandomStream(3)
+    parts = [stream.gaussian64((rows, t)) for rows in (1, 7, _BLOCK - 1, n - _BLOCK - 7)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def _one_shot_reference(s, cfg, g):
+    # one [n, T] draw, one sort, a 2-D gather and row sums, one bincount
+    s64 = np.asarray(s, np.float64)
+    t = s64.shape[0]
+    z = RandomStream(cfg.seed).gaussian64((cfg.n_samples, t))
+    orders = np.argsort(-(s64 + cfg.sigma * z), axis=-1, kind="stable")
+    dots = g[orders, np.arange(t)].sum(axis=1)
+    counts = np.bincount((orders * t + np.arange(t)).ravel(), minlength=t * t)
+    matrix = (counts.astype(np.float64).reshape(t, t) / cfg.n_samples).astype(F32)
+    return dots, z, matrix
+
+
+@pytest.mark.parametrize("t", [1, 2, 4, 8, 9])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**31), sigma=st.sampled_from([1e-3, 0.05, 2.0]),
+       quantise=st.booleans())
+def test_sampler_is_bitwise_the_one_shot_reference(n, t, seed, sigma, quantise):
+    stream = RandomStream(seed)
+    s = stream.gaussian(t)
+    if quantise:
+        s = np.round(s * 2) / 2  # tied scores
+    g = stream.gaussian64((t, t))
+    cfg = PerturbConfig(sigma=sigma, n_samples=n, seed=seed + 1)
+    want_dots, want_z, want_matrix = _one_shot_reference(s, cfg, g)
+    dots, z = _objective_samples(s, cfg, g)
+    assert dots.tobytes() == want_dots.tobytes()
+    assert z.tobytes() == want_z.tobytes()
+    assert perturbed_rank(s, cfg).matrix.tobytes() == want_matrix.tobytes()
+
+
+def test_exact_ties_rank_toward_the_smaller_frame():
+    # 1e6 + 1e-12 z rounds back to 1e6: every draw is an exact three-way
+    # tie, so every sample keeps frame order and the matrix is the identity
+    s = np.array([1e6, 1e6, 1e6], F32)
+    cfg = PerturbConfig(sigma=1e-12, n_samples=2 * _BLOCK + 3, seed=4)
+    g = RandomStream(5).gaussian64((3, 3))
+    matrix = perturbed_rank(s, cfg).matrix
+    assert np.array_equal(matrix, np.eye(3, dtype=F32))
+    want_dots, want_z, want_matrix = _one_shot_reference(s, cfg, g)
+    dots, z = _objective_samples(s, cfg, g)
+    assert matrix.tobytes() == want_matrix.tobytes()
+    assert dots.tobytes() == want_dots.tobytes()
+    assert np.all(dots == np.trace(g))
+    assert z.tobytes() == want_z.tobytes()
+
+
+def test_sampler_memory_stays_within_a_few_blocks():
+    # tracemalloc sees numpy's buffers; one [n, T] float64 array is 32 MB here
+    n, t = 10**6, 4
+    cfg = PerturbConfig(sigma=0.05, n_samples=n, seed=6)
+    s = RandomStream(7).gaussian(t)
+    g = RandomStream(8).gaussian64((t, t))
+    bound = 8 * _BLOCK * t * 8
+    assert bound < n * t * 8 / 10
+    tracemalloc.start()
+    try:
+        perturbed_rank(s, cfg)
+        _, rank_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        dots, z = _objective_samples(s, cfg, g)
+        _, objective_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rank_peak < bound
+    assert objective_peak <= dots.nbytes + z.nbytes + bound
