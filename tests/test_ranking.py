@@ -1,5 +1,6 @@
-"""Hard ranking against a comparison-sort oracle, and the smoothed
-ranking's polytope, invariance, and consistency properties."""
+"""Hard ranking against a comparison-sort oracle, the smoothed
+ranking's polytope, invariance, and consistency properties, and the
+blocked sampler against a one-shot reference."""
 
 import tracemalloc
 
