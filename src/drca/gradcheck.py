@@ -14,11 +14,23 @@ independent routes check it:
   differences of the smoothed objective <G, rank(s)>, each endpoint
   re-estimated with fresh draws, with agreement measured in combined
   standard errors rather than absolute tolerance.
+
+The finite-difference endpoint estimates share no state, so
+``run_fd_check`` runs them on a thread pool of ``_workers`` threads (the
+CPUs the process may use, capped at ``2 * frames``) while the calling
+thread computes each vector's gradient; numpy releases the GIL in the
+draws, the sort and the gathers.  Each estimate keeps its own seed, so
+the rows are bitwise those of a serial loop.  An endpoint in flight holds
+its [n] per-sample products and a few sampler blocks; the gradient, on
+the calling thread, also holds its [n, T] draws, which it needs to stay
+bitwise the production gradient.  Both standard errors are summed one
+sampler block at a time, so no other array of that size is built.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,21 +81,53 @@ def t2_top_prob_grad(a: float, b: float, sigma: float) -> float:
     return float(np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi) / (sigma * np.sqrt(2.0)))
 
 
+def _workers(tasks: int) -> int:
+    """Threads for ``tasks`` independent estimates: no more than the CPUs
+    this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, tasks)
+
+
+def _row_blocks(n: int):
+    """Slices of at most the sampler's block size covering rows 0..n-1."""
+    return (slice(lo, lo + ranking._SAMPLE_BLOCK)
+            for lo in range(0, n, ranking._SAMPLE_BLOCK))
+
+
 def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     """The production MC gradient of <G, smoothed rank(s)>, kept in
     float64 (perturbed_objective rounds it to float32), and its
-    per-coordinate standard error over the same centred samples."""
+    per-coordinate standard error over the same centred samples.
+
+    The per-sample gradients (dots_j - mean(dots)) z_j / sigma average to
+    the gradient, so their spread is summed about it one row block at a
+    time: besides z, no [n, T] array is built."""
     dots, z = _objective_samples(s, cfg, grad_matrix)
     grad = ranking._score_gradient(dots, z, cfg)
-    samples = (dots - dots.mean())[:, None] * z / cfg.sigma  # [n, T]
-    se = samples.std(axis=0, ddof=1) / np.sqrt(cfg.n_samples)
+    mean, sq = dots.mean(), np.zeros_like(grad)
+    for rows in _row_blocks(cfg.n_samples):
+        dev = (dots[rows] - mean)[:, None] * z[rows]
+        dev /= cfg.sigma
+        dev -= grad
+        sq += np.einsum("ji,ji->i", dev, dev)
+    se = np.sqrt(sq / (cfg.n_samples - 1)) / np.sqrt(cfg.n_samples)
     return grad, se
 
 
 def objective_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
-    """MC value of <G, smoothed rank(s)> and its standard error."""
-    dots, _ = _objective_samples(s, cfg, grad_matrix)
-    return float(dots.mean()), float(dots.std(ddof=1) / np.sqrt(cfg.n_samples))
+    """MC value of <G, smoothed rank(s)> and its standard error.  Keeps
+    the [n] per-sample products, not the draws."""
+    dots = np.empty(cfg.n_samples)
+    for rows, _, block_dots in ranking._objective_blocks(s, cfg, grad_matrix):
+        dots[rows] = block_dots
+    mean, sq = dots.mean(), np.float64(0.0)
+    for rows in _row_blocks(cfg.n_samples):
+        dev = dots[rows] - mean
+        sq += dev @ dev
+    return float(mean), float(np.sqrt(sq / (cfg.n_samples - 1)) / np.sqrt(cfg.n_samples))
 
 
 def run_t2_check(sigma: float = 0.05, n_samples: int = 100_000, seed: int = 0,
@@ -113,6 +157,16 @@ def run_t2_check(sigma: float = 0.05, n_samples: int = 100_000, seed: int = 0,
     return CheckReport("closed-form (T=2)", tuple(rows))
 
 
+def _shifted(s: np.ndarray, delta: float):
+    """The finite-difference endpoints of s: coordinate 0 up by delta,
+    then down, then coordinate 1 up, and so on."""
+    for i in range(s.shape[0]):
+        for step in (delta, -delta):
+            x = s.copy()
+            x[i] += F32(step)
+            yield x
+
+
 def run_fd_check(frames: int = 4, sigma: float = 0.05, n_samples: int = 100_000,
                  seed: int = 0, vectors: int = 5) -> CheckReport:
     """Compare the MC gradient with central finite differences of the
@@ -127,25 +181,38 @@ def run_fd_check(frames: int = 4, sigma: float = 0.05, n_samples: int = 100_000,
         raise ValueError(f"need frames >= 2 and vectors >= 1, got {frames} and {vectors}")
     delta = FD_DELTA_PER_SIGMA * sigma
     stream = RandomStream(seed)
-    rows = []
+    inputs = []
     for v in range(vectors):
         s = (stream.gaussian64(frames) * 2 * sigma).astype(F32)
         g = stream.gaussian64((frames, frames))
-        base = PerturbConfig(sigma=sigma, n_samples=n_samples,
-                             seed=seed + 1000 + 7919 * v)
-        grad, grad_se = vjp_with_se(s, base, g)
-        for i in range(frames):
-            up = s.copy(); up[i] += F32(delta)
-            dn = s.copy(); dn[i] -= F32(delta)
-            f_up, se_up = objective_with_se(up, replace(base, seed=base.seed + 1 + 2 * i), g)
-            f_dn, se_dn = objective_with_se(dn, replace(base, seed=base.seed + 2 + 2 * i), g)
-            fd = (f_up - f_dn) / (2 * delta)
-            fd_se = np.sqrt(se_up ** 2 + se_dn ** 2) / (2 * delta)
-            combined = float(np.sqrt(grad_se[i] ** 2 + fd_se ** 2))
-            err = abs(float(grad[i]) - fd) / combined
-            rows.append(CheckRow(
-                label=f"vector {v} coord {i}",
-                analytic=fd, estimate=float(grad[i]),
-                error=err, passed=bool(err < FD_SE_LIMIT),
-            ))
+        inputs.append((s, g, PerturbConfig(sigma=sigma, n_samples=n_samples,
+                                           seed=seed + 1000 + 7919 * v)))
+    # imported here: the pool's modules add ~0.4 MB of resident memory to
+    # every process that imports gradcheck, grad-check or not
+    from concurrent.futures import ThreadPoolExecutor
+
+    rows = []
+    # every endpoint estimate is queued at once, so the pool never idles
+    # between vectors; a queued task holds only its inputs
+    pool = ThreadPoolExecutor(_workers(2 * frames))
+    try:
+        endpoints = [[pool.submit(objective_with_se, x, replace(base, seed=base.seed + k), g)
+                      for k, x in enumerate(_shifted(s, delta), start=1)]
+                     for s, g, base in inputs]
+        for v, ((s, g, base), futures) in enumerate(zip(inputs, endpoints)):
+            grad, grad_se = vjp_with_se(s, base, g)
+            for i in range(frames):
+                f_up, se_up = futures[2 * i].result()
+                f_dn, se_dn = futures[2 * i + 1].result()
+                fd = (f_up - f_dn) / (2 * delta)
+                fd_se = np.sqrt(se_up ** 2 + se_dn ** 2) / (2 * delta)
+                combined = float(np.sqrt(grad_se[i] ** 2 + fd_se ** 2))
+                err = abs(float(grad[i]) - fd) / combined
+                rows.append(CheckRow(
+                    label=f"vector {v} coord {i}",
+                    analytic=fd, estimate=float(grad[i]),
+                    error=err, passed=bool(err < FD_SE_LIMIT),
+                ))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return CheckReport(f"finite differences (T={frames})", tuple(rows))

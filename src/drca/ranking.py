@@ -13,11 +13,12 @@ forms the perturbed scores and sorts them in blocks of ``_SAMPLE_BLOCK``
 draws, small enough for a core's L2 cache, and each estimate reduces a
 block as soon as it is sorted.  ``perturbed_rank`` adds the block's
 exact integer counts, so it holds nothing whose size grows with
-``n_samples``; ``_objective_samples`` gathers each draw's <G, Y> and
-keeps only those [n] products and the draws z [n, T] that the score
-gradient needs.  No other [n, T] array outlives its block.  Successive
-blocks continue one random stream, so every output is bitwise what a
-single [n, T] draw would give.
+``n_samples``.  ``_objective_blocks`` is the one gather of each draw's
+<G, Y>; ``_objective_samples`` keeps those [n] products and the draws
+z [n, T] that the score gradient needs, and an estimate that needs no
+gradient can keep the products alone.  No other [n, T] array outlives
+its block.  Successive blocks continue one random stream, so every
+output is bitwise what a single [n, T] draw would give.
 
 Numeric note: scores and noise are combined and compared in float64
 here (outputs stay float32).  Ranking is decided purely by comparisons,
@@ -145,11 +146,11 @@ def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig):
         yield slice(lo, lo + z.shape[0]), z, cells
 
 
-def _objective_samples(s, cfg: PerturbConfig,
-                       grad_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every estimate of <G, smoothed rank(s)> reduces these: float64
-    per-sample Frobenius products <G, Y(s + sigma z_j)> [n] and the
-    shared draws z [n, T]."""
+def _objective_blocks(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
+    """Validate s and G, then return an iterator over the sampling walk's
+    blocks that yields (rows, z, dots): the block's rows of the full
+    sample, its draws z [rows, T] and its float64 Frobenius products
+    <G, Y(s + sigma z_j)> [rows].  Each estimate keeps what it needs."""
     s64 = _check_scores(s)
     t = s64.shape[0]
     g = np.asarray(grad_matrix, dtype=np.float64)
@@ -158,11 +159,20 @@ def _objective_samples(s, cfg: PerturbConfig,
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient matrix must be finite")
     flat_gt = g.T.ravel()
+    return ((rows, z, np.take(flat_gt, cells).sum(axis=1))
+            for rows, z, cells in _sample_blocks(s64, cfg))
+
+
+def _objective_samples(s, cfg: PerturbConfig,
+                       grad_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-sample products <G, Y(s + sigma z_j)> [n] and the shared
+    draws z [n, T] that the score gradient reduces."""
+    blocks = _objective_blocks(s, cfg, grad_matrix)
     dots = np.empty(cfg.n_samples)
-    zs = np.empty((cfg.n_samples, t))
-    for rows, z, cells in _sample_blocks(s64, cfg):
+    zs = np.empty((cfg.n_samples, len(s)))
+    for rows, z, block_dots in blocks:
         zs[rows] = z
-        dots[rows] = np.take(flat_gt, cells).sum(axis=1)
+        dots[rows] = block_dots
     return dots, zs
 
 

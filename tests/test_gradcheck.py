@@ -1,6 +1,9 @@
 """The gradient verification harness itself: closed forms, standard
 errors, and the pass/fail plumbing."""
 
+import os
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +117,104 @@ def test_planted_gradient_defect_fails_both_checks(monkeypatch, defect):
     # ... and both oracles catch it
     assert not run_t2_check(**_PLANTED_AT).passed
     assert not run_fd_check(**_PLANTED_AT).passed
+
+
+def _serial_fd_rows(frames, sigma, n_samples, seed, vectors):
+    # the finite-difference check as a plain loop, one estimate at a time
+    delta = gradcheck.FD_DELTA_PER_SIGMA * sigma
+    stream = RandomStream(seed)
+    rows = []
+    for v in range(vectors):
+        s = (stream.gaussian64(frames) * 2 * sigma).astype(F32)
+        g = stream.gaussian64((frames, frames))
+        base = PerturbConfig(sigma, n_samples, seed + 1000 + 7919 * v)
+        grad, grad_se = vjp_with_se(s, base, g)
+        for i in range(frames):
+            up = s.copy()
+            up[i] += F32(delta)
+            dn = s.copy()
+            dn[i] -= F32(delta)
+            f_up, se_up = objective_with_se(up, replace(base, seed=base.seed + 1 + 2 * i), g)
+            f_dn, se_dn = objective_with_se(dn, replace(base, seed=base.seed + 2 + 2 * i), g)
+            fd = (f_up - f_dn) / (2 * delta)
+            fd_se = np.sqrt(se_up ** 2 + se_dn ** 2) / (2 * delta)
+            err = abs(float(grad[i]) - fd) / float(np.sqrt(grad_se[i] ** 2 + fd_se ** 2))
+            rows.append((fd, float(grad[i]), err, bool(err < gradcheck.FD_SE_LIMIT)))
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("frames, n_samples, seed, vectors", [
+    (2, 3000, 0, 1),
+    (3, ranking._SAMPLE_BLOCK + 1, 11, 3),
+    (5, 20_000, 7, 2),
+])
+def test_fd_check_is_bitwise_the_serial_loop(monkeypatch, workers, frames, n_samples,
+                                             seed, vectors):
+    monkeypatch.setattr(gradcheck, "_workers", lambda tasks: workers)
+    report = run_fd_check(frames=frames, sigma=0.05, n_samples=n_samples, seed=seed,
+                          vectors=vectors)
+    got = [(r.analytic, r.estimate, r.error, r.passed) for r in report.rows]
+    assert np.array(got).tobytes() == np.array(
+        _serial_fd_rows(frames, 0.05, n_samples, seed, vectors)).tobytes()
+    assert [r.label for r in report.rows] == [
+        f"vector {v} coord {i}" for v in range(vectors) for i in range(frames)]
+
+
+def test_fd_endpoints_run_on_the_pool_and_the_gradient_on_the_caller(monkeypatch):
+    seen = {"objective_with_se": set(), "vjp_with_se": set()}
+
+    def spy(name):
+        real = getattr(gradcheck, name)
+
+        def recorded(*args):
+            seen[name].add(threading.current_thread())
+            return real(*args)
+        return recorded
+
+    for name in seen:
+        monkeypatch.setattr(gradcheck, name, spy(name))
+    monkeypatch.setattr(gradcheck, "_workers", lambda tasks: 2)
+    run_fd_check(frames=3, sigma=0.05, n_samples=2000, seed=1, vectors=2)
+    assert seen["vjp_with_se"] == {threading.main_thread()}
+    assert seen["objective_with_se"] and threading.main_thread() not in seen["objective_with_se"]
+
+
+def test_pool_size_is_the_usable_cpus_capped_by_the_tasks(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    assert gradcheck._workers(1) == 1
+    assert gradcheck._workers(1000) == cpus
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert gradcheck._workers(8) == 3
+    assert gradcheck._workers(2) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert gradcheck._workers(8) == 1
+
+
+def test_estimators_memory_stays_within_their_outputs_and_a_few_blocks():
+    # tracemalloc sees numpy's buffers; one [n, T] float64 array is 32 MB here
+    n, t = 10**6, 4
+    cfg = PerturbConfig(sigma=0.05, n_samples=n, seed=6)
+    s = RandomStream(7).gaussian(t)
+    g = RandomStream(8).gaussian64((t, t))
+    dots_bytes, z_bytes = n * 8, n * t * 8
+    blocks = 8 * ranking._SAMPLE_BLOCK * t * 8
+    assert blocks < dots_bytes / 2
+    tracemalloc.start()
+    try:
+        objective_with_se(s, cfg, g)
+        _, objective_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        vjp_with_se(s, cfg, g)
+        _, vjp_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the value needs the [n] products, not the draws
+    assert objective_peak <= dots_bytes + blocks
+    # the gradient needs the products and the draws; _score_gradient
+    # centres one [n] copy of the products for its dot product
+    assert vjp_peak <= 2 * dots_bytes + z_bytes + blocks
 
 
 def test_objective_matches_production_estimator_exactly():

@@ -332,6 +332,18 @@ def test_gelu_error_bound_on_dense_grid():
     assert np.all(err <= 0.5 * (1e-7 + 1e-6 * np.abs(want)))
 
 
+def test_gelu_error_bound_and_no_subnormal_output_over_wide_range():
+    # past the clamp the kernel must not fall into float32 subnormals
+    x = np.linspace(-40, 40, 1_600_001).astype(F32)
+    want = _gelu_oracle(x)
+    out = gelu(x)
+    err = np.abs(out - want)
+    assert err.max() <= 3e-7
+    assert np.all(err <= 0.5 * (1e-7 + 1e-6 * np.abs(want)))
+    subnormal = (out != 0) & (np.abs(out) < np.finfo(F32).tiny)
+    assert not subnormal.any(), x[subnormal][:5]
+
+
 def test_gelu_extremes_nan_and_empty():
     x = np.array([3.4e38, -3.4e38, np.inf, -np.inf, np.nan, 1.0], F32)
     with warnings.catch_warnings():
