@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import gradcheck, selftest as selftest_mod, tensor_io
-from .dccm import make_planted_dataset, toy_train_scorenet, ScoreNetParams
+from .dccm import MAX_TRAIN_VIDEOS, make_planted_dataset, toy_train_scorenet, ScoreNetParams
 from .flops import compare, count_flops, instrument_check
 from .model import ModelConfig, baseline_forward, forward, init_params, params_from_named
 from .numerics import RandomStream, ShapeError
@@ -42,9 +42,8 @@ EXIT_INSUFFICIENT = 3
 
 MIN_SAMPLES_FOR_CHECKS = 1000
 
-# refuse a model whose largest attention-score tensor, or a sample count
-# whose float64 Monte Carlo draws, would exceed this; fixed, so the same
-# command succeeds or fails the same way on every machine
+# refuse a run whose largest array would exceed this (see _check_sizes);
+# fixed, so the same command succeeds or fails the same way on every machine
 MAX_ARRAY_BYTES = 1 << 30
 
 
@@ -183,32 +182,38 @@ def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = 
     return RunConfig(model=model, **run_values)
 
 
-def _check_model_size(config: ModelConfig) -> None:
-    """Refuse, before anything is allocated, a model whose largest
-    float32 attention-score tensor would exceed the fixed limit: spatial
-    scores over one full-resolution frame, [frames, heads, g, g], or
-    temporal scores over all frames, [g, heads, frames, frames], with g
-    tokens per frame (stage-1 and baseline layers attend in time on the
-    full grid)."""
-    m, n = config.grid
-    g = m * n
-    size = 4 * config.head_count * config.frames * g * max(g, config.frames)
-    if size > MAX_ARRAY_BYTES:
-        raise ConfigError(
-            f"model too large: an attention-score tensor would take {size} bytes "
-            f"(limit {MAX_ARRAY_BYTES})"
-        )
-
-
-def _check_draw_size(n_samples: int, frames: int) -> None:
-    """Refuse, before anything is drawn, a smoothed ranking whose float64
-    noise [n_samples, frames] would exceed the fixed limit."""
-    size = 8 * n_samples * frames
-    if size > MAX_ARRAY_BYTES:
-        raise ConfigError(
-            f"n_samples too large: {n_samples} draws of {frames} frames would take "
-            f"{size} bytes (limit {MAX_ARRAY_BYTES})"
-        )
+def _check_sizes(model: ModelConfig | None = None, frames: int = 0,
+                 n_samples: int = 0) -> None:
+    """Refuse, before anything is allocated, drawn or reported, a run
+    whose largest array would exceed the fixed limit.  For a model: its
+    float32 attention scores (spatial [frames, heads, g, g] or temporal
+    [g, heads, frames, frames] for g tokens per frame; stage-1 and
+    baseline layers attend in time on the full grid) and feed-forward
+    hidden activation, and the float64 draws of its largest weights and
+    of a seeded input video.  For a ranking: its float64 [frames, frames]
+    matrix and its [n_samples, frames] draws, which grad-check and
+    toy-train hold at once; rank and forward hold one sampler block at a
+    time, so for them the bound caps the work, not the memory."""
+    arrays = []
+    if model is not None:
+        c, t, heads = model.embed_dim, model.frames, model.head_count
+        g = model.grid[0] * model.grid[1]
+        arrays += [
+            ("model too large: an attention-score tensor", 4 * heads * t * g * max(g, t)),
+            ("model too large: the feed-forward hidden activation", 4 * t * g * 4 * c),
+            ("model too large: the feed-forward weight draw", 8 * c * 4 * c),
+            ("model too large: the patch projection draw", 8 * model.patch_size ** 2 * 3 * c),
+            ("model too large: the head weight draw", 8 * c * model.out_dim),
+            ("model too large: the input video draw", 8 * t * model.height * model.width * 3),
+        ]
+    if frames:
+        arrays += [
+            (f"too many frames: a {frames}x{frames} float64 matrix", 8 * frames * frames),
+            (f"n_samples too large: {n_samples} draws of {frames} frames", 8 * n_samples * frames),
+        ]
+    for what, size in arrays:
+        if size > MAX_ARRAY_BYTES:
+            raise ConfigError(f"{what} would take {size} bytes (limit {MAX_ARRAY_BYTES})")
 
 
 # --- subcommands ---------------------------------------------------------
@@ -237,7 +242,7 @@ def cmd_rank(args) -> int:
     scores = tensor_io.read_tnsr(args.scores)
     if scores.ndim != 1:
         raise ShapeError(f"{args.scores}: scores must be rank 1, got rank {scores.ndim}")
-    _check_draw_size(cfg.n_samples, scores.shape[0])
+    _check_sizes(frames=scores.shape[0], n_samples=cfg.n_samples)
     perm = hard_rank(scores)
     print("order:", " ".join(str(i) for i in perm.order))
     soft = perturbed_rank(scores, cfg)
@@ -263,7 +268,7 @@ def cmd_grad_check(args) -> int:
     _require_counts(args, frames=2, trials=1)
     if not 0 < args.sigma < np.inf:
         raise ConfigError(f"--sigma must be positive and finite, got {args.sigma}")
-    _check_draw_size(args.n_samples, args.frames)
+    _check_sizes(frames=args.frames, n_samples=args.n_samples)
     if args.n_samples < MIN_SAMPLES_FOR_CHECKS:
         print(
             f"insufficient statistical power: n_samples={args.n_samples} < "
@@ -292,9 +297,7 @@ def cmd_forward(args) -> int:
                           "--baseline computes no smoothed ranking")
     _echo(run.echo_pairs())
     config = run.model
-    _check_model_size(config)
-    if run.perturb is not None:
-        _check_draw_size(run.perturb.n_samples, config.frames)
+    _check_sizes(config, config.frames, run.perturb.n_samples if run.perturb else 0)
 
     if args.params:
         params = params_from_named(config, tensor_io.load_tensor_dir(args.params))
@@ -348,7 +351,7 @@ def cmd_flops(args) -> int:
     if comparison is not None:
         print(f"ratio = {comparison.ratio:.4f}")
     if args.instrument:
-        _check_model_size(run.model)
+        _check_sizes(run.model)
         result = instrument_check(run.model, seed=run.seed)
         print(f"instrumented = {result.measured} flops "
               f"(analytic {result.analytic}, gap {result.rel_gap * 100:.3f}%)")
@@ -362,7 +365,9 @@ def cmd_toy_train(args) -> int:
     for flag in ("lr", "init_scale"):
         if not np.isfinite(getattr(args, flag)):
             raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {getattr(args, flag)}")
-    _check_draw_size(args.n_samples, args.frames)
+    if args.videos >= MAX_TRAIN_VIDEOS:
+        raise ConfigError(f"--videos must be < {MAX_TRAIN_VIDEOS}, got {args.videos}")
+    _check_sizes(frames=args.frames, n_samples=args.n_samples)
     videos = make_planted_dataset(
         args.videos + args.holdout, frames=args.frames,
         salient_count=args.salient, seed=seed,

@@ -245,25 +245,16 @@ def compress(saliency: np.ndarray, non_saliency: np.ndarray,
         raise ShapeError(
             f"part grids differ: {saliency.shape[1:]} vs {non_saliency.shape[1:]}"
         )
-    k, m, n, c = saliency.shape
-    r = non_saliency.shape[0]
-    ml, nl = m // h, n // h
-    if r == 0:
-        return np.zeros((0, ml, nl, c), F32)
-
+    if non_saliency.shape[0] == 0:  # no queries: build no keys or values
+        return numerics.avgpool_downsample(non_saliency, h)
     q = numerics.avgpool_downsample(numerics.linear(non_saliency, p.w_a), h)
     keys = numerics.avgpool_downsample(numerics.linear(saliency, p.w_b), h)
     vals = numerics.avgpool_downsample(numerics.linear(saliency, p.w_c), h)
-
-    q = q.reshape(r, ml * nl, c)
-    keys = keys.reshape(k * ml * nl, c)
-    vals = vals.reshape(k * ml * nl, c)
-
-    att = numerics.matmul(q, keys.T)                   # [R, g, K*g]
-    att /= F32(np.sqrt(c))
-    att = numerics.softmax_lastdim(att)
-    mixed = numerics.matmul(att, vals).reshape(r, ml, nl, c)
-    return mixed + numerics.avgpool_downsample(non_saliency, h)
+    r, ml, nl, c = q.shape
+    # each frame's queries attend to the pooled tokens of all K saliency frames
+    mixed = numerics.attention(q.reshape(r, ml * nl, c), keys.reshape(-1, c),
+                               vals.reshape(-1, c), heads=1)
+    return mixed.reshape(q.shape) + numerics.avgpool_downsample(non_saliency, h)
 
 
 class DccmResult(NamedTuple):
@@ -342,6 +333,11 @@ def make_planted_dataset(count: int, frames: int = 8, salient_count: int = 2,
     return videos
 
 
+# the trainer refuses this many training videos or more (each video's
+# seed is derived from its index, see _video_config); drca toy-train
+# checks it before building a dataset
+MAX_TRAIN_VIDEOS = 100_000
+
 # videos per score-net call: a cache-sized block; the whole split in one
 # stack would raise the trainer's peak memory for no further speed
 _VIDEO_BLOCK = 32
@@ -396,7 +392,7 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
     own frozen draws."""
     if not train or not holdout:
         raise ValueError("toy training needs at least one training and one holdout video")
-    if len(train) >= 100_000:
+    if len(train) >= MAX_TRAIN_VIDEOS:
         raise ValueError("training set too large for the seed derivation")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")

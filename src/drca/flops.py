@@ -97,15 +97,13 @@ class InstrumentResult:
         return abs(self.analytic - self.measured) / self.analytic
 
 
-def _attention(frames: int, tokens: int, c: int, heads: int) -> dict[str, int]:
-    """One pre-norm multi-head attention block over `frames` independent
-    groups of `tokens` tokens each."""
-    total = frames * tokens
+def _attention(groups: int, queries: int, keys: int, c: int, heads: int) -> dict[str, int]:
+    """``numerics.attention`` over `groups` independent groups, each of
+    `queries` queries and `keys` keys of width c split into `heads` heads."""
+    scores = groups * queries * keys
     return {
-        "projection": NORM * total * c + 2 * 4 * total * c * c,  # ln + qkv + out
-        "attention-scores": 2 * frames * tokens * tokens * c
-        + SOFTMAX * frames * heads * tokens * tokens,
-        "attention-apply": 2 * frames * tokens * tokens * c,
+        "attention-scores": 2 * scores * c + SOFTMAX * heads * scores,
+        "attention-apply": 2 * scores * c,
     }
 
 
@@ -123,24 +121,17 @@ def _layer_entries(stage: str, k: int, r: int, grid: int, low: int, c: int,
                    heads: int, h: int) -> list[FlopsEntry]:
     """One resolution-aligned layer on k full-res frames (grid tokens) and
     r coarse frames (low tokens)."""
-    t = k + r
     entries: list[FlopsEntry] = []
-
-    # temporal attention on the aligned coarse grid
-    temporal = _attention(low, t, c, heads)
     if h > 1:
         entries.append(FlopsEntry(f"{stage}.temporal", "pooling", POOL * k * grid * c))
-    for op, count in temporal.items():
-        entries.append(FlopsEntry(f"{stage}.temporal", op, count))
-
-    # spatial attention, each part at native resolution
-    spatial_sal = _attention(k, grid, c, heads)
-    for op, count in spatial_sal.items():
-        entries.append(FlopsEntry(f"{stage}.spatial.saliency", op, count))
-    if r > 0:
-        spatial_non = _attention(r, low, c, heads)
-        for op, count in spatial_non.items():
-            entries.append(FlopsEntry(f"{stage}.spatial.non_saliency", op, count))
+    # temporal attention on the aligned coarse grid, then spatial attention
+    # with each part at native resolution; each is a pre-norm block
+    for part, frames, tokens in (("temporal", low, k + r), ("spatial.saliency", k, grid),
+                                 ("spatial.non_saliency", r, low)):
+        total = frames * tokens
+        ops = {"projection": NORM * total * c + 2 * 4 * total * c * c,  # ln + qkv + out
+               **_attention(frames, tokens, tokens, c, heads)}
+        entries.extend(FlopsEntry(f"{stage}.{part}", op, count) for op, count in ops.items())
 
     entries.append(FlopsEntry(f"{stage}.ffn", "feed-forward",
                               _ffn(k * grid + r * low, c)))
@@ -187,11 +178,8 @@ def count_flops(config: ModelConfig) -> FlopsReport:
                                   2 * r * grid * c * c + 2 * 2 * k * grid * c * c))
         entries.append(FlopsEntry("dccm.compressor", "pooling",
                                   POOL * (r + 2 * k) * grid * c + POOL * r * grid * c))
-        entries.append(FlopsEntry("dccm.compressor", "attention-scores",
-                                  2 * r * low * (k * low) * c
-                                  + SOFTMAX * r * low * (k * low)))
-        entries.append(FlopsEntry("dccm.compressor", "attention-apply",
-                                  2 * r * low * (k * low) * c))
+        entries.extend(FlopsEntry("dccm.compressor", op, count)
+                       for op, count in _attention(r, low, k * low, c, 1).items())
 
     for _ in range(config.depth - config.dccm_insert_after):
         entries.extend(_layer_entries("rat", k, r, grid, low, c,

@@ -20,6 +20,12 @@ batch bitwise.  A single row, or a weight with a single column, takes
 numpy's matrix-vector path, where a row's last bits depend on its place
 in the call.
 
+``attention`` is the one scaled dot-product attention, softmax(q k^T /
+sqrt(d)) v per head: the transformer layers call it with their head
+count, the compressor with one head and 2-D keys and values that
+broadcast against its queries.  Its cost is that of its two matmuls and
+its softmax.
+
 GELU is the exact erf form, evaluated as relu(x) - |x| Phi(-|x|) with
 Phi(-a) = erfc(a / sqrt 2) / 2 and erfc from the Numerical Recipes
 ``erfcc`` fit (relative error below 1.2e-7 in exact arithmetic).  In
@@ -209,6 +215,35 @@ def softmax_lastdim(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+    """Scaled dot-product attention, softmax(q k^T / sqrt(d)) v per head.
+
+    q: [..., L_q, C], k and v: [..., L_k, C], whose leading axes
+    broadcast.  Head j reads channels j*d .. (j+1)*d - 1, d = C / heads,
+    and the heads' outputs are concatenated back to [..., L_q, C].
+    Counted as its two matmuls and its softmax.
+    """
+    q, k, v = (np.asarray(a, dtype=F32) for a in (q, k, v))
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeError(
+            f"attention needs [..., L, C] operands, got {q.shape}, {k.shape}, {v.shape}")
+    c = q.shape[-1]
+    if k.shape[-1] != c or v.shape[-1] != c or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    if heads < 1 or c % heads:
+        raise ShapeError(f"head count {heads} must divide width {c}")
+    d = c // heads
+
+    def split(x):  # [..., L, C] -> [..., heads, L, d]
+        return np.swapaxes(x.reshape(*x.shape[:-1], heads, d), -3, -2)
+
+    scores = matmul(split(q), np.swapaxes(split(k), -1, -2))  # [..., heads, L_q, L_k]
+    scores /= F32(np.sqrt(d))
+    scores = softmax_lastdim(scores)  # rebound, so the raw scores are freed before v
+    out = matmul(scores, split(v))                             # [..., heads, L_q, d]
+    return np.swapaxes(out, -3, -2).reshape(*out.shape[:-3], q.shape[-2], c)
+
+
 def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Per-token normalisation over the channel axis (population variance)."""
     x = np.asarray(x, dtype=F32)
@@ -253,8 +288,6 @@ def nearest_upsample(t: np.ndarray, h: int) -> np.ndarray:
     h = int(h)
     if h < 1:
         raise ShapeError(f"upsample factor must be >= 1, got {h}")
-    if h == 1:
-        return t.copy()
     return t.repeat(h, axis=-3).repeat(h, axis=-2)
 
 

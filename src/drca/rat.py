@@ -92,25 +92,9 @@ def _multihead(x: np.ndarray, p: AttentionParams, heads: int) -> np.ndarray:
     x: [..., tokens, C]; returns the out-projected attention result
     (residual is added by the caller).
     """
-    c = x.shape[-1]
-    d = c // heads
-    tokens = x.shape[-2]
-    lead = x.shape[:-2]
-
     ln = numerics.layer_norm(x, p.ln_gain, p.ln_shift)
-    q = numerics.linear(ln, p.wq).reshape(*lead, tokens, heads, d)
-    k = numerics.linear(ln, p.wk).reshape(*lead, tokens, heads, d)
-    v = numerics.linear(ln, p.wv).reshape(*lead, tokens, heads, d)
-    q = np.swapaxes(q, -3, -2)  # [..., heads, tokens, d]
-    k = np.swapaxes(k, -3, -2)
-    v = np.swapaxes(v, -3, -2)
-
-    att = numerics.matmul(q, np.swapaxes(k, -1, -2))  # [..., heads, tokens, tokens]
-    att /= F32(np.sqrt(d))
-    att = numerics.softmax_lastdim(att)
-    out = numerics.matmul(att, v)                     # [..., heads, tokens, d]
-    out = np.swapaxes(out, -3, -2).reshape(*lead, tokens, c)
-    return numerics.linear(out, p.wo)
+    q, k, v = (numerics.linear(ln, w) for w in (p.wq, p.wk, p.wv))
+    return numerics.linear(numerics.attention(q, k, v, heads), p.wo)
 
 
 def temporal_attention(seq: MultiResSequence, p: AttentionParams,
@@ -135,7 +119,7 @@ def temporal_attention(seq: MultiResSequence, p: AttentionParams,
     merged[seq.times.non_saliency] = seq.non_saliency
 
     tokens = merged.reshape(t, ml * nl, c)
-    # time is the attention axis: [location, head, T, d]
+    # time is the attention axis: [location, T, C]
     att = _multihead(np.swapaxes(tokens, 0, 1), p, heads)
     att = np.swapaxes(att, 0, 1).reshape(t, ml, nl, c)
 
@@ -147,15 +131,6 @@ def temporal_attention(seq: MultiResSequence, p: AttentionParams,
     return MultiResSequence(new_sal, new_non, seq.times, seq.h)
 
 
-def _map_parts(seq: MultiResSequence, fn) -> MultiResSequence:
-    """Apply ``fn`` to each non-empty part at its own resolution."""
-
-    def run(part: np.ndarray) -> np.ndarray:
-        return part if part.shape[0] == 0 else fn(part)
-
-    return MultiResSequence(run(seq.saliency), run(seq.non_saliency), seq.times, seq.h)
-
-
 def spatial_attention(seq: MultiResSequence, p: AttentionParams,
                       heads: int) -> MultiResSequence:
     """Per-frame self-attention, each part at its native resolution."""
@@ -165,7 +140,7 @@ def spatial_attention(seq: MultiResSequence, p: AttentionParams,
         x = part.reshape(f, m * n, c)
         return (x + _multihead(x, p, heads)).reshape(f, m, n, c)
 
-    return _map_parts(seq, attend)
+    return MultiResSequence(attend(seq.saliency), attend(seq.non_saliency), seq.times, seq.h)
 
 
 def feed_forward(seq: MultiResSequence, p: FeedForwardParams) -> MultiResSequence:
@@ -176,7 +151,7 @@ def feed_forward(seq: MultiResSequence, p: FeedForwardParams) -> MultiResSequenc
         hidden = numerics.gelu(numerics.linear(ln, p.w1, p.b1))
         return part + numerics.linear(hidden, p.w2, p.b2)
 
-    return _map_parts(seq, mlp)
+    return MultiResSequence(mlp(seq.saliency), mlp(seq.non_saliency), seq.times, seq.h)
 
 
 def rat_layer_forward(seq: MultiResSequence, p: RatLayerParams) -> MultiResSequence:

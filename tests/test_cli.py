@@ -9,13 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drca import numerics, ranking
+from drca import cli, numerics, ranking
 from drca.cli import (
     _MODEL_KEYS,
     MAX_ARRAY_BYTES,
     ConfigError,
-    _check_draw_size,
-    _check_model_size,
+    _check_sizes,
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
     EXIT_INSUFFICIENT,
@@ -238,9 +237,14 @@ def test_any_small_integer_override_exits_0_or_2(key, value):
     ["forward", "toy", "--set", "height=4096", "--set", "width=4096"],
     ["forward", "toy", "--set", "frames=20000"],
     ["flops", "toy", "--set", "patch_size=1", "--instrument"],
+    ["forward", "S", "--set", "embed_dim=600000000"],
+    ["forward", "toy", "--set", "num_classes=2000000000"],
+    ["flops", "toy", "--set", "num_classes=2000000000", "--instrument"],
 ])
 def test_oversized_model_exits_2_before_allocating(capsys, argv):
-    # toy at patch size 1: 4 heads x 8 frames x 4096^2 float32 spatial scores
+    # toy at patch size 1: 4 heads x 8 frames x 4096^2 float32 spatial scores;
+    # S at width 6e8: a 3.35 TiB float64 patch projection draw; toy with
+    # 2e9 classes: a 238 GiB float64 head draw
     assert main(argv) == EXIT_BAD_INPUT
     _one_line_error(capsys, "model too large", "bytes")
 
@@ -263,16 +267,66 @@ def test_oversized_sample_count_exits_2_before_drawing(tmp_path, capsys, argv):
 def test_sample_size_limit_is_inclusive():
     frames = 4
     most = MAX_ARRAY_BYTES // (8 * frames)
-    _check_draw_size(most, frames)
+    _check_sizes(frames=frames, n_samples=most)
     with pytest.raises(ConfigError, match="n_samples too large"):
-        _check_draw_size(most + 1, frames)
+        _check_sizes(frames=frames, n_samples=most + 1)
 
 
-@pytest.mark.parametrize("name", ["DRCA-S-K4", "DRCA-B-K2"])
+def test_frame_count_limit_is_inclusive():
+    # a float64 T x T matrix: T = 11585 fits in 1 GiB, 11586 does not
+    _check_sizes(frames=11585, n_samples=1)
+    with pytest.raises(ConfigError, match="too many frames: a 11586x11586"):
+        _check_sizes(frames=11586, n_samples=1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "{scores}", "{out}", "--n-samples", "2"],
+    ["grad-check", "--frames", "12000", "--n-samples", "1000"],
+])
+def test_oversized_frame_count_exits_2_before_drawing(tmp_path, capsys, argv):
+    # 12000 frames: each float64 12000 x 12000 matrix takes 1.07 GiB
+    scores, out = tmp_path / "s.tnsr", tmp_path / "o.tnsr"
+    write_tnsr(scores, RandomStream(3).gaussian(12000))
+    assert main([arg.format(scores=scores, out=out) for arg in argv]) == EXIT_BAD_INPUT
+    stdout, err = capsys.readouterr()
+    # only the echoed configuration: no order, no check report, no file
+    assert stdout.startswith("# resolved configuration") and "order:" not in stdout
+    assert "closed-form" not in stdout and not out.exists()
+    assert err.startswith("error: too many frames: a 12000x12000") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["DRCA-S-K4", "DRCA-B-K2", "toy"])
 def test_model_size_limit_admits_the_presets(name):
     config = ModelConfig.from_name(name)
-    _check_model_size(config)
-    _check_model_size(config.baseline())
+    for model in (config, config.baseline()):
+        _check_sizes(model, model.frames, 500)
+
+
+@pytest.mark.parametrize("over,what", [
+    (dict(patch_size=1), "an attention-score tensor"),
+    (dict(embed_dim=4096, frames=512, height=128, width=128),
+     "the feed-forward hidden activation"),
+    (dict(embed_dim=8192), "the feed-forward weight draw"),
+    (dict(patch_size=2048, height=2048, width=2048, compression_factor=1),
+     "the patch projection draw"),
+    (dict(num_classes=2_000_000_000), "the head weight draw"),
+    (dict(head_mode="retrieval", embed_out=2_000_000_000), "the head weight draw"),
+    (dict(patch_size=64, head_count=1, compression_factor=1, frames=12000),
+     "the input video draw"),
+])
+def test_model_size_limit_names_the_array_over_it(over, what):
+    # each model is within the limit on every other bound
+    with pytest.raises(ConfigError, match=f"model too large: {what} would take"):
+        _check_sizes(ModelConfig.toy(**over))
+
+
+def test_toy_train_refuses_too_many_videos_before_building_them(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the dataset was built")
+
+    monkeypatch.setattr(cli, "make_planted_dataset", fail)
+    assert main(["toy-train", "--videos", "100000"]) == EXIT_BAD_INPUT
+    _one_line_error(capsys, "--videos", "100000")
 
 
 def test_every_model_field_but_the_variant_is_a_config_key():

@@ -1,6 +1,8 @@
 """Kernel correctness against slow independent oracles (explicit loops,
 float64 twins) plus the flop-counting contract."""
 
+import ast
+import inspect
 import math
 import os
 import subprocess
@@ -17,12 +19,13 @@ from scipy.special import erfc
 
 import drca
 
-from drca import numerics
+from drca import dccm, numerics, rat
 from drca.numerics import (
     F32,
     FlopCounter,
     RandomStream,
     ShapeError,
+    attention,
     avgpool_downsample,
     conv3d,
     conv3d_kernel_grad,
@@ -149,6 +152,73 @@ def test_softmax_rows_always_normalised(x):
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-5)
 
 
+# --- attention ---------------------------------------------------------
+
+def _attention_oracle(q, k, v, heads):
+    # float64 loops over the broadcast leading index, the head and the query
+    q, k, v = (np.asarray(a, np.float64) for a in (q, k, v))
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    q, k, v = (np.broadcast_to(a, lead + a.shape[-2:]) for a in (q, k, v))
+    d = q.shape[-1] // heads
+    out = np.zeros(lead + q.shape[-2:])
+    for idx in np.ndindex(*lead):
+        for head in range(heads):
+            cols = slice(head * d, (head + 1) * d)
+            for i in range(q.shape[-2]):
+                logits = [float(q[idx][i, cols] @ k[idx][j, cols]) / math.sqrt(d)
+                          for j in range(k.shape[-2])]
+                weights = _softmax_oracle(np.array(logits))
+                out[idx][i, cols] = sum(w * v[idx][j, cols] for j, w in enumerate(weights))
+    return out
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+@pytest.mark.parametrize("q_shape,kv_shape", [
+    ((2, 3, 5, 6), (2, 3, 4, 6)),  # self-attention shapes, stacked
+    ((3, 5, 6), (7, 6)),           # 2-D keys and values, as the compressor passes
+    ((0, 5, 6), (4, 6)),           # empty leading axis
+])
+def test_attention_against_float64_loop_oracle(heads, q_shape, kv_shape):
+    s = _stream(30 + heads)
+    q, k, v = (s.gaussian(shape) * F32(2) for shape in (q_shape, kv_shape, kv_shape))
+    with FlopCounter() as fc:
+        out = attention(q, k, v, heads)
+    assert out.dtype == F32 and out.shape == q_shape
+    np.testing.assert_allclose(out, _attention_oracle(q, k, v, heads), rtol=1e-5, atol=1e-6)
+    # counted as q k^T, its softmax and the product with v, nothing more
+    groups, (lq, c), lk = math.prod(q_shape[:-2]), q_shape[-2:], kv_shape[-2]
+    assert fc.total == groups * (2 * lq * lk * c + 5 * heads * lq * lk + 2 * lq * lk * c)
+
+
+@pytest.mark.parametrize("q_shape,k_shape,v_shape,heads,match", [
+    ((3, 6), (4, 6), (4, 6), 0, "head count"),
+    ((3, 6), (4, 6), (4, 6), 4, "head count"),
+    ((3, 6), (4, 5), (4, 6), 1, "disagree"),
+    ((3, 6), (4, 6), (4, 3), 3, "disagree"),
+    ((3, 6), (4, 6), (5, 6), 2, "disagree"),
+    ((6,), (4, 6), (4, 6), 1, "needs"),
+])
+def test_attention_rejects_bad_operands(q_shape, k_shape, v_shape, heads, match):
+    s = _stream(35)
+    with pytest.raises(ShapeError, match=match):
+        attention(s.gaussian(q_shape), s.gaussian(k_shape), s.gaussian(v_shape), heads)
+
+
+def test_layers_call_no_matmul_or_softmax_of_their_own():
+    # one kernel per op: the attention sites reach matmul and softmax only
+    # through numerics.attention
+    banned = {"matmul", "softmax_lastdim"}
+    for module in (rat, dccm):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name) and func.value.id == "numerics"
+                    else getattr(func, "id", None))
+            assert name not in banned, f"{module.__name__} line {node.lineno} calls {name}"
+
+
 # --- layer norm --------------------------------------------------------
 
 def test_layer_norm_against_float64_oracle():
@@ -205,6 +275,8 @@ def test_nearest_upsample_replicates_blocks():
     assert up.shape == (2, 6, 9, 4)
     want = np.repeat(np.repeat(x, 3, axis=1), 3, axis=2)
     assert np.array_equal(up, want)
+    same = nearest_upsample(x, 1)
+    assert np.array_equal(same, x) and not np.shares_memory(same, x)
 
 
 def test_pool_of_upsample_is_identity_h2():
