@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import gradcheck, selftest as selftest_mod, tensor_io
-from .dccm import MAX_TRAIN_VIDEOS, make_planted_dataset, toy_train_scorenet, ScoreNetParams
+from .dccm import (MAX_TRAIN_VIDEOS, make_planted_dataset, toy_train_bytes, toy_train_scorenet,
+                   ScoreNetParams)
 from .flops import compare, count_flops, instrument_check
 from .model import ModelConfig, baseline_forward, forward, init_params, params_from_named
 from .numerics import RandomStream, ShapeError
@@ -42,9 +43,11 @@ EXIT_INSUFFICIENT = 3
 
 MIN_SAMPLES_FOR_CHECKS = 1000
 
-# refuse a run whose largest array would exceed this (see _check_sizes);
-# fixed, so the same command succeeds or fails the same way on every machine
+# refuse a run whose largest array, or whose weights or dataset in total,
+# would exceed these (see _check_sizes); fixed, so the same command
+# succeeds or fails the same way on every machine
 MAX_ARRAY_BYTES = 1 << 30
+MAX_TOTAL_BYTES = 1 << 32
 
 
 class ConfigError(ValueError):
@@ -183,37 +186,34 @@ def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = 
 
 
 def _check_sizes(model: ModelConfig | None = None, frames: int = 0,
-                 n_samples: int = 0) -> None:
+                 n_samples: int = 0, dataset_bytes: int = 0) -> None:
     """Refuse, before anything is allocated, drawn or reported, a run
-    whose largest array would exceed the fixed limit.  For a model: its
-    float32 attention scores (spatial [frames, heads, g, g] or temporal
-    [g, heads, frames, frames] for g tokens per frame; stage-1 and
-    baseline layers attend in time on the full grid) and feed-forward
-    hidden activation, and the float64 draws of its largest weights and
-    of a seeded input video.  For a ranking: its float64 [frames, frames]
-    matrix and its [n_samples, frames] draws, which grad-check and
-    toy-train hold at once; rank and forward hold one sampler block at a
-    time, so for them the bound caps the work, not the memory."""
-    arrays = []
+    whose largest array or whose total would exceed its fixed limit.  For
+    a model: the largest array of each kind that the flop model's walk
+    sizes (see ``flops.count_flops``), then its float32 weight total.
+    For a ranking: its float64 [frames, frames] matrix and its
+    [n_samples, frames] draws, which grad-check and toy-train hold at
+    once; rank and forward hold one sampler block at a time, so for them
+    the bound caps the work, not the memory.  For toy training: the
+    tokens of its planted videos (see ``dccm.toy_train_bytes``)."""
+    checks = []
     if model is not None:
-        c, t, heads = model.embed_dim, model.frames, model.head_count
-        g = model.grid[0] * model.grid[1]
-        arrays += [
-            ("model too large: an attention-score tensor", 4 * heads * t * g * max(g, t)),
-            ("model too large: the feed-forward hidden activation", 4 * t * g * 4 * c),
-            ("model too large: the feed-forward weight draw", 8 * c * 4 * c),
-            ("model too large: the patch projection draw", 8 * model.patch_size ** 2 * 3 * c),
-            ("model too large: the head weight draw", 8 * c * model.out_dim),
-            ("model too large: the input video draw", 8 * t * model.height * model.width * 3),
-        ]
+        walk = count_flops(model)
+        checks += [(f"model too large: {what}", size, MAX_ARRAY_BYTES)
+                   for what, size in walk.arrays]
+        checks.append(("model too large: its float32 weights", walk.weight_bytes,
+                       MAX_TOTAL_BYTES))
     if frames:
-        arrays += [
-            (f"too many frames: a {frames}x{frames} float64 matrix", 8 * frames * frames),
-            (f"n_samples too large: {n_samples} draws of {frames} frames", 8 * n_samples * frames),
+        checks += [
+            (f"too many frames: a {frames}x{frames} float64 matrix", 8 * frames * frames,
+             MAX_ARRAY_BYTES),
+            (f"n_samples too large: {n_samples} draws of {frames} frames",
+             8 * n_samples * frames, MAX_ARRAY_BYTES),
         ]
-    for what, size in arrays:
-        if size > MAX_ARRAY_BYTES:
-            raise ConfigError(f"{what} would take {size} bytes (limit {MAX_ARRAY_BYTES})")
+    checks.append(("dataset too large: the planted videos", dataset_bytes, MAX_TOTAL_BYTES))
+    for what, size, limit in checks:
+        if size > limit:
+            raise ConfigError(f"{what} would take {size} bytes (limit {limit})")
 
 
 # --- subcommands ---------------------------------------------------------
@@ -297,7 +297,8 @@ def cmd_forward(args) -> int:
                           "--baseline computes no smoothed ranking")
     _echo(run.echo_pairs())
     config = run.model
-    _check_sizes(config, config.frames, run.perturb.n_samples if run.perturb else 0)
+    _check_sizes(config.baseline() if args.baseline else config, config.frames,
+                 run.perturb.n_samples if run.perturb else 0)
 
     if args.params:
         params = params_from_named(config, tensor_io.load_tensor_dir(args.params))
@@ -336,6 +337,8 @@ def cmd_flops(args) -> int:
     # the flop model reads only the model; the counted forward also the seed
     run = load_run_config(args.config, args.set, None,
                           run_keys=("seed",) if args.instrument else ())
+    if args.instrument:
+        _check_sizes(run.model)
     if args.baseline:
         # the word 'baseline' names the uncompressed twin, compare's default
         reference = (None if args.baseline == "baseline" else
@@ -351,7 +354,6 @@ def cmd_flops(args) -> int:
     if comparison is not None:
         print(f"ratio = {comparison.ratio:.4f}")
     if args.instrument:
-        _check_sizes(run.model)
         result = instrument_check(run.model, seed=run.seed)
         print(f"instrumented = {result.measured} flops "
               f"(analytic {result.analytic}, gap {result.rel_gap * 100:.3f}%)")
@@ -367,7 +369,8 @@ def cmd_toy_train(args) -> int:
             raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {getattr(args, flag)}")
     if args.videos >= MAX_TRAIN_VIDEOS:
         raise ConfigError(f"--videos must be < {MAX_TRAIN_VIDEOS}, got {args.videos}")
-    _check_sizes(frames=args.frames, n_samples=args.n_samples)
+    _check_sizes(frames=args.frames, n_samples=args.n_samples,
+                 dataset_bytes=toy_train_bytes(args.videos, args.holdout, args.frames))
     videos = make_planted_dataset(
         args.videos + args.holdout, frames=args.frames,
         salient_count=args.salient, seed=seed,

@@ -30,6 +30,7 @@ from .ranking import (
     PerturbConfig,
     SoftRankMatrix,
     TimeIndexMap,
+    _matrix_from_order,
     hard_rank,
     perturbed_objective,
     perturbed_rank,
@@ -295,7 +296,7 @@ def dccm_forward(tokens: np.ndarray, params: DccmParams, k: int, h: int,
 class PlantedVideo:
     tokens: np.ndarray         # [T, M, N, C]
     salient_times: np.ndarray  # int64, sorted, the planted high-energy frames
-    target_matrix: np.ndarray  # [T, T] permutation putting planted frames first
+    target_order: np.ndarray   # int64 [T], the planted frames first, then the rest
 
 
 class TraceRow(NamedTuple):
@@ -304,13 +305,17 @@ class TraceRow(NamedTuple):
     accuracy: float
 
 
+# the planted videos' default token grid side and width
+_PLANTED_GRID, _PLANTED_CHANNELS = 2, 8
+
+
 def make_planted_dataset(count: int, frames: int = 8, salient_count: int = 2,
-                         grid: int = 2, channels: int = 8,
+                         grid: int = _PLANTED_GRID, channels: int = _PLANTED_CHANNELS,
                          energy_ratio: float = 3.0, seed: int = 0) -> list[PlantedVideo]:
     """Random token videos where `salient_count` frames carry a fixed
     direction offset giving them `energy_ratio` times the background
-    per-token energy.  The target permutation lists the planted frames in
-    time order, then the background frames in time order."""
+    per-token energy.  The target order lists the planted frames in time
+    order, then the background frames in time order."""
     if not (1 <= salient_count < frames):
         raise ValueError(f"salient_count must be in [1, {frames}), got {salient_count}")
     if energy_ratio <= 1:
@@ -326,11 +331,16 @@ def make_planted_dataset(count: int, frames: int = 8, salient_count: int = 2,
         salient = np.sort(stream.permutation(frames)[:salient_count]).astype(np.int64)
         tokens[salient] += amplitude * direction
         background = np.setdiff1d(np.arange(frames, dtype=np.int64), salient)
-        order = np.concatenate([salient, background])
-        target = np.zeros((frames, frames), F32)
-        target[order, np.arange(frames)] = F32(1)
-        videos.append(PlantedVideo(tokens, salient, target))
+        videos.append(PlantedVideo(tokens, salient, np.concatenate([salient, background])))
     return videos
+
+
+def toy_train_bytes(train: int, holdout: int, frames: int) -> int:
+    """Bytes of float32 tokens that toy training on ``train`` plus
+    ``holdout`` planted videos of ``frames`` frames, at the dataset's
+    default grid and width, holds: every video's own, plus the training
+    split that ``toy_train_scorenet`` stacks once."""
+    return 4 * frames * _PLANTED_GRID ** 2 * _PLANTED_CHANNELS * (2 * train + holdout)
 
 
 # the trainer refuses this many training videos or more (each video's
@@ -380,8 +390,9 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
     """Full-batch gradient descent of the score-net against the planted
     permutations, through the smoothed ranking.
 
-    The per-step loss is the mean over videos of -<target, smoothed
-    ranking of the scores>.  Returns the final parameters and a trace with
+    The per-step loss is the mean over videos of -<G, smoothed ranking of
+    the scores>, G the permutation matrix of the video's target order,
+    built per call.  Returns the final parameters and a trace with
     one row per step plus the initial row; accuracy is measured on the
     holdout split with the hard top-k.
 
@@ -406,7 +417,8 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
             d_scores = np.empty_like(fwd.scores)
             for i, v in enumerate(train[lo:lo + _VIDEO_BLOCK]):
                 loss_v, d_scores[i] = perturbed_objective(
-                    fwd.scores[i], _video_config(cfg, lo + i), -v.target_matrix
+                    fwd.scores[i], _video_config(cfg, lo + i),
+                    -_matrix_from_order(v.target_order)
                 )
                 loss_sum += loss_v
             if step == steps:

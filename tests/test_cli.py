@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, echoed configuration, output
 formats, and byte-stable stdout."""
 
+import ast
+import inspect
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -13,6 +15,7 @@ from drca import cli, numerics, ranking
 from drca.cli import (
     _MODEL_KEYS,
     MAX_ARRAY_BYTES,
+    MAX_TOTAL_BYTES,
     ConfigError,
     _check_sizes,
     EXIT_BAD_INPUT,
@@ -318,6 +321,69 @@ def test_model_size_limit_names_the_array_over_it(over, what):
     # each model is within the limit on every other bound
     with pytest.raises(ConfigError, match=f"model too large: {what} would take"):
         _check_sizes(ModelConfig.toy(**over))
+
+
+@pytest.mark.parametrize("over,what", [
+    # 2e6 toy layers: 34 GB of float32 weights, each array small
+    (["depth=2000000"], "its float32 weights"),
+    # compressor scores [500 frames, 1 head, 64 queries, 32000 pooled keys]
+    (["head_count=1", "patch_size=4", "frames=1000", "saliency_count=500"],
+     "an attention-score tensor"),
+])
+def test_oversized_model_exits_2_on_its_total_and_its_compressor(monkeypatch, capsys,
+                                                                 over, what):
+    monkeypatch.setattr(cli, "init_params", None)  # never reached
+    argv = ["forward", "toy"] + [arg for item in over for arg in ("--set", item)]
+    assert main(argv) == EXIT_BAD_INPUT
+    _one_line_error(capsys, f"model too large: {what} would take", "bytes")
+
+
+def test_weight_total_limit_is_inclusive():
+    config = ModelConfig.toy()
+    base = count_flops(config).weight_bytes
+    per_layer = count_flops(ModelConfig.toy(depth=config.depth + 1)).weight_bytes - base
+    fits = config.depth + (MAX_TOTAL_BYTES - base) // per_layer
+    _check_sizes(ModelConfig.toy(depth=fits))
+    with pytest.raises(ConfigError, match="model too large: its float32 weights"):
+        _check_sizes(ModelConfig.toy(depth=fits + 1))
+
+
+def test_forward_checks_the_model_it_runs(capsys):
+    # no full-resolution layer: only the uncompressed twin attends in time
+    # on the full 4x4 grid, [16 locations, 4 heads, 2100, 2100] scores
+    over = dict(dccm_insert_after=0, frames=2100, saliency_count=1050)
+    _check_sizes(ModelConfig.toy(**over))
+    sets = [arg for key, value in over.items() for arg in ("--set", f"{key}={value}")]
+    assert main(["forward", "toy", *sets, "--baseline"]) == EXIT_BAD_INPUT
+    _one_line_error(capsys, "model too large: an attention-score tensor would take")
+
+
+def test_flops_instrument_refuses_before_printing_a_report(capsys):
+    assert main(["flops", "toy", "--set", "patch_size=1", "--instrument"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().out == ""
+
+
+def test_flops_reports_a_deep_model():
+    # one layer is priced and multiplied, so this takes no longer than depth 4
+    assert main(["flops", "toy", "--set", "depth=2000000", "--machine"]) == EXIT_OK
+
+
+def test_check_sizes_reads_no_model_shape():
+    # every model shape comes from the flop model's walk
+    shape_names = {name for name in dir(ModelConfig) if not name.startswith("_")}
+    shape_names |= set(vars(ModelConfig()))
+    tree = ast.parse(inspect.getsource(_check_sizes))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & shape_names, read & shape_names
+
+
+def test_toy_train_refuses_an_oversized_dataset_before_building_it(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the dataset was built")
+
+    monkeypatch.setattr(cli, "make_planted_dataset", fail)
+    assert main(["toy-train", "--holdout", "1000000000"]) == EXIT_BAD_INPUT
+    _one_line_error(capsys, "dataset too large", "bytes")
 
 
 def test_toy_train_refuses_too_many_videos_before_building_them(monkeypatch, capsys):

@@ -388,9 +388,8 @@ def test_planted_dataset_marks_salient_frames():
         assert v.salient_times.min() >= 0 and v.salient_times.max() < 8
         background = np.setdiff1d(np.arange(8), v.salient_times)
         order = np.concatenate([v.salient_times, background])
-        expected = np.zeros((8, 8), F32)
-        expected[order, np.arange(8)] = F32(1)
-        assert np.array_equal(v.target_matrix, expected)
+        assert v.target_order.dtype == np.int64
+        assert np.array_equal(v.target_order, order)
 
 
 def test_planted_dataset_energy_ratio():
@@ -466,8 +465,10 @@ def _check_in_order_step():
     total = None
     for vid, v in enumerate(train):
         fwd = score_net_forward(v.tokens, p0)
+        target = np.zeros((4, 4), F32)
+        target[v.target_order, np.arange(4)] = F32(1)
         _, d_scores = perturbed_objective(fwd.scores, replace(cfg, seed=cfg.seed + vid),
-                                          -v.target_matrix)
+                                          -target)
         g = score_net_backward(fwd, p0, d_scores)
         parts = [getattr(g, f) for f in fields]
         total = parts if total is None else [a + b for a, b in zip(total, parts)]

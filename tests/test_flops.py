@@ -8,8 +8,12 @@ instrumented kernels must agree with the closed form exactly on the toy
 model, and the published-scale configurations must land in their bands.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drca import numerics
 from drca.flops import (
@@ -18,7 +22,7 @@ from drca.flops import (
     count_flops,
     instrument_check,
 )
-from drca.model import ModelConfig
+from drca.model import ModelConfig, baseline_forward, forward, init_params, named_params
 
 # toy configuration: C=16, depth 4 (1 full-res layer, then 3 aligned
 # layers), 4 heads, 8 frames, 64x64 at patch 16 -> 4x4 grid of 16 tokens,
@@ -191,3 +195,107 @@ def test_render_and_machine_lines():
     assert len(lines) == len(report.entries) + 1
     parsed = sum(int(line.split("\t")[2]) for line in lines[:-1])
     assert parsed == TOY_TOTAL
+
+
+def test_repeated_layers_cost_their_count_times_one_layer():
+    # the walk prices one layer and multiplies, so a deep model costs
+    # nothing more to report than a shallow one
+    one, many = (count_flops(ModelConfig.toy(depth=1 + layers)) for layers in (1, 2_000_000))
+    for e in one.entries:
+        scale = 2_000_000 if e.stage.startswith("rat.") else 1
+        assert many.entry(e.stage, e.op_class) == scale * e.count, e
+
+
+def _assert_weight_total_is_exact(config: ModelConfig) -> None:
+    named = named_params(init_params(config))
+    assert count_flops(config).weight_bytes == sum(a.nbytes for a in named.values())
+    # the uncompressed twin reads the same parameter set
+    assert count_flops(config.baseline()).weight_bytes == count_flops(config).weight_bytes
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig.toy(), ModelConfig.small(),
+    # B's 113M parameters would take 450 MiB here; two layers use its widths
+    ModelConfig.base(depth=2, dccm_insert_after=1),
+])
+def test_weight_total_equals_the_parameter_set_on_the_presets(config):
+    _assert_weight_total_is_exact(config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.sampled_from([4, 8, 16, 24]), heads=st.sampled_from([1, 2, 4]),
+       depth=st.integers(0, 3), after=st.integers(0, 3), p=st.sampled_from([4, 8, 16]),
+       h=st.sampled_from([1, 2]), frames=st.integers(1, 6), k=st.integers(1, 6),
+       retrieval=st.booleans(), out=st.integers(1, 9))
+def test_weight_total_equals_the_parameter_set(c, heads, depth, after, p, h, frames, k,
+                                               retrieval, out):
+    _assert_weight_total_is_exact(ModelConfig.toy(
+        embed_dim=c, head_count=heads, depth=depth, dccm_insert_after=min(after, depth),
+        patch_size=p, height=2 * p, width=2 * p, compression_factor=h, frames=frames,
+        saliency_count=min(k, frames), head_mode="retrieval" if retrieval else "classification",
+        num_classes=out, embed_out=out))
+
+
+# every public kernel that returns an array the forward pass makes
+_KERNELS = ("matmul", "linear", "softmax_lastdim", "attention", "layer_norm",
+            "avgpool_downsample", "nearest_upsample", "mean_pool", "conv3d", "relu",
+            "gelu", "l2_normalize")
+
+
+def _recorded_arrays(monkeypatch) -> list:
+    """Record (bytes, source, shape) of every kernel output, every seeded
+    draw at float64, and every zero-padded copy made from now on."""
+    seen = []
+
+    def recording(name, fn, nbytes=lambda out: out.nbytes):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.append((nbytes(out), name, out.shape))
+            return out
+        return call
+
+    for name in _KERNELS:
+        monkeypatch.setattr(numerics, name, recording(name, getattr(numerics, name)))
+    monkeypatch.setattr(numerics.RandomStream, "gaussian", recording(
+        "gaussian", numerics.RandomStream.gaussian, lambda out: 8 * out.size))
+    monkeypatch.setattr(np, "pad", recording("pad", np.pad))
+    return seen
+
+
+@pytest.mark.parametrize("config", [
+    # the presets at two layers, one per stage: the walk's arrays are
+    # those of the full depth (asserted below)
+    ModelConfig.small(depth=2, dccm_insert_after=1),
+    ModelConfig.base(depth=2, dccm_insert_after=1),
+    ModelConfig.toy(),
+    ModelConfig.toy(patch_size=4),
+    ModelConfig.toy(dccm_insert_after=0),
+    ModelConfig.toy(saliency_count=8),
+    ModelConfig.toy(compression_factor=1),
+    ModelConfig.toy(compression_factor=4, saliency_count=1, dccm_insert_after=0),
+    ModelConfig.toy(head_count=1),
+    ModelConfig.toy(head_mode="retrieval", embed_out=40),
+    # the largest arrays of these two: the score-net's zero-padded input
+    # and its kernel draw
+    ModelConfig.toy(embed_dim=128, patch_size=2, height=8, width=8, frames=10,
+                    saliency_count=8, depth=0, dccm_insert_after=0),
+    ModelConfig.toy(patch_size=1, height=2, width=2, frames=1, saliency_count=1,
+                    depth=2, dccm_insert_after=2),
+])
+@pytest.mark.parametrize("twin", [False, True])
+def test_walk_sizes_every_array_the_forward_pass_makes(monkeypatch, config, twin):
+    if config.variant in ("S", "B"):
+        full = replace(config, depth=12, dccm_insert_after=3)
+        assert count_flops(config).arrays == count_flops(full).arrays
+        assert count_flops(config.baseline()).arrays == count_flops(full.baseline()).arrays
+    seen = _recorded_arrays(monkeypatch)
+    params = init_params(config, seed=3)
+    video = numerics.RandomStream(4).gaussian((config.frames, config.height, config.width, 3))
+    if twin:
+        baseline_forward(video, params, config)
+        arrays = count_flops(config.baseline()).arrays
+    else:
+        forward(video, params, config)
+        arrays = count_flops(config).arrays
+    largest = max(size for _, size in arrays)
+    assert all(nbytes <= largest for nbytes, _, _ in seen), (max(seen), arrays)
