@@ -61,8 +61,8 @@ def main() -> None:
           f"({seq.token_count / full:.2%} of full resolution)")
     print()
 
-    layer = RatLayerParams.init(8, head_count=2, stream=RandomStream(args.seed + 3))
-    out = rat_layer_forward(seq, layer)
+    layer = RatLayerParams.init(8, stream=RandomStream(args.seed + 3))
+    out = rat_layer_forward(seq, layer, heads=2)
     print("one aligned layer (temporal, spatial, feed-forward) preserves")
     print(f"both shapes: {out.saliency.shape} and {out.non_saliency.shape}")
     print("temporal attention pools the saliency part to the coarse grid,")

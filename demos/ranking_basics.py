@@ -41,8 +41,8 @@ def main() -> None:
     for sigma in (1.0, 0.3, 0.05, 0.001):
         cfg = PerturbConfig(sigma=sigma, n_samples=4096, seed=args.seed + 1)
         soft = perturbed_rank(scores, cfg)
-        gap = np.max(np.abs(soft.matrix - perm.matrix))
-        print(f"  sigma={sigma:<6} row sums {soft.matrix.sum(axis=1).round(4)}"
+        gap = np.max(np.abs(soft - perm.matrix))
+        print(f"  sigma={sigma:<6} row sums {soft.sum(axis=1).round(4)}"
               f"  max gap to hard matrix {gap:.4f}")
     print("rows and columns always sum to 1; small sigma recovers the hard sort")
     print()

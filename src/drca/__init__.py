@@ -18,7 +18,6 @@ The package provides, as plain numpy:
 from .numerics import FlopCounter, RandomStream, ShapeError
 from .ranking import (
     PerturbConfig,
-    SoftRankMatrix,
     SortPermutation,
     TimeIndexMap,
     hard_rank,

@@ -87,7 +87,7 @@ class RunConfig:
     n_samples: int = 500
     seed: int = 0
     mode: str = "infer"
-    # the smoothing the forward draws; None in infer mode
+    # the smoothing train mode draws on the forward's scores; None in infer mode
     perturb: PerturbConfig | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -246,9 +246,8 @@ def cmd_rank(args) -> int:
     perm = hard_rank(scores)
     print("order:", " ".join(str(i) for i in perm.order))
     soft = perturbed_rank(scores, cfg)
-    tensor_io.write_tnsr(args.out, soft.matrix)
-    print(f"soft matrix: {soft.matrix.shape[0]}x{soft.matrix.shape[1]}, "
-          f"{cfg.n_samples} samples")
+    tensor_io.write_tnsr(args.out, soft)
+    print(f"soft matrix: {soft.shape[0]}x{soft.shape[1]}, {cfg.n_samples} samples")
     print(f"wrote: {args.out}")
     return EXIT_OK
 
@@ -318,14 +317,14 @@ def cmd_forward(args) -> int:
     if args.baseline:
         out = baseline_forward(video, params, config)
     else:
-        out = forward(video, params, config, perturb=run.perturb)
+        out = forward(video, params, config)
 
     print("scores:", " ".join(f"{float(v):.6f}" for v in out.scores))
     print("selected_times:", " ".join(str(i) for i in out.selected_times))
     norm = float(np.sqrt(np.sum(out.output.astype(np.float64) ** 2)))
     print(f"output_norm = {norm:.6f}")
-    if out.soft is not None:
-        col = out.soft.matrix[:, 0]
+    if run.perturb is not None:
+        col = perturbed_rank(out.scores, run.perturb)[:, 0]
         print("soft_top_column:", " ".join(f"{float(v):.6f}" for v in col))
     if args.out:
         tensor_io.write_tnsr(args.out, out.output)

@@ -5,9 +5,9 @@ top-K saliency part kept at native resolution and a non-saliency part,
 and the non-saliency part is compressed to a coarser grid by
 cross-attending to the saliency frames (queries from the non-saliency
 tokens, keys/values from the saliency tokens, all three pooled to the
-target grid) plus a pooled residual.  Training reaches the score-net
-through the smoothed ranking of the ranking module; the token path
-itself stays hard.
+target grid) plus a pooled residual.  ``dccm_forward`` is this hard
+token path alone.  Only the toy trainer reaches the score-net through
+the smoothed ranking of the ranking module (``perturbed_objective``).
 
 The score-net forward and backward also take a stack of videos with a
 leading axis, and each video of a stack gets bitwise its own call's
@@ -28,12 +28,10 @@ from . import numerics
 from .numerics import F32, RandomStream, ShapeError
 from .ranking import (
     PerturbConfig,
-    SoftRankMatrix,
     TimeIndexMap,
     _matrix_from_order,
     hard_rank,
     perturbed_objective,
-    perturbed_rank,
     topk_split,
 )
 
@@ -261,33 +259,28 @@ def compress(saliency: np.ndarray, non_saliency: np.ndarray,
 class DccmResult(NamedTuple):
     sequence: MultiResSequence
     scores: np.ndarray               # float32 [T]
-    soft: SoftRankMatrix | None      # only given a PerturbConfig
 
 
-def dccm_forward(tokens: np.ndarray, params: DccmParams, k: int, h: int,
-                 perturb: PerturbConfig | None = None) -> DccmResult:
+def dccm_forward(tokens: np.ndarray, params: DccmParams, k: int, h: int) -> DccmResult:
     """Score, rank, split and compress one token video.
 
-    The token path is always hard; given a PerturbConfig, the result also
-    carries the smoothed ranking matrix for loss terms.  At h == 1 the two
-    parts already share a grid and the compressor is skipped entirely,
-    which keeps K=T/h=1 configurations bit-comparable to an unsplit
-    pipeline.
+    The token path is hard: the top-k frames by score stay at full
+    resolution.  At h == 1 the two parts already share a grid and the
+    compressor is skipped entirely, which keeps K=T/h=1 configurations
+    bit-comparable to an unsplit pipeline.
     """
     tokens = np.asarray(tokens, dtype=F32)
     if tokens.ndim != 4:
         raise ShapeError(f"tokens must be [T, M, N, C], got {tokens.shape}")
 
     scores = score_net_forward(tokens, params.score).scores
-    perm = hard_rank(scores)
-    sal, non, times = topk_split(tokens, perm, k)
+    sal, non, times = topk_split(tokens, hard_rank(scores), k)
     if h == 1:
         compressed = non
     else:
         compressed = compress(sal, non, params.compressor, h)
     seq = MultiResSequence(saliency=sal, non_saliency=compressed, times=times, h=h)
-    soft = None if perturb is None else perturbed_rank(scores, perturb)
-    return DccmResult(seq, scores, soft)
+    return DccmResult(seq, scores)
 
 
 # --- planted-saliency toy problem -------------------------------------

@@ -22,7 +22,7 @@ arrays: each report also carries the bytes of the largest array of each
 kind that a forward pass and its seeded set-up make (the attention
 scores of every site, the compressor's included, from the same groups x
 queries x keys x heads that price the site; the feed-forward hidden
-activation of a site's tokens; the score-net's zero-padded input; the
+activation of the larger part's tokens; the score-net's zero-padded input; the
 float64 draws of the weights and of a seeded input video) and the exact
 float32 weight total.  The command line refuses a model on these
 figures before it allocates anything.
@@ -195,9 +195,9 @@ def _layer_entries(walk: _Walk, stage: str, layers: int, k: int, r: int, grid: i
                   layers * (NORM * total * c + 2 * 4 * total * c * c))  # ln + qkv + out
         walk.attention(f"{stage}.{part}", frames, tokens, tokens, c, heads, layers)
 
-    tokens = k * grid + r * low
-    walk.cost(f"{stage}.ffn", "feed-forward", layers * _ffn(tokens, c))
-    walk.array(_HIDDEN, _F32_BYTES * tokens * 4 * c)
+    walk.cost(f"{stage}.ffn", "feed-forward", layers * _ffn(k * grid + r * low, c))
+    # each part runs its own MLP, so the larger part sizes the hidden array
+    walk.array(_HIDDEN, _F32_BYTES * max(k * grid, r * low) * 4 * c)
     # per layer: eight [C, C] attention projections, two feed-forward
     # matrices, and biases and norm parameters worth eleven [C] vectors
     walk.weight(c, c, times=8 * layers)

@@ -3,19 +3,23 @@ compression split, resolution-aligned layers, and a pooled head.
 
 Configurations follow the DRCA-<variant>-K<saliency frames> naming, e.g.
 DRCA-S-K4 is the small width with 4 saliency frames kept.
+
+The forward passes read only the weights, the activations and the
+configuration, which gives the head count.  A caller that needs the
+smoothed ranking of the frame scores computes it from the scores they
+return (see ``ranking.perturbed_rank``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from . import numerics
 from .numerics import F32, RandomStream, ShapeError
-from .ranking import PerturbConfig, SoftRankMatrix, hard_rank
+from .ranking import hard_rank
 from .dccm import (
     CompressorParams,
     DccmParams,
@@ -158,13 +162,24 @@ class ModelOutput:
     output: np.ndarray          # [num_classes] logits or unit-norm embedding
     scores: np.ndarray          # [T] frame saliency scores
     selected_times: np.ndarray  # int64 [K], time indices kept at full resolution
-    soft: Optional[SoftRankMatrix] = None
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> DrcaParams:
     """All weights gaussian at scale 0.02 from one seeded stream; biases
     zero, norm gains one."""
-    stream = RandomStream(seed)
+    return _build_params(config, RandomStream(seed))
+
+
+class _ZeroStream:
+    """Stands in for a RandomStream where only the parameter shapes
+    matter: every draw is zeros, so no random number is made."""
+
+    @staticmethod
+    def gaussian(shape) -> np.ndarray:
+        return np.zeros(shape, F32)
+
+
+def _build_params(config: ModelConfig, stream) -> DrcaParams:
     c = config.embed_dim
     m, n = config.grid
     s = F32(0.02)
@@ -173,18 +188,13 @@ def init_params(config: ModelConfig, seed: int = 0) -> DrcaParams:
         patch_b=np.zeros(c, F32),
         pos_spatial=stream.gaussian((m * n, c)) * s,
         pos_temporal=stream.gaussian((config.frames, c)) * s,
-        stage1=tuple(
-            RatLayerParams.init(c, config.head_count, stream)
-            for _ in range(config.dccm_insert_after)
-        ),
+        stage1=tuple(RatLayerParams.init(c, stream) for _ in range(config.dccm_insert_after)),
         dccm=DccmParams(
             score=ScoreNetParams.init(c, config.score_mid, config.score_hidden, stream),
             compressor=CompressorParams.init(c, stream),
         ),
-        rat=tuple(
-            RatLayerParams.init(c, config.head_count, stream)
-            for _ in range(config.depth - config.dccm_insert_after)
-        ),
+        rat=tuple(RatLayerParams.init(c, stream)
+                  for _ in range(config.depth - config.dccm_insert_after)),
         head_w=stream.gaussian((c, config.out_dim)) * s,
         head_b=np.zeros(config.out_dim, F32),
     )
@@ -207,18 +217,31 @@ def named_params(params: DrcaParams) -> dict[str, np.ndarray]:
     return named
 
 
+# the layers of both stacks share one set of shapes, those of rat.0
+_LAYER_RE = re.compile(r"^(stage1|rat)\.\d+\.")
+
+
 def params_from_named(config: ModelConfig, named: dict[str, np.ndarray]) -> DrcaParams:
     """Rebuild the parameter tree for a configuration from named tensors,
-    demanding an exact key match."""
+    demanding an exact key match and the shapes ``init_params`` makes.
+    The expected shapes come from building the configuration cut to at
+    most one layer, every layer having the same shapes, from zeros."""
+    cut = replace(config, depth=min(config.depth, 1), dccm_insert_after=0)
+    shapes = {name: leaf.shape
+              for name, leaf in named_params(_build_params(cut, _ZeroStream())).items()}
+
     def take(name: str) -> np.ndarray:
         if name not in named:
             raise ValueError(f"parameter set is missing tensor {name!r}")
+        want = shapes[_LAYER_RE.sub("rat.0.", name)]
+        if named[name].shape != want:
+            raise ValueError(
+                f"parameter tensor {name!r} has shape {named[name].shape}, expected {want}")
         return named[name]
 
     params = numerics.tree_map(take, DrcaParams, aliases=_NAME_ALIASES, given={
         "stage1": config.dccm_insert_after,
         "rat": config.depth - config.dccm_insert_after,
-        "head_count": config.head_count,
     })
     extra = set(named) - set(named_params(params))
     if extra:
@@ -262,28 +285,23 @@ def _head(seq, params: DrcaParams, config: ModelConfig) -> np.ndarray:
     return out
 
 
-def forward(video: np.ndarray, params: DrcaParams, config: ModelConfig,
-            perturb: PerturbConfig | None = None) -> ModelOutput:
+def forward(video: np.ndarray, params: DrcaParams, config: ModelConfig) -> ModelOutput:
     """Full pipeline with the compression split after `dccm_insert_after`
-    full-resolution layers; given a PerturbConfig, the output also carries
-    the smoothed ranking of the frame scores."""
+    full-resolution layers."""
     tokens = patch_embed(video, params, config)
     seq = full_res_sequence(tokens)
     for layer in params.stage1:
-        seq = rat_layer_forward(seq, layer)
+        seq = rat_layer_forward(seq, layer, config.head_count)
     # stage-1 times are the identity, so storage order is time order
-    result = dccm_forward(
-        seq.saliency, params.dccm, config.saliency_count,
-        config.compression_factor, perturb,
-    )
+    result = dccm_forward(seq.saliency, params.dccm, config.saliency_count,
+                          config.compression_factor)
     seq = result.sequence
     for layer in params.rat:
-        seq = rat_layer_forward(seq, layer)
+        seq = rat_layer_forward(seq, layer, config.head_count)
     return ModelOutput(
         output=_head(seq, params, config),
         scores=result.scores,
         selected_times=result.sequence.times.saliency,
-        soft=result.soft,
     )
 
 
@@ -295,10 +313,10 @@ def baseline_forward(video: np.ndarray, params: DrcaParams,
     tokens = patch_embed(video, params, config)
     seq = full_res_sequence(tokens)
     for layer in params.stage1:
-        seq = rat_layer_forward(seq, layer)
+        seq = rat_layer_forward(seq, layer, config.head_count)
     scores = score_net_forward(seq.saliency, params.dccm.score).scores
     for layer in params.rat:
-        seq = rat_layer_forward(seq, layer)
+        seq = rat_layer_forward(seq, layer, config.head_count)
     order = hard_rank(scores).order
     return ModelOutput(
         output=_head(seq, params, config),

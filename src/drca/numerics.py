@@ -103,15 +103,15 @@ def _field_hints(kind: type) -> tuple[tuple[str, object], ...]:
 def tree_map(fn, kind: type, *trees, aliases: dict[str, str] | None = None,
              given: dict[str, int] | None = None):
     """Build a ``kind`` parameter tree (a dataclass whose fields are
-    arrays, dataclasses, tuples of dataclasses or plain values) with
+    arrays, dataclasses or tuples of dataclasses) with
     ``fn(name, *leaves)`` at every array field, in declaration order.
 
     ``leaves`` are the same field of each of ``trees``.  ``name`` joins
     the field names with dots and tuple items by index; ``aliases``
     renames a field, and a field renamed to "" adds no level.  Tuple
-    lengths and plain values come from ``given`` by field name, else
-    from the first tree.  This one walk flattens, rebuilds and updates
-    every parameter tree of the package.
+    lengths come from ``given`` by field name, else from the first tree.
+    This one walk flattens, rebuilds and updates every parameter tree of
+    the package.
     """
     aliases, given = aliases or {}, given or {}
 
@@ -127,10 +127,8 @@ def tree_map(fn, kind: type, *trees, aliases: dict[str, str] | None = None,
                 count = given[field] if field in given else len(subs[0])
                 out[field] = tuple(build(item, [s[i] for s in subs], f"{name}.{i}")
                                    for i in range(count))
-            elif dataclasses.is_dataclass(hint):
-                out[field] = build(hint, subs, name)
             else:
-                out[field] = given[field] if field in given else subs[0]
+                out[field] = build(hint, subs, name)
         return kind(**out)
 
     return build(kind, trees, "")
@@ -153,9 +151,6 @@ class RandomStream:
     def gaussian64(self, shape) -> np.ndarray:
         """Same stream at float64, for the ranking path (see ranking module)."""
         return self._gen.standard_normal(size=shape)
-
-    def integers(self, low: int, high: int, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

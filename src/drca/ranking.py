@@ -6,7 +6,9 @@ The smoothed ranking matrix is the expectation of the hard permutation
 matrix of ``s + sigma * z`` over standard-normal ``z``, estimated with
 ``n_samples`` common-random-number draws.  The same draws drive the
 gradient estimate, so a loss value and its gradient always refer to the
-same randomness.
+same randomness.  The model's token path reads only the hard sort; the
+smoothed ranking serves training (``perturbed_objective``) and the
+command line, which computes it from the scores a forward returns.
 
 One walk, ``_sample_blocks``, makes every sample: it draws the noise,
 forms the perturbed scores and sorts them in blocks of ``_SAMPLE_BLOCK``
@@ -54,18 +56,15 @@ class PerturbConfig:
 
 @dataclass(frozen=True)
 class SortPermutation:
-    """Hard descending sort: order[j] is the frame ranked j-th; matrix is
-    the corresponding permutation matrix (column j one-hot at order[j])."""
+    """Hard descending sort: order[j] is the frame ranked j-th."""
 
     order: np.ndarray   # int64 [T]
-    matrix: np.ndarray  # float32 [T, T]
 
-
-@dataclass(frozen=True)
-class SoftRankMatrix:
-    """Monte Carlo estimate of the smoothed ranking matrix."""
-
-    matrix: np.ndarray  # float32 [T, T], doubly stochastic up to MC accumulation
+    @property
+    def matrix(self) -> np.ndarray:
+        """The float32 [T, T] permutation matrix, column j one-hot at
+        order[j], built on each access."""
+        return _matrix_from_order(self.order)
 
 
 class TimeIndexMap(NamedTuple):
@@ -95,8 +94,7 @@ def hard_rank(s) -> SortPermutation:
     """Descending sort permutation of a score vector (ties: smaller index first)."""
     s = _check_scores(s)
     # stable kind breaks ties toward the smaller frame index
-    order = np.argsort(-s, kind="stable")
-    return SortPermutation(order=order, matrix=_matrix_from_order(order))
+    return SortPermutation(order=np.argsort(-s, kind="stable"))
 
 
 def topk_split(tokens: np.ndarray, perm: SortPermutation, k: int):
@@ -186,20 +184,21 @@ def _score_gradient(dots: np.ndarray, z: np.ndarray, cfg: PerturbConfig) -> np.n
     return (dots - dots.mean()) @ z / (cfg.n_samples * cfg.sigma)
 
 
-def perturbed_rank(s, cfg: PerturbConfig) -> SoftRankMatrix:
-    """Monte Carlo estimate of the noise-smoothed ranking matrix."""
+def perturbed_rank(s, cfg: PerturbConfig) -> np.ndarray:
+    """Monte Carlo estimate of the noise-smoothed ranking matrix, float32
+    [T, T] and doubly stochastic up to float32 rounding."""
     s64 = _check_scores(s)
     t = s64.shape[0]
     counts = np.zeros(t * t, dtype=np.int64)  # transposed, as the cells index it
     for _, _, cells in _sample_blocks(s64, cfg):
         counts += np.bincount(cells.ravel(), minlength=t * t)
     freq = counts.reshape(t, t).T.astype(np.float64) / cfg.n_samples
-    return SoftRankMatrix(matrix=freq.astype(F32, order="C"))
+    return freq.astype(F32, order="C")
 
 
 def perturbed_objective(s, cfg: PerturbConfig, grad_matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """<G, smoothed-rank(s)> and its float32 score gradient from one set
-    of draws; the value equals sum(G * perturbed_rank(s).matrix) up to
+    of draws; the value equals sum(G * perturbed_rank(s)) up to
     float32 rounding of the matrix."""
     dots, z = _objective_samples(s, cfg, grad_matrix)
     return float(dots.mean()), _score_gradient(dots, z, cfg).astype(F32)

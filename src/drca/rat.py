@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import F32, RandomStream, ShapeError
+from .numerics import F32, RandomStream
 from .dccm import MultiResSequence
 
 
@@ -68,21 +68,13 @@ class RatLayerParams:
     temporal: AttentionParams
     spatial: AttentionParams
     ffn: FeedForwardParams
-    head_count: int
-
-    def __post_init__(self) -> None:
-        c = self.temporal.wq.shape[0]
-        if self.head_count < 1 or c % self.head_count:
-            raise ShapeError(f"head count {self.head_count} must divide width {c}")
 
     @classmethod
-    def init(cls, c: int, head_count: int, stream: RandomStream,
-             scale: float = 0.02) -> "RatLayerParams":
+    def init(cls, c: int, stream: RandomStream, scale: float = 0.02) -> "RatLayerParams":
         return cls(
             temporal=AttentionParams.init(c, stream, scale),
             spatial=AttentionParams.init(c, stream, scale),
             ffn=FeedForwardParams.init(c, stream, scale),
-            head_count=head_count,
         )
 
 
@@ -154,8 +146,10 @@ def feed_forward(seq: MultiResSequence, p: FeedForwardParams) -> MultiResSequenc
     return MultiResSequence(mlp(seq.saliency), mlp(seq.non_saliency), seq.times, seq.h)
 
 
-def rat_layer_forward(seq: MultiResSequence, p: RatLayerParams) -> MultiResSequence:
-    """One full layer: temporal, then spatial, then feed-forward."""
-    seq = temporal_attention(seq, p.temporal, p.head_count)
-    seq = spatial_attention(seq, p.spatial, p.head_count)
+def rat_layer_forward(seq: MultiResSequence, p: RatLayerParams,
+                      heads: int) -> MultiResSequence:
+    """One full layer with `heads` attention heads: temporal, then
+    spatial, then feed-forward."""
+    seq = temporal_attention(seq, p.temporal, heads)
+    seq = spatial_attention(seq, p.spatial, heads)
     return feed_forward(seq, p.ffn)

@@ -93,14 +93,13 @@ def _ranking() -> int:
     cfg = ranking.PerturbConfig(sigma=0.05, n_samples=400, seed=5)
     soft = ranking.perturbed_rank(scores, cfg)
     s.check("soft matrix doubly stochastic",
-            float(np.abs(soft.matrix.sum(axis=0) - 1).max()) < 1e-5
-            and float(np.abs(soft.matrix.sum(axis=1) - 1).max()) < 1e-5)
+            float(np.abs(soft.sum(axis=0) - 1).max()) < 1e-5
+            and float(np.abs(soft.sum(axis=1) - 1).max()) < 1e-5)
     shifted = ranking.perturbed_rank(scores + F32(1.5), cfg)
-    s.check("shift invariance under shared draws",
-            bool(np.array_equal(soft.matrix, shifted.matrix)))
+    s.check("shift invariance under shared draws", bool(np.array_equal(soft, shifted)))
     value, _ = ranking.perturbed_objective(scores, cfg, perm.matrix)
     s.check("objective matches the soft matrix",
-            abs(value - float((perm.matrix * soft.matrix).sum())) < 1e-6)
+            abs(value - float((perm.matrix * soft).sum())) < 1e-6)
 
     # T=2 at a score gap of sigma: the chance frame 0 ranks first has an
     # exact derivative; with 4000 samples the estimate was at most 10.3%
@@ -146,10 +145,10 @@ def _dccm() -> int:
 def _rat() -> int:
     s = _Suite("rat")
     stream = numerics.RandomStream(31)
-    layer = rat.RatLayerParams.init(16, 4, stream)
+    layer = rat.RatLayerParams.init(16, stream)
     tokens = stream.gaussian((5, 4, 4, 16))
     seq = dccm.full_res_sequence(tokens)
-    out = rat.rat_layer_forward(seq, layer)
+    out = rat.rat_layer_forward(seq, layer, heads=4)
     s.check("full-res layer keeps extents", out.saliency.shape == tokens.shape)
     s.check("outputs stay finite", bool(np.all(np.isfinite(out.saliency))))
 
@@ -160,7 +159,7 @@ def _rat() -> int:
         times=ranking.TimeIndexMap(perm.astype(np.int64), np.zeros(0, np.int64)),
         h=1,
     )
-    out_p = rat.rat_layer_forward(seq_p, layer)
+    out_p = rat.rat_layer_forward(seq_p, layer, heads=4)
     s.check("storage order does not change the math",
             bool(np.array_equal(out_p.saliency, out.saliency[perm])))
     return s.count

@@ -78,11 +78,11 @@ def test_criterion_2_ranking_polytope_conformance():
         hard_ok &= bool(np.array_equal(mat.T @ scores, scores[perm.order]))
 
         cfg = PerturbConfig(sigma=0.1, n_samples=256, seed=9000 + i)
-        soft = perturbed_rank(scores, cfg).matrix
+        soft = perturbed_rank(scores, cfg)
         dev = max(float(np.max(np.abs(soft.sum(axis=0) - 1))),
                   float(np.max(np.abs(soft.sum(axis=1) - 1))))
         worst_soft_dev = max(worst_soft_dev, dev)
-        shifted = perturbed_rank(scores + F32(shifts[i % 4]), cfg).matrix
+        shifted = perturbed_rank(scores + F32(shifts[i % 4]), cfg)
         crn_ok &= bool(np.array_equal(soft, shifted))
     elapsed = time.perf_counter() - start
     ok = hard_ok and worst_soft_dev < 1e-5 and crn_ok and elapsed < 10

@@ -164,7 +164,27 @@ def test_forward_rejects_a_multi_column_score_head(tmp_path, capsys):
     save_tensor_dir(tmp_path / "weights", named)
     code = main(["forward", "toy", "--params", str(tmp_path / "weights")])
     assert code == EXIT_BAD_INPUT
-    assert "one output column" in capsys.readouterr().err
+    _one_line_error(capsys, "'score.w2'", f"({hidden}, 3)", f"({hidden}, 1)")
+
+
+@pytest.mark.parametrize("name,shape,expected,also", [
+    ("score.conv_kernel", (1, 1, 1, 16, 4), (3, 3, 3, 16, 4), {}),
+    ("score.w1", (4, 3), (4, 8), {}),
+    # a whole 9-class head on a 5-class config
+    ("head.weight", (16, 9), (16, 5), {"head.bias": (9,)}),
+    ("rat.2.ffn.w1", (16, 8), (16, 64), {}),
+])
+def test_forward_refuses_a_mis_shaped_parameter_before_drawing_a_video(
+        tmp_path, monkeypatch, capsys, name, shape, expected, also):
+    named = named_params(init_params(ModelConfig.toy(), seed=5))
+    assert named[name].shape == expected
+    for key, new_shape in {name: shape, **also}.items():
+        named[key] = np.zeros(new_shape, F32)
+    save_tensor_dir(tmp_path / "weights", named)
+    monkeypatch.setattr(cli, "RandomStream", None)  # the video draw is never reached
+    code = main(["forward", "toy", "--params", str(tmp_path / "weights")])
+    assert code == EXIT_BAD_INPUT
+    _one_line_error(capsys, repr(name), str(shape), str(expected))
 
 
 # --- exit-code contract ----------------------------------------------------

@@ -277,7 +277,6 @@ def test_dccm_forward_h1_is_a_plain_split():
     # h=1 must not touch the tokens at all
     assert np.array_equal(res.sequence.saliency, tokens[order[:2]])
     assert np.array_equal(res.sequence.non_saliency, tokens[order[2:]])
-    assert res.soft is None
 
 
 def test_dccm_forward_structure_at_h2():
@@ -294,21 +293,6 @@ def test_dccm_forward_structure_at_h2():
     expected = compress(seq.saliency, tokens[seq.times.non_saliency],
                         params.compressor, h=2)
     assert np.array_equal(seq.non_saliency, expected)
-
-
-def test_dccm_forward_train_mode_adds_smoothed_ranking():
-    tokens = RandomStream(26).gaussian((5, 2, 2, 4))
-    params = _toy_params(4, 27)
-    cfg = PerturbConfig(sigma=0.3, n_samples=200, seed=0)
-    res = dccm_forward(tokens, params, k=2, h=2, perturb=cfg)
-    assert res.soft is not None
-    assert res.soft.matrix.shape == (5, 5)
-    np.testing.assert_allclose(res.soft.matrix.sum(axis=0), 1.0, atol=1e-5)
-    np.testing.assert_allclose(res.soft.matrix.sum(axis=1), 1.0, atol=1e-5)
-    # the hard token path ignores the perturbation entirely
-    plain = dccm_forward(tokens, params, k=2, h=2)
-    assert plain.soft is None
-    assert np.array_equal(res.sequence.non_saliency, plain.sequence.non_saliency)
 
 
 def test_dccm_forward_mode_validation():

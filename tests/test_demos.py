@@ -26,3 +26,12 @@ def test_demo_exits_0(name):
     proc = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_python_api_block_runs(capsys):
+    readme = (DEMOS.parent / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Python API")) + len("```python\n")
+    block = readme[start:readme.index("```", start)]
+    exec(compile(block, "README.md", "exec"), {})
+    # the ratio the block's comment quotes
+    assert f"{float(capsys.readouterr().out.split()[0]):.4f}" == "0.6611"

@@ -299,3 +299,16 @@ def test_walk_sizes_every_array_the_forward_pass_makes(monkeypatch, config, twin
         arrays = count_flops(config).arrays
     largest = max(size for _, size in arrays)
     assert all(nbytes <= largest for nbytes, _, _ in seen), (max(seen), arrays)
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig.toy(dccm_insert_after=0),
+    ModelConfig.toy(compression_factor=4, saliency_count=1, dccm_insert_after=0),
+])
+def test_walk_sizes_the_feed_forward_hidden_activation_exactly(monkeypatch, config):
+    # each part runs its own MLP: the largest gelu output is the larger part's
+    seen = _recorded_arrays(monkeypatch)
+    video = numerics.RandomStream(4).gaussian((config.frames, config.height, config.width, 3))
+    forward(video, init_params(config, seed=3), config)
+    hidden = dict(count_flops(config).arrays)["the feed-forward hidden activation"]
+    assert hidden == max(nbytes for nbytes, name, _ in seen if name == "gelu")

@@ -15,7 +15,6 @@ from drca.model import (
     patch_embed,
 )
 from drca.numerics import F32, RandomStream, ShapeError
-from drca.ranking import PerturbConfig
 from drca.tensor_io import load_tensor_dir, save_tensor_dir
 
 
@@ -168,7 +167,6 @@ def test_params_from_named_takes_structure_from_config_only(monkeypatch):
     monkeypatch.setattr(model_module, "RandomStream", no_draws)
     rebuilt = params_from_named(cfg, named)
     assert (len(rebuilt.stage1), len(rebuilt.rat)) == (2, 3)
-    assert all(layer.head_count == 2 for layer in rebuilt.stage1 + rebuilt.rat)
     assert all(rebuilt_leaf is named[name]
                for name, rebuilt_leaf in named_params(rebuilt).items())
 
@@ -182,6 +180,25 @@ def test_named_params_round_trip_through_files(tmp_path):
     for key in named:
         assert np.array_equal(loaded[key], named[key]), key
     params_from_named(cfg, loaded)  # accepted as a complete set
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig.toy(),
+    ModelConfig.toy(depth=0, dccm_insert_after=0),
+    ModelConfig.toy(depth=5, dccm_insert_after=0, head_count=2),
+    ModelConfig.toy(head_mode="retrieval", embed_out=6, compression_factor=4),
+    ModelConfig.toy(embed_dim=24, frames=5, saliency_count=5, compression_factor=1),
+    # the presets at two layers, one per stage: every layer has one set of shapes
+    ModelConfig.from_name("DRCA-S-K4", depth=2, dccm_insert_after=1),
+    ModelConfig.from_name("DRCA-B-K2", depth=2, dccm_insert_after=1),
+], ids=lambda c: f"{c.name}-d{c.depth}-a{c.dccm_insert_after}-c{c.embed_dim}-{c.head_mode}")
+def test_init_params_save_and_load_unchanged(tmp_path, config):
+    named = named_params(init_params(config, seed=3))
+    save_tensor_dir(tmp_path / "weights", named)
+    loaded = named_params(params_from_named(config, load_tensor_dir(tmp_path / "weights")))
+    assert list(loaded) == list(named)
+    for key in named:
+        assert loaded[key].tobytes() == named[key].tobytes(), key
 
 
 def test_params_from_named_rejects_missing_and_extra():
@@ -234,7 +251,6 @@ def test_forward_output_structure():
     assert out.selected_times.dtype == np.int64
     assert len(np.unique(out.selected_times)) == 4
     assert out.selected_times.min() >= 0 and out.selected_times.max() < 8
-    assert out.soft is None
 
 
 def test_forward_is_deterministic():
@@ -244,16 +260,6 @@ def test_forward_is_deterministic():
     a, b = forward(video, params, cfg), forward(video, params, cfg)
     assert np.array_equal(a.output, b.output)
     assert np.array_equal(a.scores, b.scores)
-
-
-def test_forward_train_mode_returns_smoothed_ranking():
-    cfg = ModelConfig.toy()
-    params = init_params(cfg, seed=15)
-    out = forward(_toy_video(16, cfg), params, cfg,
-                  perturb=PerturbConfig(sigma=0.3, n_samples=100, seed=0))
-    assert out.soft is not None
-    assert out.soft.matrix.shape == (8, 8)
-    np.testing.assert_allclose(out.soft.matrix.sum(axis=0), 1.0, atol=1e-5)
 
 
 def test_retrieval_head_is_unit_norm():

@@ -111,16 +111,16 @@ def test_soft_matrix_is_doubly_stochastic():
     cfg = PerturbConfig(sigma=0.1, n_samples=400, seed=7)
     for t in (2, 5, 12):
         soft = perturbed_rank(RandomStream(t).gaussian(t), cfg)
-        np.testing.assert_allclose(soft.matrix.sum(axis=0), 1.0, atol=1e-6)
-        np.testing.assert_allclose(soft.matrix.sum(axis=1), 1.0, atol=1e-6)
-        assert np.all(soft.matrix >= 0)
+        np.testing.assert_allclose(soft.sum(axis=0), 1.0, atol=1e-6)
+        np.testing.assert_allclose(soft.sum(axis=1), 1.0, atol=1e-6)
+        assert np.all(soft >= 0)
 
 
 def test_soft_matrix_deterministic_per_seed():
     s = RandomStream(8).gaussian(6)
-    a = perturbed_rank(s, PerturbConfig(0.05, 300, seed=1)).matrix
-    b = perturbed_rank(s, PerturbConfig(0.05, 300, seed=1)).matrix
-    c = perturbed_rank(s, PerturbConfig(0.05, 300, seed=2)).matrix
+    a = perturbed_rank(s, PerturbConfig(0.05, 300, seed=1))
+    b = perturbed_rank(s, PerturbConfig(0.05, 300, seed=1))
+    c = perturbed_rank(s, PerturbConfig(0.05, 300, seed=2))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -128,7 +128,7 @@ def test_soft_matrix_deterministic_per_seed():
 def test_soft_matrix_concentrates_as_sigma_shrinks():
     s = np.array([0.5, -0.25, 1.25, 0.0], F32)
     cfg = PerturbConfig(sigma=1e-6, n_samples=100, seed=3)
-    assert np.array_equal(perturbed_rank(s, cfg).matrix, hard_rank(s).matrix)
+    assert np.array_equal(perturbed_rank(s, cfg), hard_rank(s).matrix)
 
 
 def test_shift_invariance_exact_under_common_random_numbers():
@@ -138,8 +138,8 @@ def test_shift_invariance_exact_under_common_random_numbers():
     cfg = PerturbConfig(sigma=0.05, n_samples=500, seed=11)
     for shift in (1.5, -0.25, 2.0, -8.0):
         s = np.round(stream.gaussian(10) * 64) / 64
-        a = perturbed_rank(s, cfg).matrix
-        b = perturbed_rank(s + F32(shift), cfg).matrix
+        a = perturbed_rank(s, cfg)
+        b = perturbed_rank(s + F32(shift), cfg)
         assert np.array_equal(a, b)
 
 
@@ -152,7 +152,7 @@ def test_t2_top_probability_matches_gaussian_cdf():
                               PerturbConfig(sigma, n, seed=20 + seed))
         want = ndtr((a - b) / (sigma * np.sqrt(2)))
         se = np.sqrt(want * (1 - want) / n) + 1e-9
-        assert abs(soft.matrix[0, 0] - want) < 5 * se + 1e-4
+        assert abs(soft[0, 0] - want) < 5 * se + 1e-4
 
 
 def test_fused_objective_equals_separate_paths():
@@ -161,7 +161,7 @@ def test_fused_objective_equals_separate_paths():
     g = stream.gaussian64((7, 7))
     cfg = PerturbConfig(sigma=0.05, n_samples=800, seed=13)
     value, ds = perturbed_objective(s, cfg, g)
-    np.testing.assert_allclose(value, float(np.sum(g * perturbed_rank(s, cfg).matrix)),
+    np.testing.assert_allclose(value, float(np.sum(g * perturbed_rank(s, cfg))),
                                rtol=1e-5, atol=1e-6)
     assert ds.dtype == F32
     assert ds.shape == (7,)
@@ -191,8 +191,8 @@ def test_objective_rejects_bad_gradient_matrix():
 def test_doubly_stochastic_property(t, seed):
     s = RandomStream(seed).gaussian(t)
     soft = perturbed_rank(s, PerturbConfig(0.1, 64, seed=seed + 1))
-    np.testing.assert_allclose(soft.matrix.sum(axis=0), 1.0, atol=1e-6)
-    np.testing.assert_allclose(soft.matrix.sum(axis=1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(soft.sum(axis=0), 1.0, atol=1e-6)
+    np.testing.assert_allclose(soft.sum(axis=1), 1.0, atol=1e-6)
 
 
 # --- the blocked sampling walk -----------------------------------------
@@ -238,7 +238,7 @@ def test_sampler_is_bitwise_the_one_shot_reference(n, t, seed, sigma, quantise):
     dots, z = _objective_samples(s, cfg, g)
     assert dots.tobytes() == want_dots.tobytes()
     assert z.tobytes() == want_z.tobytes()
-    assert perturbed_rank(s, cfg).matrix.tobytes() == want_matrix.tobytes()
+    assert perturbed_rank(s, cfg).tobytes() == want_matrix.tobytes()
 
 
 def test_exact_ties_rank_toward_the_smaller_frame():
@@ -247,7 +247,7 @@ def test_exact_ties_rank_toward_the_smaller_frame():
     s = np.array([1e6, 1e6, 1e6], F32)
     cfg = PerturbConfig(sigma=1e-12, n_samples=2 * _BLOCK + 3, seed=4)
     g = RandomStream(5).gaussian64((3, 3))
-    matrix = perturbed_rank(s, cfg).matrix
+    matrix = perturbed_rank(s, cfg)
     assert np.array_equal(matrix, np.eye(3, dtype=F32))
     want_dots, want_z, want_matrix = _one_shot_reference(s, cfg, g)
     dots, z = _objective_samples(s, cfg, g)

@@ -34,17 +34,17 @@ def _sequence(seed: int, k=2, r=3, m=4, n=4, c=6, h=2) -> MultiResSequence:
     )
 
 
-def _layer(c: int, heads: int, seed: int) -> RatLayerParams:
-    return RatLayerParams.init(c, heads, RandomStream(seed), scale=0.3)
+def _layer(c: int, seed: int) -> RatLayerParams:
+    return RatLayerParams.init(c, RandomStream(seed), scale=0.3)
 
 
-def _zero_layer(c: int, heads: int) -> RatLayerParams:
+def _zero_layer(c: int) -> RatLayerParams:
     z = np.zeros((c, c), F32)
     att = AttentionParams(z, z, z, z, np.ones(c, F32), np.zeros(c, F32))
     ffn = FeedForwardParams(np.zeros((c, 4 * c), F32), np.zeros(4 * c, F32),
                             np.zeros((4 * c, c), F32), np.zeros(c, F32),
                             np.ones(c, F32), np.zeros(c, F32))
-    return RatLayerParams(att, att, ffn, heads)
+    return RatLayerParams(att, att, ffn)
 
 
 def _mha_oracle(x: np.ndarray, p: AttentionParams, heads: int) -> np.ndarray:
@@ -71,7 +71,7 @@ def _mha_oracle(x: np.ndarray, p: AttentionParams, heads: int) -> np.ndarray:
 
 def test_layer_preserves_structure():
     seq = _sequence(0)
-    out = rat_layer_forward(seq, _layer(6, 2, 1))
+    out = rat_layer_forward(seq, _layer(6, 1), heads=2)
     assert out.saliency.shape == seq.saliency.shape
     assert out.non_saliency.shape == seq.non_saliency.shape
     assert out.saliency.dtype == F32 and out.non_saliency.dtype == F32
@@ -83,22 +83,23 @@ def test_layer_preserves_structure():
 
 def test_layer_is_deterministic():
     seq = _sequence(2)
-    p = _layer(6, 3, 3)
-    a, b = rat_layer_forward(seq, p), rat_layer_forward(seq, p)
+    p = _layer(6, 3)
+    a, b = rat_layer_forward(seq, p, heads=3), rat_layer_forward(seq, p, heads=3)
     assert np.array_equal(a.saliency, b.saliency)
     assert np.array_equal(a.non_saliency, b.non_saliency)
 
 
 def test_head_count_validation():
+    seq, layer = _sequence(0), _layer(6, 0)
     with pytest.raises(ShapeError, match="head count"):
-        _layer(6, 4, 0)
+        rat_layer_forward(seq, layer, heads=4)
     with pytest.raises(ShapeError, match="head count"):
-        RatLayerParams.init(6, 0, RandomStream(0))
+        rat_layer_forward(seq, layer, heads=0)
 
 
 def test_empty_non_saliency_part_is_preserved():
     seq = full_res_sequence(RandomStream(4).gaussian((3, 4, 4, 6)))
-    out = rat_layer_forward(seq, _layer(6, 2, 5))
+    out = rat_layer_forward(seq, _layer(6, 5), heads=2)
     assert out.non_saliency.shape == (0, 4, 4, 6)
     assert out.saliency.shape == (3, 4, 4, 6)
     assert np.all(np.isfinite(out.saliency))
@@ -238,6 +239,6 @@ def test_zero_parameter_layer_is_the_identity():
     # so the input tokens must come back bit for bit (h=1 and h=2 paths)
     for h in (1, 2):
         seq = _sequence(20 + h, h=h)
-        out = rat_layer_forward(seq, _zero_layer(6, 2))
+        out = rat_layer_forward(seq, _zero_layer(6), heads=2)
         assert np.array_equal(out.saliency, seq.saliency)
         assert np.array_equal(out.non_saliency, seq.non_saliency)
