@@ -291,9 +291,6 @@ def cmd_grad_check(args) -> int:
 
 def cmd_forward(args) -> int:
     run = load_run_config(args.config, args.set, args.seed)
-    if args.baseline and run.mode == "train":
-        raise ConfigError("mode=train needs the compressed pipeline; "
-                          "--baseline computes no smoothed ranking")
     _echo(run.echo_pairs())
     config = run.model
     _check_sizes(config.baseline() if args.baseline else config, config.frames,

@@ -49,11 +49,10 @@ class ScoreNetParams:
     @classmethod
     def init(cls, channels: int, mid: int, hidden: int, stream: RandomStream,
              scale: float = 0.02, zero_final: bool = False) -> "ScoreNetParams":
-        s = F32(scale)
-        w2 = np.zeros((hidden, 1), F32) if zero_final else stream.gaussian((hidden, 1)) * s
+        w2 = np.zeros((hidden, 1), F32) if zero_final else stream.gaussian((hidden, 1), scale)
         return cls(
-            conv_kernel=stream.gaussian((3, 3, 3, channels, mid)) * s,
-            w1=stream.gaussian((mid, hidden)) * s,
+            conv_kernel=stream.gaussian((3, 3, 3, channels, mid), scale),
+            w1=stream.gaussian((mid, hidden), scale),
             b1=np.zeros(hidden, F32),
             w2=w2,
             b2=np.zeros(1, F32),
@@ -70,11 +69,10 @@ class CompressorParams:
 
     @classmethod
     def init(cls, channels: int, stream: RandomStream, scale: float = 0.02) -> "CompressorParams":
-        s = F32(scale)
         return cls(
-            w_a=stream.gaussian((channels, channels)) * s,
-            w_b=stream.gaussian((channels, channels)) * s,
-            w_c=stream.gaussian((channels, channels)) * s,
+            w_a=stream.gaussian((channels, channels), scale),
+            w_b=stream.gaussian((channels, channels), scale),
+            w_c=stream.gaussian((channels, channels), scale),
         )
 
 

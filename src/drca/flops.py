@@ -19,13 +19,14 @@ its softmax), "attention-apply" (attention times values), "feed-forward"
 run of identical layers once and counts it as many times as the run is
 deep, so its cost does not grow with depth.  The same walk sizes the
 arrays: each report also carries the bytes of the largest array of each
-kind that a forward pass and its seeded set-up make (the attention
-scores of every site, the compressor's included, from the same groups x
-queries x keys x heads that price the site; the feed-forward hidden
-activation of the larger part's tokens; the score-net's zero-padded input; the
-float64 draws of the weights and of a seeded input video) and the exact
-float32 weight total.  The command line refuses a model on these
-figures before it allocates anything.
+kind that a forward pass and its seeded set-up make and the exact
+float32 weight total.  The transformer layers run over blocks of
+independent groups (see ``rat.block_groups``), so their attention scores
+and feed-forward hidden activation are sized from the largest block;
+the compressor's scores, from all of its groups at once; the
+score-net's zero-padded input, whole; a seeded draw, the larger of its
+float32 output and its float64 chunk.  The command line refuses a model
+on these figures before it allocates anything.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import numerics
 from .numerics import (
     FlopCounter,
     MACS_TO_FLOPS,
@@ -43,6 +45,7 @@ from .numerics import (
     RandomStream,
 )
 from .model import ModelConfig, forward, init_params
+from .rat import block_groups
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,12 @@ class InstrumentResult:
 # float64 until they are cast
 _F32_BYTES, _F64_BYTES = 4, 8
 
+
+def _draw_bytes(size: int) -> int:
+    """The largest array of a seeded draw of `size` float32 values: the
+    output, or the float64 chunk it is drawn through."""
+    return max(_F32_BYTES * size, _F64_BYTES * min(size, numerics._GAUSSIAN_CHUNK))
+
 # the kinds of array the walk sizes, in the order it reports them
 _SCORES = "an attention-score tensor"
 _HIDDEN = "the feed-forward hidden activation"
@@ -154,17 +163,19 @@ class _Walk:
         size = math.prod(shape)
         self.weight_bytes += times * _F32_BYTES * size
         if draw is not None:
-            self.array(draw, _F64_BYTES * size)
+            self.array(draw, _draw_bytes(size))
 
     def attention(self, stage: str, groups: int, queries: int, keys: int, c: int,
-                  heads: int, times: int = 1) -> None:
-        """`times` calls of ``numerics.attention`` over `groups`
+                  heads: int, times: int = 1, block: int | None = None) -> None:
+        """`times` runs of ``numerics.attention`` over `groups`
         independent groups, each of `queries` queries and `keys` keys of
-        width c split into `heads` heads."""
+        width c split into `heads` heads, at most `block` groups (all by
+        default) in one call."""
         scores = groups * queries * keys
         self.cost(stage, "attention-scores", times * (2 * scores * c + SOFTMAX * heads * scores))
         self.cost(stage, "attention-apply", times * 2 * scores * c)
-        self.array(_SCORES, _F32_BYTES * heads * scores)
+        largest = groups if block is None else block
+        self.array(_SCORES, _F32_BYTES * heads * largest * queries * keys)
 
 
 def _ffn(tokens: int, c: int) -> int:
@@ -177,27 +188,35 @@ def _ffn(tokens: int, c: int) -> int:
     )
 
 
-def _layer_entries(walk: _Walk, stage: str, layers: int, k: int, r: int, grid: int,
-                   low: int, c: int, heads: int, h: int) -> None:
+def _layer_entries(walk: _Walk, stage: str, layers: int, k: int, r: int,
+                   grid: tuple[int, int], c: int, heads: int, h: int) -> None:
     """`layers` identical resolution-aligned layers on k full-res frames
-    (grid tokens) and r coarse frames (low tokens): one layer is priced
-    and sized, and its flops and weights count `layers` times."""
+    of an m x n token grid and r coarse frames of the m/h x n/h grid: one
+    layer is priced and sized, and its flops and weights count `layers`
+    times."""
     if not layers:
         return
+    m, n = grid
+    ml, nl = m // h, n // h
+    full, low, t = m * n, ml * nl, k + r
     if h > 1:
-        walk.cost(f"{stage}.temporal", "pooling", layers * POOL * k * grid * c)
-    # temporal attention on the aligned coarse grid, then spatial attention
-    # with each part at native resolution; each is a pre-norm block
-    for part, frames, tokens in (("temporal", low, k + r), ("spatial.saliency", k, grid),
-                                 ("spatial.non_saliency", r, low)):
-        total = frames * tokens
+        walk.cost(f"{stage}.temporal", "pooling", layers * POOL * k * full * c)
+    # temporal attention on the aligned coarse grid, over blocks of grid
+    # rows; then spatial attention over blocks of frames, with each part at
+    # native resolution; each is a pre-norm block
+    for part, groups, tokens, block in (
+            ("temporal", low, t, nl * block_groups(ml, nl * t)),
+            ("spatial.saliency", k, full, block_groups(k, full)),
+            ("spatial.non_saliency", r, low, block_groups(r, low))):
+        total = groups * tokens
         walk.cost(f"{stage}.{part}", "projection",
                   layers * (NORM * total * c + 2 * 4 * total * c * c))  # ln + qkv + out
-        walk.attention(f"{stage}.{part}", frames, tokens, tokens, c, heads, layers)
+        walk.attention(f"{stage}.{part}", groups, tokens, tokens, c, heads, layers, block)
 
-    walk.cost(f"{stage}.ffn", "feed-forward", layers * _ffn(k * grid + r * low, c))
-    # each part runs its own MLP, so the larger part sizes the hidden array
-    walk.array(_HIDDEN, _F32_BYTES * max(k * grid, r * low) * 4 * c)
+    walk.cost(f"{stage}.ffn", "feed-forward", layers * _ffn(k * full + r * low, c))
+    # each part runs its own MLP over blocks of token rows
+    rows = max(block_groups(k * full, 1), block_groups(r * low, 1))
+    walk.array(_HIDDEN, _F32_BYTES * rows * 4 * c)
     # per layer: eight [C, C] attention projections, two feed-forward
     # matrices, and biases and norm parameters worth eleven [C] vectors
     walk.weight(c, c, times=8 * layers)
@@ -219,14 +238,14 @@ def count_flops(config: ModelConfig) -> FlopsReport:
     p = config.patch_size
     walk = _Walk()
 
-    walk.array(_VIDEO_DRAW, _F64_BYTES * t * config.height * config.width * 3)
+    walk.array(_VIDEO_DRAW, _draw_bytes(t * config.height * config.width * 3))
     walk.cost("patch_embed", "projection", 2 * t * grid * (p * p * 3) * c + t * grid * c)
     walk.weight(p * p * 3, c, draw=_PATCH_DRAW)
     walk.weight(c)
     walk.weight(grid + t, c)  # position embeddings
 
     # stage 1: every frame full resolution, no alignment pooling
-    _layer_entries(walk, "stage1", config.dccm_insert_after, t, 0, grid, grid, c,
+    _layer_entries(walk, "stage1", config.dccm_insert_after, t, 0, (m, n), c,
                    config.head_count, 1)
 
     # score-net runs on every configuration (the baseline keeps it as a
@@ -252,8 +271,8 @@ def count_flops(config: ModelConfig) -> FlopsReport:
                   POOL * (r + 2 * k) * grid * c + POOL * r * grid * c)
         walk.attention("dccm.compressor", r, low, k * low, c, 1)
 
-    _layer_entries(walk, "rat", config.depth - config.dccm_insert_after, k, r, grid, low,
-                   c, config.head_count, h)
+    _layer_entries(walk, "rat", config.depth - config.dccm_insert_after, k, r, (m, n), c,
+                   config.head_count, h)
 
     tokens_final = k * grid + r * low
     walk.cost("head", "pooling", POOL * tokens_final * c)

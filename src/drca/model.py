@@ -175,19 +175,19 @@ class _ZeroStream:
     matter: every draw is zeros, so no random number is made."""
 
     @staticmethod
-    def gaussian(shape) -> np.ndarray:
+    def gaussian(shape, scale: float | None = None) -> np.ndarray:
         return np.zeros(shape, F32)
 
 
 def _build_params(config: ModelConfig, stream) -> DrcaParams:
     c = config.embed_dim
     m, n = config.grid
-    s = F32(0.02)
+    s = 0.02
     return DrcaParams(
-        patch_w=stream.gaussian((config.patch_size * config.patch_size * 3, c)) * s,
+        patch_w=stream.gaussian((config.patch_size * config.patch_size * 3, c), s),
         patch_b=np.zeros(c, F32),
-        pos_spatial=stream.gaussian((m * n, c)) * s,
-        pos_temporal=stream.gaussian((config.frames, c)) * s,
+        pos_spatial=stream.gaussian((m * n, c), s),
+        pos_temporal=stream.gaussian((config.frames, c), s),
         stage1=tuple(RatLayerParams.init(c, stream) for _ in range(config.dccm_insert_after)),
         dccm=DccmParams(
             score=ScoreNetParams.init(c, config.score_mid, config.score_hidden, stream),
@@ -195,7 +195,7 @@ def _build_params(config: ModelConfig, stream) -> DrcaParams:
         ),
         rat=tuple(RatLayerParams.init(c, stream)
                   for _ in range(config.depth - config.dccm_insert_after)),
-        head_w=stream.gaussian((c, config.out_dim)) * s,
+        head_w=stream.gaussian((c, config.out_dim), s),
         head_b=np.zeros(config.out_dim, F32),
     )
 

@@ -16,9 +16,16 @@ analytic side.
 Kernel arithmetic is float32: reductions are numpy's float32 sums and
 matmul accumulates in 32 bits.  A kernel's result for one token depends
 only on that token's row, so slices of two or more rows match the full
-batch bitwise.  A single row, or a weight with a single column, takes
-numpy's matrix-vector path, where a row's last bits depend on its place
-in the call.
+batch bitwise (the transformer layers rely on this to run in blocks).
+A single row, or a weight with a single column, takes numpy's
+matrix-vector path, where a row's last bits depend on its place in the
+call.
+
+``RandomStream.gaussian`` draws its float64 stream in chunks of
+``_GAUSSIAN_CHUNK`` values and casts each into the float32 output, and
+scales in place, so a weight draw holds no float64 copy of the weight;
+consecutive draws from one stream continue it, so the result is bitwise
+the one-shot ``standard_normal(shape).astype(F32)``.
 
 ``attention`` is the one scaled dot-product attention, softmax(q k^T /
 sqrt(d)) v per head: the transformer layers call it with their head
@@ -134,6 +141,11 @@ def tree_map(fn, kind: type, *trees, aliases: dict[str, str] | None = None,
     return build(kind, trees, "")
 
 
+# float64 values per draw of a float32 ``RandomStream.gaussian``: a
+# cache-sized chunk, so no float64 copy of a whole weight is ever made
+_GAUSSIAN_CHUNK = 1 << 15
+
+
 class RandomStream:
     """Deterministic Gaussian source (PCG64); identical seeds give
     identical draws on every platform for a fixed numpy version."""
@@ -144,9 +156,20 @@ class RandomStream:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def gaussian(self, shape) -> np.ndarray:
-        """Standard-normal float32 samples; draws are not flop-counted."""
-        return self._gen.standard_normal(size=shape).astype(F32)
+    def gaussian(self, shape, scale: float | None = None) -> np.ndarray:
+        """Standard-normal float32 samples, scaled in place by float32
+        ``scale`` if one is given, drawn through float64 chunks (see the
+        module docstring); draws are not flop-counted."""
+        out = np.empty(shape, F32)
+        flat = out.reshape(-1)
+        chunk = np.empty(min(_GAUSSIAN_CHUNK, flat.size))
+        for lo in range(0, flat.size, _GAUSSIAN_CHUNK):
+            part = chunk[:flat.size - lo]
+            self._gen.standard_normal(out=part)
+            flat[lo:lo + part.size] = part
+        if scale is not None:
+            out *= F32(scale)
+        return out
 
     def gaussian64(self, shape) -> np.ndarray:
         """Same stream at float64, for the ranking path (see ranking module)."""

@@ -128,6 +128,19 @@ def test_forward_baseline_flag(capsys):
     assert "selected_times:" in out and "output_norm = " in out
 
 
+def test_forward_baseline_train_mode_prints_soft_column(capsys):
+    # the uncompressed pipeline returns the same scores, so train mode
+    # smooths them as it does the compressed pipeline's
+    argv = ["forward", "toy", "--seed", "2", "--set", "mode=train", "--set", "n_samples=100"]
+    assert main(argv) == EXIT_OK
+    compressed = capsys.readouterr().out
+    assert main(argv + ["--baseline"]) == EXIT_OK
+    out = capsys.readouterr().out
+    soft = [line for line in out.splitlines() if line.startswith("soft_top_column:")]
+    assert len(soft) == 1 and len(soft[0].split()) == 1 + 8
+    assert soft[0] in compressed.splitlines()
+
+
 def test_forward_train_mode_prints_soft_column(capsys):
     code = main(["forward", "toy", "--seed", "2", "--set", "mode=train",
                  "--set", "n_samples=100"])
@@ -211,7 +224,7 @@ def _one_line_error(capsys, *names: str) -> None:
     (["grad-check", "--sigma", "inf"], ["--sigma"]),
     (["forward", "toy", "--set", "n_samples=0"], ["n_samples"]),
     (["forward", "toy", "--set", "sigma=nan"], ["sigma"]),
-    (["forward", "toy", "--baseline", "--set", "mode=train"], ["mode=train", "--baseline"]),
+    (["forward", "toy", "--baseline", "--set", "mode=train", "--set", "sigma=0"], ["sigma"]),
     (["flops", "toy", "--set", "mode=train"], ["mode"]),
     (["flops", "toy", "--set", "sigma=0.3"], ["sigma"]),
     (["flops", "toy", "--set", "n_samples=4", "--instrument"], ["n_samples"]),
@@ -240,10 +253,10 @@ _INT_MODEL_KEYS = sorted(k for k, kind in _MODEL_KEYS.items() if kind is int)
 @settings(max_examples=80, deadline=None)
 @given(key=st.sampled_from(_INT_MODEL_KEYS), value=st.integers(-2, 8))
 def test_any_small_integer_override_exits_0_or_2(key, value):
-    # patch size 2 is valid but gives 1024-token frames whose attention
-    # matrices take hundreds of megabytes; it tests memory, not input
-    # checking (patch size 1 is refused by the model size check)
-    assume(not (key == "patch_size" and value == 2))
+    # patch sizes 1 and 2 are valid but give 4096- and 1024-token frames
+    # whose attention matrices take hundreds of megabytes per frame; they
+    # test memory, not input checking
+    assume(not (key == "patch_size" and value in (1, 2)))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["forward", "toy", "--set", f"{key}={value}"])
@@ -256,18 +269,20 @@ def test_any_small_integer_override_exits_0_or_2(key, value):
 
 
 @pytest.mark.parametrize("argv", [
-    ["forward", "toy", "--set", "patch_size=1"],
+    ["forward", "toy", "--set", "patch_size=1", "--set", "height=128", "--set", "width=128"],
     ["forward", "toy", "--set", "height=4096", "--set", "width=4096"],
     ["forward", "toy", "--set", "frames=20000"],
-    ["flops", "toy", "--set", "patch_size=1", "--instrument"],
+    ["flops", "toy", "--set", "patch_size=1", "--set", "height=128", "--set", "width=128",
+     "--instrument"],
     ["forward", "S", "--set", "embed_dim=600000000"],
     ["forward", "toy", "--set", "num_classes=2000000000"],
     ["flops", "toy", "--set", "num_classes=2000000000", "--instrument"],
 ])
 def test_oversized_model_exits_2_before_allocating(capsys, argv):
-    # toy at patch size 1: 4 heads x 8 frames x 4096^2 float32 spatial scores;
-    # S at width 6e8: a 3.35 TiB float64 patch projection draw; toy with
-    # 2e9 classes: a 238 GiB float64 head draw
+    # toy at patch size 1 on 128 x 128 pixels: 4 heads x 16384^2 float32
+    # spatial scores for one frame; S at width 6e8: a 2.4 TB block of the
+    # feed-forward hidden activation; toy with 2e9 classes: a 128 GB
+    # float32 head draw
     assert main(argv) == EXIT_BAD_INPUT
     _one_line_error(capsys, "model too large", "bytes")
 
@@ -326,19 +341,20 @@ def test_model_size_limit_admits_the_presets(name):
 
 
 @pytest.mark.parametrize("over,what", [
-    (dict(patch_size=1), "an attention-score tensor"),
-    (dict(embed_dim=4096, frames=512, height=128, width=128),
-     "the feed-forward hidden activation"),
-    (dict(embed_dim=8192), "the feed-forward weight draw"),
-    (dict(patch_size=2048, height=2048, width=2048, compression_factor=1),
+    (dict(patch_size=1, height=128, width=128), "an attention-score tensor"),
+    # a 256-row block of the hidden activation passes 1 GiB only at widths
+    # whose weights pass it too; the hidden activation is checked first
+    (dict(embed_dim=300_000, patch_size=4), "the feed-forward hidden activation"),
+    (dict(embed_dim=8200), "the feed-forward weight draw"),
+    (dict(patch_size=3072, height=3072, width=3072, compression_factor=1),
      "the patch projection draw"),
     (dict(num_classes=2_000_000_000), "the head weight draw"),
     (dict(head_mode="retrieval", embed_out=2_000_000_000), "the head weight draw"),
-    (dict(patch_size=64, head_count=1, compression_factor=1, frames=12000),
-     "the input video draw"),
+    (dict(patch_size=128, height=128, width=128, head_count=1, compression_factor=1,
+          frames=6000), "the input video draw"),
 ])
 def test_model_size_limit_names_the_array_over_it(over, what):
-    # each model is within the limit on every other bound
+    # the named array is the first of the walk's arrays over the limit
     with pytest.raises(ConfigError, match=f"model too large: {what} would take"):
         _check_sizes(ModelConfig.toy(**over))
 
@@ -370,8 +386,9 @@ def test_weight_total_limit_is_inclusive():
 
 def test_forward_checks_the_model_it_runs(capsys):
     # no full-resolution layer: only the uncompressed twin attends in time
-    # on the full 4x4 grid, [16 locations, 4 heads, 2100, 2100] scores
-    over = dict(dccm_insert_after=0, frames=2100, saliency_count=1050)
+    # on the full 4x4 grid, in blocks of [4 locations, 4 heads, 5000, 5000]
+    # scores; the model's own blocks are [2, 4, 5000, 5000]
+    over = dict(dccm_insert_after=0, frames=5000, saliency_count=2500)
     _check_sizes(ModelConfig.toy(**over))
     sets = [arg for key, value in over.items() for arg in ("--set", f"{key}={value}")]
     assert main(["forward", "toy", *sets, "--baseline"]) == EXIT_BAD_INPUT
@@ -379,7 +396,9 @@ def test_forward_checks_the_model_it_runs(capsys):
 
 
 def test_flops_instrument_refuses_before_printing_a_report(capsys):
-    assert main(["flops", "toy", "--set", "patch_size=1", "--instrument"]) == EXIT_BAD_INPUT
+    argv = ["flops", "toy", "--set", "patch_size=1", "--set", "height=128", "--set", "width=128",
+            "--instrument"]
+    assert main(argv) == EXIT_BAD_INPUT
     assert capsys.readouterr().out == ""
 
 

@@ -244,7 +244,7 @@ _KERNELS = ("matmul", "linear", "softmax_lastdim", "attention", "layer_norm",
 
 def _recorded_arrays(monkeypatch) -> list:
     """Record (bytes, source, shape) of every kernel output, every seeded
-    draw at float64, and every zero-padded copy made from now on."""
+    draw's largest array, and every zero-padded copy made from now on."""
     seen = []
 
     def recording(name, fn, nbytes=lambda out: out.nbytes):
@@ -256,8 +256,10 @@ def _recorded_arrays(monkeypatch) -> list:
 
     for name in _KERNELS:
         monkeypatch.setattr(numerics, name, recording(name, getattr(numerics, name)))
+    # a float32 draw makes its output and a float64 chunk of the stream
     monkeypatch.setattr(numerics.RandomStream, "gaussian", recording(
-        "gaussian", numerics.RandomStream.gaussian, lambda out: 8 * out.size))
+        "gaussian", numerics.RandomStream.gaussian,
+        lambda out: max(out.nbytes, 8 * min(out.size, numerics._GAUSSIAN_CHUNK))))
     monkeypatch.setattr(np, "pad", recording("pad", np.pad))
     return seen
 
@@ -301,14 +303,40 @@ def test_walk_sizes_every_array_the_forward_pass_makes(monkeypatch, config, twin
     assert all(nbytes <= largest for nbytes, _, _ in seen), (max(seen), arrays)
 
 
-@pytest.mark.parametrize("config", [
+# the last two are large enough for their sublayers to run in blocks
+_BLOCKED = [ModelConfig.toy(patch_size=4), ModelConfig.small(depth=2, dccm_insert_after=1)]
+_EXACT_SIZES = [
     ModelConfig.toy(dccm_insert_after=0),
     ModelConfig.toy(compression_factor=4, saliency_count=1, dccm_insert_after=0),
-])
-def test_walk_sizes_the_feed_forward_hidden_activation_exactly(monkeypatch, config):
-    # each part runs its own MLP: the largest gelu output is the larger part's
+    *_BLOCKED,
+]
+
+
+def _walk_and_forward(monkeypatch, config):
     seen = _recorded_arrays(monkeypatch)
     video = numerics.RandomStream(4).gaussian((config.frames, config.height, config.width, 3))
     forward(video, init_params(config, seed=3), config)
-    hidden = dict(count_flops(config).arrays)["the feed-forward hidden activation"]
+    return dict(count_flops(config).arrays), seen
+
+
+@pytest.mark.parametrize("config", _EXACT_SIZES)
+def test_walk_sizes_the_feed_forward_hidden_activation_exactly(monkeypatch, config):
+    # each part runs its own MLP over blocks of token rows: the largest
+    # gelu output is the larger part's largest block
+    arrays, seen = _walk_and_forward(monkeypatch, config)
+    hidden = arrays["the feed-forward hidden activation"]
     assert hidden == max(nbytes for nbytes, name, _ in seen if name == "gelu")
+    m, n = config.grid
+    h = config.compression_factor
+    stage1_rows = config.frames * m * n if config.dccm_insert_after else 0
+    part_rows = max(stage1_rows, config.saliency_count * m * n,
+                    (config.frames - config.saliency_count) * m * n // (h * h))
+    assert (hidden < 4 * part_rows * 4 * config.embed_dim) == (config in _BLOCKED)
+
+
+@pytest.mark.parametrize("config", _EXACT_SIZES)
+def test_walk_sizes_the_attention_scores_exactly(monkeypatch, config):
+    # the largest softmax of the transformer blocks and the compressor
+    arrays, seen = _walk_and_forward(monkeypatch, config)
+    scores = arrays["an attention-score tensor"]
+    assert scores == max(nbytes for nbytes, name, _ in seen if name == "softmax_lastdim")

@@ -1,10 +1,15 @@
 """End-to-end model wiring: configuration naming, parameter flattening,
 patch embedding, and the compressed vs uncompressed forward passes."""
 
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from drca import model as model_module
+from drca import rat
+from drca.flops import count_flops
 from drca.model import (
     ModelConfig,
     baseline_forward,
@@ -293,3 +298,57 @@ def test_compression_changes_the_output():
     plain = baseline_forward(video, params, cfg)
     assert not np.allclose(compressed.output, plain.output, atol=1e-9)
     assert np.array_equal(compressed.scores, plain.scores)
+
+
+# --- block-streamed sublayers ------------------------------------------
+
+def _both_passes(config, params, video) -> list[np.ndarray]:
+    return [field for fwd in (forward, baseline_forward)
+            for field in astuple(fwd(video, params, config))]
+
+
+_SMALL_2 = ModelConfig.small(depth=2, dccm_insert_after=1)
+
+
+@pytest.mark.parametrize("config,block_rows", [
+    # every size from one-row groups (a block is never a single row) to
+    # uneven splits: toy parts hold 128, 64 and 16 token rows
+    *((ModelConfig.toy(), rows) for rows in (1, 2, 5, 17, 62)),
+    # a 1x1 coarse grid: the non-saliency frames are one-row groups
+    *((ModelConfig.toy(compression_factor=4, saliency_count=1, dccm_insert_after=0), rows)
+      for rows in (1, 3)),
+    # 1568 and 784 rows: fixed 261-row blocks would leave tails of 2 rows
+    # and of 1 row; the split is even instead
+    (_SMALL_2, 100), (_SMALL_2, 261),
+])
+def test_blocked_sublayers_are_bitwise_one_block(monkeypatch, config, block_rows):
+    params = init_params(config, seed=3)
+    video = RandomStream(4).gaussian((config.frames, config.height, config.width, 3))
+    monkeypatch.setattr(rat, "_BLOCK_ROWS", 1 << 40)  # every sublayer in one call
+    whole = _both_passes(config, params, video)
+    monkeypatch.setattr(rat, "_BLOCK_ROWS", block_rows)
+    blocked = _both_passes(config, params, video)
+    for a, b in zip(whole, blocked):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_forward_holds_block_sized_activations():
+    # above its inputs, a forward holds a few token tensors and the
+    # transients of one block: a full [8, 6, 196, 196] score tensor and its
+    # softmax (7.4 MB each), or the full [1568, 1536] hidden activation
+    # and its gelu (9.6 MB each), would not fit
+    config = _SMALL_2
+    params = init_params(config, seed=0)
+    video = RandomStream(1).gaussian((config.frames, config.height, config.width, 3))
+    m, n = config.grid
+    token_bytes = 4 * config.frames * m * n * config.embed_dim
+    arrays = dict(count_flops(config).arrays)
+    block = max(arrays["an attention-score tensor"], arrays["the feed-forward hidden activation"])
+    budget = 6 * token_bytes + 2 * block
+    tracemalloc.start()
+    try:
+        forward(video, params, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, (peak, budget)

@@ -502,6 +502,26 @@ def test_random_stream_deterministic_and_typed():
     assert RandomStream.algorithm == "pcg64"
 
 
+@pytest.mark.parametrize("shape", [0, 7, 8, 9, (3, 5), (2, 2, 6)])
+def test_chunked_gaussian_is_the_one_shot_draw(monkeypatch, shape):
+    # below, at and across a chunk of 8 draws; the stream continues where
+    # the one-shot draw leaves it
+    monkeypatch.setattr(numerics, "_GAUSSIAN_CHUNK", 8)
+    stream, gen = RandomStream(21), np.random.Generator(np.random.PCG64(21))
+    for _ in range(2):
+        got, want = stream.gaussian(shape), gen.standard_normal(shape).astype(F32)
+        assert got.dtype == F32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    scaled = stream.gaussian(shape, 0.02)
+    assert scaled.tobytes() == (gen.standard_normal(shape).astype(F32) * F32(0.02)).tobytes()
+
+
+def test_gaussian_at_the_default_chunk_is_the_one_shot_draw():
+    shape = (2, numerics._GAUSSIAN_CHUNK + 3)
+    want = np.random.Generator(np.random.PCG64(22)).standard_normal(shape).astype(F32)
+    assert RandomStream(22).gaussian(shape).tobytes() == want.tobytes()
+
+
 def test_random_stream_permutation_covers_range():
     p = RandomStream(5).permutation(10)
     assert np.array_equal(np.sort(p), np.arange(10))

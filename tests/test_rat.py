@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from drca import rat
 from drca.dccm import MultiResSequence, full_res_sequence
 from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import TimeIndexMap
@@ -16,6 +17,7 @@ from drca.rat import (
     AttentionParams,
     FeedForwardParams,
     RatLayerParams,
+    block_groups,
     feed_forward,
     rat_layer_forward,
     spatial_attention,
@@ -242,3 +244,21 @@ def test_zero_parameter_layer_is_the_identity():
         out = rat_layer_forward(seq, _zero_layer(6), heads=2)
         assert np.array_equal(out.saliency, seq.saliency)
         assert np.array_equal(out.non_saliency, seq.non_saliency)
+
+
+# --- blocks -------------------------------------------------------------
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 256])
+def test_blocks_cover_the_groups_evenly_and_never_as_one_row(monkeypatch, block_rows):
+    monkeypatch.setattr(rat, "_BLOCK_ROWS", block_rows)
+    for rows in (1, 2, 3, 49, 300):
+        for groups in range(40):
+            sizes = [block.stop - block.start for block in rat._blocks(groups, rows)]
+            assert sum(sizes) == groups
+            assert max(sizes) == block_groups(groups, rows)
+            assert max(sizes) - min(sizes) <= 1
+            if groups * rows > 1:
+                assert min(sizes) * rows >= 2
+            # at most _BLOCK_ROWS // rows groups, save that one-row groups
+            # may need blocks of two or three
+            assert max(sizes) <= max(block_rows // rows, 1 if rows > 1 else 3)
