@@ -12,7 +12,9 @@ the smoothed ranking of the ranking module (``perturbed_objective``).
 The score-net forward and backward also take a stack of videos with a
 leading axis, and each video of a stack gets bitwise its own call's
 scores and gradients.  The toy trainer uses this to run the training
-and holdout splits in fixed blocks of ``_VIDEO_BLOCK`` videos.
+and holdout splits in fixed blocks of ``_VIDEO_BLOCK`` videos, and
+passes each training block's stacked scores to one
+``perturbed_objective`` call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .numerics import F32, RandomStream, ShapeError
 from .ranking import (
     PerturbConfig,
     TimeIndexMap,
-    _matrix_from_order,
     hard_rank,
     perturbed_objective,
     topk_split,
@@ -335,7 +336,7 @@ def toy_train_bytes(train: int, holdout: int, frames: int) -> int:
 
 
 # the trainer refuses this many training videos or more (each video's
-# seed is derived from its index, see _video_config); drca toy-train
+# seed is derived from its index, see toy_train_scorenet); drca toy-train
 # checks it before building a dataset
 MAX_TRAIN_VIDEOS = 100_000
 
@@ -357,13 +358,6 @@ def selection_accuracy(p: ScoreNetParams, videos: list[PlantedVideo], k: int) ->
     return hits / len(videos)
 
 
-def _video_config(cfg: PerturbConfig, vid: int) -> PerturbConfig:
-    # one frozen draw per video, shared by the loss and its VJP and reused
-    # across steps: full-batch descent then walks a fixed sampled objective,
-    # which keeps the loss trace smooth instead of resampling jitter
-    return replace(cfg, seed=cfg.seed + vid)
-
-
 def _add_in_video_order(acc: ScoreNetParams | None, g: ScoreNetParams) -> ScoreNetParams:
     # acc + g[0] + g[1] + ..., left to right per field: a numpy sum over
     # the video axis would regroup the additions pairwise, and adding
@@ -383,15 +377,18 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
 
     The per-step loss is the mean over videos of -<G, smoothed ranking of
     the scores>, G the permutation matrix of the video's target order,
-    built per call.  Returns the final parameters and a trace with
-    one row per step plus the initial row; accuracy is measured on the
-    holdout split with the hard top-k.
+    built per block of videos.  Returns the final parameters and a trace
+    with one row per step plus the initial row; accuracy is measured on
+    the holdout split with the hard top-k.
 
     The training split is stacked once and run through the score-net in
     blocks of ``_VIDEO_BLOCK`` videos; the per-video gradients are summed
     in video order, so the result is bitwise the one-video-at-a-time
-    loop's.  The smoothed ranking stays one call per video, each with its
-    own frozen draws."""
+    loop's.  The smoothed ranking takes each block's stacked scores in
+    one call, and video i draws with seed ``cfg.seed + i``: one frozen
+    draw per video, shared by the loss and its gradient and reused
+    across steps, so full-batch descent walks a fixed sampled objective
+    and the loss trace stays free of resampling jitter."""
     if not train or not holdout:
         raise ValueError("toy training needs at least one training and one holdout video")
     if len(train) >= MAX_TRAIN_VIDEOS:
@@ -399,18 +396,20 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     tokens = np.stack([v.tokens for v in train])
+    orders = np.stack([v.target_order for v in train])     # [videos, T]
+    frames = np.arange(orders.shape[1])[:, None]
     trace = []
     for step in range(steps + 1):
         loss_sum = 0.0
         grads_sum = None
         for lo in range(0, len(train), _VIDEO_BLOCK):
             fwd = score_net_forward(tokens[lo:lo + _VIDEO_BLOCK], p)
-            d_scores = np.empty_like(fwd.scores)
-            for i, v in enumerate(train[lo:lo + _VIDEO_BLOCK]):
-                loss_v, d_scores[i] = perturbed_objective(
-                    fwd.scores[i], _video_config(cfg, lo + i),
-                    -_matrix_from_order(v.target_order)
-                )
+            # minus each target permutation matrix: entry (o, c) is -1
+            # where the video's target order ranks frame o c-th
+            targets = -(orders[lo:lo + _VIDEO_BLOCK, None, :] == frames).astype(F32)
+            losses, d_scores = perturbed_objective(
+                fwd.scores, replace(cfg, seed=cfg.seed + lo), targets)
+            for loss_v in losses.tolist():
                 loss_sum += loss_v
             if step == steps:
                 continue  # the last pass only records the trace row

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import ranking
 from .numerics import F32, RandomStream
-from .ranking import PerturbConfig, _objective_samples
+from .ranking import PerturbConfig, _check_objective, _objective_samples
 
 # pass thresholds: relative error against the closed form, and the
 # finite-difference disagreement in combined standard errors
@@ -105,7 +105,8 @@ def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     The per-sample gradients (dots_j - mean(dots)) z_j / sigma average to
     the gradient, so their spread is summed about it one row block at a
     time: besides z, no [n, T] array is built."""
-    dots, z = _objective_samples(s, cfg, grad_matrix)
+    s64, g = _check_objective(s, grad_matrix)
+    dots, z = _objective_samples(s64, cfg, g)
     grad = ranking._score_gradient(dots, z, cfg)
     mean, sq = dots.mean(), np.zeros_like(grad)
     for rows in _row_blocks(cfg.n_samples):
@@ -121,7 +122,8 @@ def objective_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     """MC value of <G, smoothed rank(s)> and its standard error.  Keeps
     the [n] per-sample products, not the draws."""
     dots = np.empty(cfg.n_samples)
-    for rows, _, block_dots in ranking._objective_blocks(s, cfg, grad_matrix):
+    s64, g = _check_objective(s, grad_matrix)
+    for rows, _, block_dots in ranking._objective_blocks(s64, cfg, g):
         dots[rows] = block_dots
     mean, sq = dots.mean(), np.float64(0.0)
     for rows in _row_blocks(cfg.n_samples):

@@ -45,6 +45,11 @@ padded-window walk.  Both take a [T, M, N, C] video or a stack
 [B, T, M, N, C] of videos; the walk pads only the last four axes, so
 each video of a stack gets bitwise the result of its own call, and the
 kernel gradient of a stack is the per-video gradients, not their sum.
+Each kernel tap is one product over a contiguous copy of the tap's
+window: ``conv3d`` makes one GEMM over every video's rows (one per
+video where numpy would take its matrix-vector path), the gradient one
+window^T @ d_out per video.  At most one window copy is alive at a
+time; no im2col of all taps is built.
 ``tree_map`` is the single walk over the parameter dataclass trees: it
 names, rebuilds and updates them field by field.
 """
@@ -298,17 +303,6 @@ def avgpool_downsample(t: np.ndarray, h: int) -> np.ndarray:
     return mean_pool(t.reshape(*t.shape[:-3], m // h, h, n // h, h, c), axes=(-4, -2))
 
 
-def nearest_upsample(t: np.ndarray, h: int) -> np.ndarray:
-    """Replicate each grid cell into an h x h block; pure copy, zero flops."""
-    t = np.asarray(t, dtype=F32)
-    if t.ndim < 3:
-        raise ShapeError(f"upsample needs [..., M, N, C], got {t.shape}")
-    h = int(h)
-    if h < 1:
-        raise ShapeError(f"upsample factor must be >= 1, got {h}")
-    return t.repeat(h, axis=-3).repeat(h, axis=-2)
-
-
 def mean_pool(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Mean over the given axes, counted as pooling (1 flop per input element)."""
     x = np.asarray(x, dtype=F32)
@@ -347,14 +341,25 @@ def conv3d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     x: [T, M, N, C_in] or a stack [B, T, M, N, C_in] of videos, kernel:
     [kt, kh, kw, C_in, C_out] with odd spatial/temporal extents.  Returns
     [(B,) T, M, N, C_out]; each video of a stack is bitwise its own call.
+    Each tap is one product of a contiguous copy of its window with the
+    tap's [C_in, C_out] matrix, added into the output in tap order.
     """
     x = np.asarray(x, dtype=F32)
     kernel = np.asarray(kernel, dtype=F32)
     windows = _padded_windows(x, kernel.shape)
-    out = np.zeros(x.shape[:-1] + kernel.shape[-1:], dtype=F32)
+    c_in, c_out = kernel.shape[-2:]
+    out = np.zeros(x.shape[:-1] + (c_out,), dtype=F32)
+    # one GEMM over every video's rows; where that product would take
+    # numpy's matrix-vector path (one row per video, or one output
+    # channel) each video makes its own, as dccm._video_linear does
+    rows = math.prod(x.shape[-4:-1])
+    lead = (math.prod(x.shape[:-1]),)
+    if x.ndim == 5 and (rows == 1 or c_out == 1):
+        lead = (x.shape[0], rows)
+    flat = out.reshape(lead + (c_out,))
     for tap, window in windows:
-        out += np.matmul(window, kernel[tap])
-    _count(MACS_TO_FLOPS * out.size * len(windows) * kernel.shape[3])
+        flat += np.ascontiguousarray(window).reshape(lead + (c_in,)) @ kernel[tap]
+    _count(MACS_TO_FLOPS * out.size * len(windows) * c_in)
     return out
 
 
@@ -363,8 +368,9 @@ def conv3d_kernel_grad(x: np.ndarray, d_out: np.ndarray,
     """Gradient of sum(d_out * conv3d(x, K)) with respect to K.
 
     x: [T, M, N, C_in], d_out: [T, M, N, C_out]; returns a kernel-shaped
-    [kt, kh, kw, C_in, C_out] array, each tap the window-by-gradient
-    contraction over time and space.  Given a stack [B, T, M, N, C_in]
+    [kt, kh, kw, C_in, C_out] array, each tap the product
+    window^T @ d_out of the tap's [T*M*N, C_in] window and the
+    [T*M*N, C_out] output gradient.  Given a stack [B, T, M, N, C_in]
     and [B, T, M, N, C_out], returns the per-video gradients
     [B, kt, kh, kw, C_in, C_out], each bitwise its own call.  Counted
     like the forward conv.
@@ -378,15 +384,18 @@ def conv3d_kernel_grad(x: np.ndarray, d_out: np.ndarray,
             f"conv3d output gradient must be {x.shape[:-1] + kernel_shape[-1:]}, "
             f"got {d_out.shape}"
         )
-    grad = np.zeros(x.shape[:-4] + kernel_shape, dtype=F32)
-    videos = (slice(None),) * (x.ndim - 4)
+    c_in, c_out = kernel_shape[-2:]
+    lead = x.shape[:-4]
+    rows = math.prod(x.shape[-4:-1])
+    grad = np.zeros(lead + kernel_shape, dtype=F32)
+    videos = (slice(None),) * len(lead)
+    # a stack makes one product per video, each the one its own call makes
+    d_rows = d_out.reshape(lead + (rows, c_out))
     for tap, window in windows:
-        # einsum runs ~3x faster on a contiguous copy of the window than on
-        # the strided view, and takes the same loops for a stack as for
-        # each of its videos
-        grad[videos + tap] = np.einsum("...tmnc,...tmno->...co", np.ascontiguousarray(window),
-                                       d_out, dtype=F32, casting="same_kind")
-    _count(MACS_TO_FLOPS * d_out.size * len(windows) * kernel_shape[3])
+        # one expression, so each tap's window copy is freed before the next
+        grad[videos + tap] = np.swapaxes(
+            np.ascontiguousarray(window).reshape(lead + (rows, c_in)), -1, -2) @ d_rows
+    _count(MACS_TO_FLOPS * d_out.size * len(windows) * c_in)
     return grad
 
 

@@ -21,6 +21,10 @@ z [n, T] that the score gradient needs, and an estimate that needs no
 gradient can keep the products alone.  No other [n, T] array outlives
 its block.  Successive blocks continue one random stream, so every
 output is bitwise what a single [n, T] draw would give.
+``_check_objective`` validates the scores and G once, for one score
+vector or, in ``perturbed_objective``, a stack of them; each video of a
+stack then makes its own walk with its own seed and holds only its own
+draws.
 
 Numeric note: scores and noise are combined and compared in float64
 here (outputs stay float32).  Ranking is decided purely by comparisons,
@@ -31,7 +35,7 @@ events below any realistic sample count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -74,10 +78,11 @@ class TimeIndexMap(NamedTuple):
     non_saliency: np.ndarray  # int64 [T - K]
 
 
-def _check_scores(s) -> np.ndarray:
+def _check_scores(s, stacked: bool = False) -> np.ndarray:
     s = np.asarray(s)
-    if s.ndim != 1 or s.shape[0] < 1:
-        raise ShapeError(f"scores must be a non-empty vector, got shape {s.shape}")
+    if s.ndim not in ((1, 2) if stacked else (1,)) or s.shape[-1] < 1:
+        want = "vector or a stack of vectors" if stacked else "vector"
+        raise ShapeError(f"scores must be a non-empty {want}, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
     return s.astype(np.float64)
@@ -144,31 +149,39 @@ def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig):
         yield slice(lo, lo + z.shape[0]), z, cells
 
 
-def _objective_blocks(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
-    """Validate s and G, then return an iterator over the sampling walk's
-    blocks that yields (rows, z, dots): the block's rows of the full
-    sample, its draws z [rows, T] and its float64 Frobenius products
-    <G, Y(s + sigma z_j)> [rows].  Each estimate keeps what it needs."""
-    s64 = _check_scores(s)
-    t = s64.shape[0]
+def _check_objective(s, grad_matrix: np.ndarray, stacked: bool = False):
+    """Scores s [(B,) T] and gradient matrices G [(B,) T, T] as float64,
+    validated together: finite, and one T x T matrix per score vector."""
+    s64 = _check_scores(s, stacked)
+    t = s64.shape[-1]
     g = np.asarray(grad_matrix, dtype=np.float64)
-    if g.shape != (t, t):
-        raise ShapeError(f"gradient matrix must be {t}x{t}, got {g.shape}")
+    if g.shape != s64.shape + (t,):
+        raise ShapeError(
+            f"gradient matrix must be {'x'.join(map(str, s64.shape + (t,)))}, got {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient matrix must be finite")
+    return s64, g
+
+
+def _objective_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray):
+    """An iterator over the sampling walk's blocks for one score vector
+    and its G, as ``_check_objective`` returns them, that yields
+    (rows, z, dots): the block's rows of the full sample, its draws
+    z [rows, T] and its float64 Frobenius products
+    <G, Y(s + sigma z_j)> [rows].  Each estimate keeps what it needs."""
     flat_gt = g.T.ravel()
     return ((rows, z, np.take(flat_gt, cells).sum(axis=1))
             for rows, z, cells in _sample_blocks(s64, cfg))
 
 
-def _objective_samples(s, cfg: PerturbConfig,
-                       grad_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _objective_samples(s64: np.ndarray, cfg: PerturbConfig,
+                       g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The per-sample products <G, Y(s + sigma z_j)> [n] and the shared
-    draws z [n, T] that the score gradient reduces."""
-    blocks = _objective_blocks(s, cfg, grad_matrix)
+    draws z [n, T] that the score gradient reduces, for one checked
+    score vector and its G."""
     dots = np.empty(cfg.n_samples)
-    zs = np.empty((cfg.n_samples, len(s)))
-    for rows, z, block_dots in blocks:
+    zs = np.empty((cfg.n_samples, s64.shape[0]))
+    for rows, z, block_dots in _objective_blocks(s64, cfg, g):
         zs[rows] = z
         dots[rows] = block_dots
     return dots, zs
@@ -196,9 +209,25 @@ def perturbed_rank(s, cfg: PerturbConfig) -> np.ndarray:
     return freq.astype(F32, order="C")
 
 
-def perturbed_objective(s, cfg: PerturbConfig, grad_matrix: np.ndarray) -> tuple[float, np.ndarray]:
+def perturbed_objective(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     """<G, smoothed-rank(s)> and its float32 score gradient from one set
     of draws; the value equals sum(G * perturbed_rank(s)) up to
-    float32 rounding of the matrix."""
-    dots, z = _objective_samples(s, cfg, grad_matrix)
-    return float(dots.mean()), _score_gradient(dots, z, cfg).astype(F32)
+    float32 rounding of the matrix.
+
+    Given a stack s [B, T] and G [B, T, T], returns the float64 values
+    [B] and the float32 gradients [B, T]: video i draws with seed
+    ``cfg.seed + i`` and holds only its own draws, so each row is
+    bitwise the call ``perturbed_objective(s[i], replace(cfg, seed=
+    cfg.seed + i), G[i])``.  The stack is validated once."""
+    s64, g = _check_objective(s, grad_matrix, stacked=True)
+    if s64.ndim == 1:
+        dots, z = _objective_samples(s64, cfg, g)
+        return float(dots.mean()), _score_gradient(dots, z, cfg).astype(F32)
+    values = np.empty(s64.shape[0])
+    grads = np.empty(s64.shape, F32)
+    for i, (video, g_video) in enumerate(zip(s64, g)):
+        video_cfg = replace(cfg, seed=cfg.seed + i)
+        dots, z = _objective_samples(video, video_cfg, g_video)
+        values[i] = dots.mean()
+        grads[i] = _score_gradient(dots, z, video_cfg)
+    return values, grads

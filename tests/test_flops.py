@@ -238,8 +238,8 @@ def test_weight_total_equals_the_parameter_set(c, heads, depth, after, p, h, fra
 
 # every public kernel that returns an array the forward pass makes
 _KERNELS = ("matmul", "linear", "softmax_lastdim", "attention", "layer_norm",
-            "avgpool_downsample", "nearest_upsample", "mean_pool", "conv3d", "relu",
-            "gelu", "l2_normalize")
+            "avgpool_downsample", "mean_pool", "conv3d", "relu", "gelu",
+            "l2_normalize")
 
 
 def _recorded_arrays(monkeypatch) -> list:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -35,7 +36,6 @@ from drca.numerics import (
     linear,
     matmul,
     mean_pool,
-    nearest_upsample,
     relu,
     softmax_lastdim,
 )
@@ -269,26 +269,21 @@ def test_avgpool_rejects_non_dividing_factor():
         avgpool_downsample(np.zeros((2, 5, 4, 3), F32), 2)
 
 
-def test_nearest_upsample_replicates_blocks():
-    x = _stream(8).gaussian((2, 2, 3, 4))
-    up = nearest_upsample(x, 3)
-    assert up.shape == (2, 6, 9, 4)
-    want = np.repeat(np.repeat(x, 3, axis=1), 3, axis=2)
-    assert np.array_equal(up, want)
-    same = nearest_upsample(x, 1)
-    assert np.array_equal(same, x) and not np.shares_memory(same, x)
+def _upsampled(x, h):
+    # nearest upsampling: each grid cell repeated into an h x h block
+    return np.repeat(np.repeat(x, h, axis=-3), h, axis=-2)
 
 
 def test_pool_of_upsample_is_identity_h2():
     # mean of four identical values is exact arithmetic at h=2
     x = _stream(9).gaussian((2, 3, 3, 4))
-    assert np.array_equal(avgpool_downsample(nearest_upsample(x, 2), 2), x)
+    assert np.array_equal(avgpool_downsample(_upsampled(x, 2), 2), x)
 
 
 @settings(max_examples=40, deadline=None)
 @given(arrays(F32, (1, 2, 2, 3), elements=st.floats(-8, 8, width=32)))
 def test_pool_upsample_identity_property(x):
-    assert np.array_equal(avgpool_downsample(nearest_upsample(x, 2), 2), x)
+    assert np.array_equal(avgpool_downsample(_upsampled(x, 2), 2), x)
 
 
 def test_mean_pool_matches_numpy_mean():
@@ -341,6 +336,70 @@ def test_conv3d_rejects_even_kernel_and_channel_mismatch():
         conv3d(x, np.zeros((2, 3, 3, 3, 1), F32))
     with pytest.raises(ShapeError):
         conv3d(x, np.zeros((3, 3, 3, 5, 1), F32))
+
+
+def _conv3d_tap_loop(x, kernel):
+    # the stacked per-tap loop conv3d replaced: one matmul of each tap's
+    # strided window view with the tap's matrix, added in tap order
+    kt, kh, kw = kernel.shape[:3]
+    t, m, n = x.shape[-4:-1]
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 4)
+                + ((kt // 2,) * 2, (kh // 2,) * 2, (kw // 2,) * 2, (0, 0)))
+    out = np.zeros(x.shape[:-1] + kernel.shape[-1:], F32)
+    for dt in range(kt):
+        for dh in range(kh):
+            for dw in range(kw):
+                out += np.matmul(xp[..., dt:dt + t, dh:dh + m, dw:dw + n, :], kernel[dt, dh, dw])
+    return out
+
+
+@pytest.mark.parametrize("x_shape, kernel_shape", [
+    ((32, 8, 2, 2, 8), (3, 3, 3, 8, 4)),     # a toy-train block of planted videos
+    ((8, 2, 2, 8), (3, 3, 3, 8, 4)),         # one planted video
+    ((8, 4, 4, 16), (3, 3, 3, 16, 4)),       # the toy model's score-net
+    ((8, 14, 14, 384), (3, 3, 3, 384, 16)),  # the DRCA-S score-net
+])
+def test_conv3d_is_bitwise_the_tap_ordered_loop(x_shape, kernel_shape):
+    s = _stream(16)
+    x, kernel = s.gaussian(x_shape), s.gaussian(kernel_shape)
+    assert conv3d(x, kernel).tobytes() == _conv3d_tap_loop(x, kernel).tobytes()
+
+
+# the loop's matmuls were [N, C_in] @ [C_in, C_out] per (video, frame,
+# row): at N = 1 or C_out = 1 numpy took its matrix-vector path there,
+# whose last bits conv3d does not reproduce, so those extents start at 2
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(0, 4), t=st.integers(1, 4), m=st.integers(1, 4), n=st.integers(2, 4),
+       c_in=st.integers(1, 8), c_out=st.integers(2, 8),
+       extents=st.tuples(*[st.sampled_from([1, 3, 5])] * 3), seed=st.integers(0, 2**16))
+def test_conv3d_is_bitwise_the_tap_ordered_loop_property(b, t, m, n, c_in, c_out, extents,
+                                                          seed):
+    s = _stream(seed)
+    x = s.gaussian(((b,) if b else ()) + (t, m, n, c_in))
+    kernel = s.gaussian((*extents, c_in, c_out))
+    assert conv3d(x, kernel).tobytes() == _conv3d_tap_loop(x, kernel).tobytes()
+
+
+def test_conv3d_and_its_kernel_grad_hold_one_window_copy_at_a_time():
+    # above its inputs, each kernel holds the padded input, one window
+    # copy, one tap's product (no larger than a window here) and its
+    # output; an im2col of the 27 windows, or a second window copy, would
+    # not fit
+    s = _stream(17)
+    x = s.gaussian((32, 8, 2, 2, 8))
+    kernel = s.gaussian((3, 3, 3, 8, 4))
+    d_out = s.gaussian((32, 8, 2, 2, 4))
+    padded = 4 * 32 * 10 * 4 * 4 * 8
+    for run in (lambda: conv3d(x, kernel), lambda: conv3d_kernel_grad(x, d_out, kernel.shape)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        budget = padded + 2 * x.nbytes + out.nbytes
+        assert peak <= budget, (peak, budget)
 
 
 
@@ -554,10 +613,6 @@ def test_flop_counts_per_kernel():
     with FlopCounter() as fc:
         avgpool_downsample(s.gaussian((2, 4, 4, 3)), 2)
     assert fc.total == 2 * 4 * 4 * 3  # one flop per input element
-
-    with FlopCounter() as fc:
-        nearest_upsample(s.gaussian((2, 2, 2, 3)), 2)
-    assert fc.total == 0  # pure copy
 
     with FlopCounter() as fc:
         conv3d(s.gaussian((2, 4, 4, 3)), s.gaussian((3, 3, 3, 3, 5)))

@@ -3,6 +3,7 @@ ranking's polytope, invariance, and consistency properties, and the
 blocked sampler against a one-shot reference."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +185,41 @@ def test_objective_rejects_bad_gradient_matrix():
         perturbed_objective(s, cfg, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         perturbed_objective(s, cfg, np.full((3, 3), np.nan))
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=st.integers(1, 4), t=st.integers(1, 9), sigma=st.sampled_from([1e-3, 0.2, 2.0]),
+       n=st.one_of(st.integers(1, 64), st.integers(ranking._SAMPLE_BLOCK - 2,
+                                                   ranking._SAMPLE_BLOCK + 300)),
+       seed=st.integers(0, 2**31))
+def test_stacked_objective_is_bitwise_each_videos_own_call(b, t, sigma, n, seed):
+    # video i draws with seed cfg.seed + i, whatever the stack around it
+    stream = RandomStream(seed)
+    s = stream.gaussian((b, t))
+    g = stream.gaussian64((b, t, t))
+    cfg = PerturbConfig(sigma=sigma, n_samples=n, seed=seed)
+    values, grads = perturbed_objective(s, cfg, g)
+    assert values.shape == (b,) and values.dtype == np.float64
+    assert grads.shape == (b, t) and grads.dtype == F32
+    for i in range(b):
+        value, grad = perturbed_objective(s[i], replace(cfg, seed=seed + i), g[i])
+        assert values[i] == value
+        assert grads[i].tobytes() == grad.tobytes()
+
+
+def test_stacked_objective_rejects_bad_scores_and_gradient_matrices():
+    s = RandomStream(16).gaussian((3, 4))
+    g = RandomStream(17).gaussian64((3, 4, 4))
+    cfg = PerturbConfig(0.05, 10, seed=0)
+    bad = s.copy()
+    bad[1, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        perturbed_objective(bad, cfg, g)
+    for wrong in (g[:2], g[:, :, :3], g[0], g[None]):
+        with pytest.raises(ShapeError, match="gradient matrix"):
+            perturbed_objective(s, cfg, wrong)
+    with pytest.raises(ShapeError, match="scores"):
+        perturbed_objective(s[None], cfg, g[None])
 
 
 @settings(max_examples=40, deadline=None)
