@@ -402,7 +402,6 @@ def test_conv3d_and_its_kernel_grad_hold_one_window_copy_at_a_time():
         assert peak <= budget, (peak, budget)
 
 
-
 @settings(max_examples=40, deadline=None)
 @given(t=st.integers(1, 4), m=st.integers(1, 4), n=st.integers(1, 4),
        c_in=st.integers(1, 3), c_out=st.integers(1, 3),
