@@ -25,7 +25,8 @@ independent groups (see ``rat.block_groups``), so their attention scores
 and feed-forward hidden activation are sized from the largest block;
 the compressor's scores, from all of its groups at once; the
 score-net's zero-padded input, whole; a seeded draw, the larger of its
-float32 output and its float64 chunk.  The command line refuses a model
+float32 output and the float64 chunk of at most ``numerics._CHUNK``
+values it is drawn through.  The command line refuses a model
 on these figures before it allocates anything.
 """
 
@@ -124,8 +125,8 @@ _F32_BYTES, _F64_BYTES = 4, 8
 
 def _draw_bytes(size: int) -> int:
     """The largest array of a seeded draw of `size` float32 values: the
-    output, or the float64 chunk it is drawn through."""
-    return max(_F32_BYTES * size, _F64_BYTES * min(size, numerics._GAUSSIAN_CHUNK))
+    output, or the float64 chunk (``numerics._CHUNK``) it is drawn through."""
+    return max(_F32_BYTES * size, _F64_BYTES * min(size, numerics._CHUNK))
 
 # the kinds of array the walk sizes, in the order it reports them
 _SCORES = "an attention-score tensor"

@@ -23,8 +23,9 @@ draws, the sort and the gathers.  Each estimate keeps its own seed, so
 the rows are bitwise those of a serial loop.  An endpoint in flight holds
 its [n] per-sample products and a few sampler blocks; the gradient, on
 the calling thread, also holds its [n, T] draws, which it needs to stay
-bitwise the production gradient.  Both standard errors are summed one
-sampler block at a time, so no other array of that size is built.
+bitwise the production gradient.  Both standard errors are closed forms
+over those arrays, so no estimate walks its samples twice or builds
+another array of their size.
 """
 
 from __future__ import annotations
@@ -91,31 +92,25 @@ def _workers(tasks: int) -> int:
     return min(cpus, tasks)
 
 
-def _row_blocks(n: int):
-    """Slices of at most the sampler's block size covering rows 0..n-1."""
-    return (slice(lo, lo + ranking._SAMPLE_BLOCK)
-            for lo in range(0, n, ranking._SAMPLE_BLOCK))
-
-
 def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     """The production MC gradient of <G, smoothed rank(s)>, kept in
     float64 (perturbed_objective rounds it to float32), and its
     per-coordinate standard error over the same centred samples.
 
-    The per-sample gradients (dots_j - mean(dots)) z_j / sigma average to
-    the gradient, so their spread is summed about it one row block at a
-    time: besides z, no [n, T] array is built."""
+    With d = dots - mean(dots), the per-sample gradients d_j z_j / sigma
+    average to the gradient g, so their squared spread about it is
+    sum_j d_j^2 z_ji^2 / sigma^2 - n g_i^2: one reduction over the
+    squared products, centred in place, and the draws.  Besides z, no
+    [n, T] array is built."""
     s64, g = _check_objective(s, grad_matrix)
     dots, z = _objective_samples(s64, cfg, g)
     grad = ranking._score_gradient(dots, z, cfg)
-    mean, sq = dots.mean(), np.zeros_like(grad)
-    for rows in _row_blocks(cfg.n_samples):
-        dev = (dots[rows] - mean)[:, None] * z[rows]
-        dev /= cfg.sigma
-        dev -= grad
-        sq += np.einsum("ji,ji->i", dev, dev)
-    se = np.sqrt(sq / (cfg.n_samples - 1)) / np.sqrt(cfg.n_samples)
-    return grad, se
+    n = cfg.n_samples
+    dots -= dots.mean()
+    np.square(dots, out=dots)
+    sq = np.einsum("j,ji,ji->i", dots, z, z) / cfg.sigma ** 2 - n * grad * grad
+    # rounding can take a spread of zero below it
+    return grad, np.sqrt(np.maximum(sq, 0.0) / (n - 1)) / np.sqrt(n)
 
 
 def objective_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
@@ -125,10 +120,11 @@ def objective_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     s64, g = _check_objective(s, grad_matrix)
     for rows, _, block_dots in ranking._objective_blocks(s64, cfg, g):
         dots[rows] = block_dots
-    mean, sq = dots.mean(), np.float64(0.0)
-    for rows in _row_blocks(cfg.n_samples):
-        dev = dots[rows] - mean
-        sq += dev @ dev
+    mean = dots.mean()
+    dots -= mean
+    # not dots @ dots: OpenBLAS threads its ddot at this n, and from the
+    # pool's threads that nearly doubled run_fd_check's time
+    sq = np.square(dots, out=dots).sum()
     return float(mean), float(np.sqrt(sq / (cfg.n_samples - 1)) / np.sqrt(cfg.n_samples))
 
 

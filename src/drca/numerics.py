@@ -22,8 +22,8 @@ matrix-vector path, where a row's last bits depend on its place in the
 call.
 
 ``RandomStream.gaussian`` draws its float64 stream in chunks of
-``_GAUSSIAN_CHUNK`` values and casts each into the float32 output, and
-scales in place, so a weight draw holds no float64 copy of the weight;
+``_CHUNK`` values and casts each into the float32 output, and scales in
+place, so a weight draw holds no float64 copy of the weight;
 consecutive draws from one stream continue it, so the result is bitwise
 the one-shot ``standard_normal(shape).astype(F32)``.
 
@@ -146,9 +146,10 @@ def tree_map(fn, kind: type, *trees, aliases: dict[str, str] | None = None,
     return build(kind, trees, "")
 
 
-# float64 values per draw of a float32 ``RandomStream.gaussian``: a
-# cache-sized chunk, so no float64 copy of a whole weight is ever made
-_GAUSSIAN_CHUNK = 1 << 15
+# values per piece of every chunked loop (RandomStream.gaussian, gelu,
+# the ranking sampler's T-wide rows): 256 KiB of float64 at most, so a
+# loop's few working arrays stay in a core's 2 MiB L2 cache
+_CHUNK = 1 << 15
 
 
 class RandomStream:
@@ -167,8 +168,8 @@ class RandomStream:
         module docstring); draws are not flop-counted."""
         out = np.empty(shape, F32)
         flat = out.reshape(-1)
-        chunk = np.empty(min(_GAUSSIAN_CHUNK, flat.size))
-        for lo in range(0, flat.size, _GAUSSIAN_CHUNK):
+        chunk = np.empty(min(_CHUNK, flat.size))
+        for lo in range(0, flat.size, _CHUNK):
             part = chunk[:flat.size - lo]
             self._gen.standard_normal(out=part)
             flat[lo:lo + part.size] = part
@@ -267,7 +268,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nda
     return np.swapaxes(out, -3, -2).reshape(*out.shape[:-3], q.shape[-2], c)
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Per-token normalisation over the channel axis (population variance)."""
     x = np.asarray(x, dtype=F32)
     gain = np.asarray(gain, dtype=F32)
@@ -277,12 +278,10 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 
     c = x.shape[-1]
     if gain.shape != (c,) or shift.shape != (c,):
         raise ShapeError(f"layer_norm gain/shift must have shape ({c},)")
-    if eps <= 0:
-        raise ShapeError("layer_norm eps must be positive")
     mu = x.mean(axis=-1, keepdims=True, dtype=F32)
     out = np.subtract(x, mu)
     var = np.mean(np.multiply(out, out), axis=-1, keepdims=True, dtype=F32)
-    out /= np.sqrt(var + F32(eps))
+    out /= np.sqrt(var + F32(1e-6))
     out *= gain
     out += shift
     _count(NORM_FLOPS_PER_ELEMENT * x.size)
@@ -423,24 +422,22 @@ _PHI_T_SCALE = F32(2.0 * math.sqrt(2.0))
 # below -clamp it returns -12.94 Phi(-12.94) = -1.7e-37, where the exact
 # value is smaller still.
 _GELU_CLAMP = F32(12.94)
-# elements per pass: the ~30 ufunc passes over a block stay in cache
-_GELU_BLOCK = 1 << 15
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact (erf-based) GELU, x Phi(x), as relu(x) - |x| Phi(-|x|).
 
-    Runs over contiguous blocks with out= ufuncs only; see the module
-    docstring for the erfc fit and its tested error.
+    Runs over contiguous blocks of ``_CHUNK`` elements with out= ufuncs
+    only; see the module docstring for the erfc fit and its tested error.
     """
     x = np.asarray(x, dtype=F32, order="C")
     out = np.empty_like(x)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    width = min(_GELU_BLOCK, flat_x.size)
+    width = min(_CHUNK, flat_x.size)
     a_buf, t_buf, p_buf = (np.empty(width, F32) for _ in range(3))
-    for lo in range(0, flat_x.size, _GELU_BLOCK):
-        xb = flat_x[lo:lo + _GELU_BLOCK]
-        ob = flat_out[lo:lo + _GELU_BLOCK]
+    for lo in range(0, flat_x.size, _CHUNK):
+        xb = flat_x[lo:lo + _CHUNK]
+        ob = flat_out[lo:lo + _CHUNK]
         a, t, p = a_buf[:xb.size], t_buf[:xb.size], p_buf[:xb.size]
         np.abs(xb, out=a)
         np.minimum(a, _GELU_CLAMP, out=a)
@@ -463,12 +460,12 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def l2_normalize(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def l2_normalize(x: np.ndarray) -> np.ndarray:
     """Scale the last axis to unit Euclidean norm."""
     x = np.asarray(x, dtype=F32)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError(f"l2_normalize needs a non-empty last axis, got {x.shape}")
     norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True, dtype=F32))
-    out = x / np.maximum(norm, F32(eps))
+    out = x / np.maximum(norm, F32(1e-12))
     _count(NORM_FLOPS_PER_ELEMENT * x.size)
     return out

@@ -11,20 +11,20 @@ smoothed ranking serves training (``perturbed_objective``) and the
 command line, which computes it from the scores a forward returns.
 
 One walk, ``_sample_blocks``, makes every sample: it draws the noise,
-forms the perturbed scores and sorts them in blocks of ``_SAMPLE_BLOCK``
-draws, small enough for a core's L2 cache, and each estimate reduces a
-block as soon as it is sorted.  ``perturbed_rank`` adds the block's
-exact integer counts, so it holds nothing whose size grows with
-``n_samples``.  ``_objective_blocks`` is the one gather of each draw's
+forms the perturbed scores and sorts them in blocks of ``_CHUNK // T``
+draws (see numerics), and each estimate reduces a block as soon as it
+is sorted.  ``perturbed_rank`` adds the block's exact integer counts,
+so it holds nothing whose size grows with ``n_samples``.
+``_objective_blocks`` is the one gather of each draw's
 <G, Y>; ``_objective_samples`` keeps those [n] products and the draws
 z [n, T] that the score gradient needs, and an estimate that needs no
 gradient can keep the products alone.  No other [n, T] array outlives
 its block.  Successive blocks continue one random stream, so every
 output is bitwise what a single [n, T] draw would give.
 ``_check_objective`` validates the scores and G once, for one score
-vector or, in ``perturbed_objective``, a stack of them; each video of a
-stack then makes its own walk with its own seed and holds only its own
-draws.
+vector or, in ``perturbed_objective``, a stack of them, a vector being
+a stack of one; each video makes its own walk with its own seed and
+holds only its own draws.
 
 Numeric note: scores and noise are combined and compared in float64
 here (outputs stay float32).  Ranking is decided purely by comparisons,
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import F32, RandomStream, ShapeError
+from .numerics import _CHUNK, F32, RandomStream, ShapeError
 
 
 @dataclass(frozen=True)
@@ -119,16 +119,9 @@ def topk_split(tokens: np.ndarray, perm: SortPermutation, k: int):
     return ordered[:k], ordered[k:], times
 
 
-# draws per block of the sampling walk: at T = 4 a block's float64 noise,
-# key and gathered <G, Y> terms and its int64 cells take 256 KiB each, so
-# the walk stays in a core's 2 MiB L2 cache; 16384 measured slower on
-# grad-check and 4096 no faster
-_SAMPLE_BLOCK = 1 << 13
-
-
 def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig):
     """The one sampling walk behind every estimate.  For each block of at
-    most ``_SAMPLE_BLOCK`` draws it yields the block's rows of the full
+    most ``_CHUNK // T`` draws it yields the block's rows of the full
     sample, the common-random-number draws z [rows, T], and the cells
     [rows, T] that the hard ranking of s + sigma * z fills:
     cells[j, c] = c * T + o for the frame o that draw j ranks c-th, the
@@ -138,8 +131,11 @@ def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig):
     stream = RandomStream(cfg.seed)
     t = s64.shape[0]
     col_offsets = np.arange(t) * t
-    for lo in range(0, cfg.n_samples, _SAMPLE_BLOCK):
-        z = stream.gaussian64((min(_SAMPLE_BLOCK, cfg.n_samples - lo), t))
+    # a block's noise, key, cells and gathered <G, Y> terms are one chunk
+    # each; at T = 4, 16384 rows measured slower on grad-check, 4096 no faster
+    block = max(_CHUNK // t, 1)
+    for lo in range(0, cfg.n_samples, block):
+        z = stream.gaussian64((min(block, cfg.n_samples - lo), t))
         # bitwise -(s + sigma * z): the stable ascending sort is descending
         # in s + sigma * z, ties toward the smaller frame index
         key = z * -cfg.sigma
@@ -218,16 +214,15 @@ def perturbed_objective(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     [B] and the float32 gradients [B, T]: video i draws with seed
     ``cfg.seed + i`` and holds only its own draws, so each row is
     bitwise the call ``perturbed_objective(s[i], replace(cfg, seed=
-    cfg.seed + i), G[i])``.  The stack is validated once."""
+    cfg.seed + i), G[i])``.  The stack is validated once; a vector is
+    the stack of one video."""
     s64, g = _check_objective(s, grad_matrix, stacked=True)
-    if s64.ndim == 1:
-        dots, z = _objective_samples(s64, cfg, g)
-        return float(dots.mean()), _score_gradient(dots, z, cfg).astype(F32)
-    values = np.empty(s64.shape[0])
-    grads = np.empty(s64.shape, F32)
-    for i, (video, g_video) in enumerate(zip(s64, g)):
+    t = s64.shape[-1]
+    stack = s64.reshape(-1, t)
+    values, grads = np.empty(stack.shape[0]), np.empty(stack.shape, F32)
+    for i, (video, g_video) in enumerate(zip(stack, g.reshape(-1, t, t))):
         video_cfg = replace(cfg, seed=cfg.seed + i)
         dots, z = _objective_samples(video, video_cfg, g_video)
         values[i] = dots.mean()
         grads[i] = _score_gradient(dots, z, video_cfg)
-    return values, grads
+    return (float(values[0]), grads[0]) if s64.ndim == 1 else (values, grads)

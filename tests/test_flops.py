@@ -259,7 +259,7 @@ def _recorded_arrays(monkeypatch) -> list:
     # a float32 draw makes its output and a float64 chunk of the stream
     monkeypatch.setattr(numerics.RandomStream, "gaussian", recording(
         "gaussian", numerics.RandomStream.gaussian,
-        lambda out: max(out.nbytes, 8 * min(out.size, numerics._GAUSSIAN_CHUNK))))
+        lambda out: max(out.nbytes, 8 * min(out.size, numerics._CHUNK))))
     monkeypatch.setattr(np, "pad", recording("pad", np.pad))
     return seen
 

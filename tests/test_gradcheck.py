@@ -1,16 +1,18 @@
 """The gradient verification harness itself: closed forms, standard
 errors, and the pass/fail plumbing."""
 
+import math
 import os
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from drca import gradcheck, ranking
+from drca import gradcheck, numerics, ranking
 from drca.gradcheck import (
     CheckReport,
     CheckRow,
@@ -71,6 +73,59 @@ def test_vjp_se_is_calibrated():
     claimed = np.mean(np.stack(ses), axis=0)
     ratio = spread / claimed
     assert np.all(ratio > 0.6) and np.all(ratio < 1.6)
+
+
+def _se_oracle(s, cfg, g):
+    # both standard errors by the two-pass textbook formula: a plain
+    # float64 loop over the per-sample terms, first their mean, then their
+    # squared deviations from it, over the estimators' own samples
+    s64, g64 = ranking._check_objective(s, g)
+    dots, z = ranking._objective_samples(s64, cfg, g64)
+    n, t = z.shape
+    dots, z = dots.tolist(), z.tolist()
+
+    def se(terms):
+        mean = sum(terms) / n
+        return math.sqrt(sum((x - mean) ** 2 for x in terms) / (n - 1)) / math.sqrt(n)
+
+    mean = sum(dots) / n
+    grad_terms = [[(dots[j] - mean) * z[j][i] / cfg.sigma for j in range(n)]
+                  for i in range(t)]
+    return se(dots), np.array([se(terms) for terms in grad_terms])
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 8])
+@pytest.mark.parametrize("edge", [-1, 1])
+def test_standard_errors_match_the_textbook_loop(t, edge):
+    # n on both sides of T's sampler block
+    n = max(numerics._CHUNK // t, 1) + edge
+    stream = RandomStream(30 + t)
+    s = stream.gaussian(t) * F32(0.05)
+    g = stream.gaussian64((t, t))
+    cfg = PerturbConfig(0.05, n, seed=40 + t)
+    want_value_se, want_grad_se = _se_oracle(s, cfg, g)
+    _, value_se = objective_with_se(s, cfg, g)
+    _, grad_se = vjp_with_se(s, cfg, g)
+    assert value_se > 0 and np.all(want_grad_se > 0)
+    assert value_se == pytest.approx(want_value_se, rel=1e-12, abs=0)
+    np.testing.assert_allclose(grad_se, want_grad_se, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 8])
+def test_standard_errors_are_exactly_zero_when_every_sample_is_equal(t):
+    # gaps far beyond sigma: every draw ranks the frames alike, and an
+    # integer G makes every product, and so their mean, exact
+    s = np.arange(t, 0, -1).astype(F32) * F32(10)
+    g = np.arange(t * t, dtype=np.float64).reshape(t, t) - 3
+    cfg = PerturbConfig(0.01, max(numerics._CHUNK // t, 1) + 1, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, value_se = objective_with_se(s, cfg, g)
+        _, grad_se = vjp_with_se(s, cfg, g)
+    assert value_se == 0.0
+    assert np.array_equal(grad_se, np.zeros(t))
+    want_value_se, want_grad_se = _se_oracle(s, cfg, g)
+    assert want_value_se == 0.0 and np.array_equal(want_grad_se, np.zeros(t))
 
 
 def test_vjp_matches_production_estimator():
@@ -144,9 +199,13 @@ def _serial_fd_rows(frames, sigma, n_samples, seed, vectors):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
+# n below and above the sampler's block of numerics._CHUNK // T rows at each T
 @pytest.mark.parametrize("frames, n_samples, seed, vectors", [
     (2, 3000, 0, 1),
-    (3, ranking._SAMPLE_BLOCK + 1, 11, 3),
+    (2, numerics._CHUNK // 2 + 1, 0, 1),
+    (3, 8193, 11, 3),
+    (3, numerics._CHUNK // 3 + 1, 11, 3),
+    (5, numerics._CHUNK // 5 - 1, 7, 2),
     (5, 20_000, 7, 2),
 ])
 def test_fd_check_is_bitwise_the_serial_loop(monkeypatch, workers, frames, n_samples,
@@ -199,7 +258,7 @@ def test_estimators_memory_stays_within_their_outputs_and_a_few_blocks():
     s = RandomStream(7).gaussian(t)
     g = RandomStream(8).gaussian64((t, t))
     dots_bytes, z_bytes = n * 8, n * t * 8
-    blocks = 8 * ranking._SAMPLE_BLOCK * t * 8
+    blocks = 8 * numerics._CHUNK * 8
     assert blocks < dots_bytes / 2
     tracemalloc.start()
     try:

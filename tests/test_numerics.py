@@ -241,12 +241,14 @@ def test_layer_norm_output_moments():
     np.testing.assert_allclose((out * out).mean(axis=-1), 1.0, atol=1e-3)
 
 
-def test_layer_norm_rejects_bad_eps_and_shape():
+def test_layer_norm_rejects_bad_shape():
     x = np.zeros((2, 4), F32)
     with pytest.raises(ShapeError):
         layer_norm(x, np.ones(3, F32), np.zeros(4, F32))
     with pytest.raises(ShapeError):
-        layer_norm(x, np.ones(4, F32), np.zeros(4, F32), eps=0.0)
+        layer_norm(x, np.ones(4, F32), np.zeros(3, F32))
+    with pytest.raises(ShapeError):
+        layer_norm(np.float32(1.0), np.ones(1, F32), np.zeros(1, F32))
 
 
 # --- pooling / upsampling ---------------------------------------------
@@ -491,10 +493,10 @@ def test_gelu_independent_of_strides_and_blocks():
     base = _stream(16).gaussian((300, 400)) * F32(4)
     strided = base[:, ::2]
     assert not strided.flags.c_contiguous
-    assert strided.size > numerics._GELU_BLOCK
+    assert strided.size > numerics._CHUNK
     assert np.array_equal(gelu(strided), gelu(np.ascontiguousarray(strided)))
     flat = base.reshape(-1)
-    lo, hi = 1001, 1001 + 2 * numerics._GELU_BLOCK + 7
+    lo, hi = 1001, 1001 + 2 * numerics._CHUNK + 7
     assert np.array_equal(gelu(flat[lo:hi]), gelu(flat)[lo:hi])
 
 
@@ -564,7 +566,7 @@ def test_random_stream_deterministic_and_typed():
 def test_chunked_gaussian_is_the_one_shot_draw(monkeypatch, shape):
     # below, at and across a chunk of 8 draws; the stream continues where
     # the one-shot draw leaves it
-    monkeypatch.setattr(numerics, "_GAUSSIAN_CHUNK", 8)
+    monkeypatch.setattr(numerics, "_CHUNK", 8)
     stream, gen = RandomStream(21), np.random.Generator(np.random.PCG64(21))
     for _ in range(2):
         got, want = stream.gaussian(shape), gen.standard_normal(shape).astype(F32)
@@ -575,7 +577,7 @@ def test_chunked_gaussian_is_the_one_shot_draw(monkeypatch, shape):
 
 
 def test_gaussian_at_the_default_chunk_is_the_one_shot_draw():
-    shape = (2, numerics._GAUSSIAN_CHUNK + 3)
+    shape = (2, numerics._CHUNK + 3)
     want = np.random.Generator(np.random.PCG64(22)).standard_normal(shape).astype(F32)
     assert RandomStream(22).gaussian(shape).tobytes() == want.tobytes()
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from drca import ranking
+from drca import numerics
 from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import (
     PerturbConfig,
@@ -187,13 +187,18 @@ def test_objective_rejects_bad_gradient_matrix():
         perturbed_objective(s, cfg, np.full((3, 3), np.nan))
 
 
+def _block(t):
+    # the sampler's rows per block at T = t
+    return max(numerics._CHUNK // t, 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(b=st.integers(1, 4), t=st.integers(1, 9), sigma=st.sampled_from([1e-3, 0.2, 2.0]),
-       n=st.one_of(st.integers(1, 64), st.integers(ranking._SAMPLE_BLOCK - 2,
-                                                   ranking._SAMPLE_BLOCK + 300)),
-       seed=st.integers(0, 2**31))
-def test_stacked_objective_is_bitwise_each_videos_own_call(b, t, sigma, n, seed):
+       seed=st.integers(0, 2**31), data=st.data())
+def test_stacked_objective_is_bitwise_each_videos_own_call(b, t, sigma, seed, data):
     # video i draws with seed cfg.seed + i, whatever the stack around it
+    n = data.draw(st.one_of(st.integers(1, 64), st.integers(_block(t) - 2, _block(t) + 300)),
+                  label="n")
     stream = RandomStream(seed)
     s = stream.gaussian((b, t))
     g = stream.gaussian64((b, t, t))
@@ -233,16 +238,18 @@ def test_doubly_stochastic_property(t, seed):
 
 # --- the blocked sampling walk -----------------------------------------
 
-_BLOCK = ranking._SAMPLE_BLOCK
+_BLOCK = _block(4)
 
 
 def test_block_draws_continue_the_stream():
     # the sampler draws in row blocks and relies on them concatenating to
     # the one-shot draw; a numpy whose generator breaks this fails here
-    n, t = 2 * _BLOCK + 11, 5
+    t = 5
+    block = _block(t)
+    n = 2 * block + 11
     whole = RandomStream(3).gaussian64((n, t))
     stream = RandomStream(3)
-    parts = [stream.gaussian64((rows, t)) for rows in (1, 7, _BLOCK - 1, n - _BLOCK - 7)]
+    parts = [stream.gaussian64((rows, t)) for rows in (1, 7, block - 1, n - block - 7)]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
@@ -258,12 +265,29 @@ def _one_shot_reference(s, cfg, g):
     return dots, z, matrix
 
 
+_SAMPLER_DRAWS = dict(seed=st.integers(0, 2**31), sigma=st.sampled_from([1e-3, 0.05, 2.0]),
+                      quantise=st.booleans())
+
+
 @pytest.mark.parametrize("t", [1, 2, 4, 8, 9])
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 @settings(max_examples=3, deadline=None)
-@given(seed=st.integers(0, 2**31), sigma=st.sampled_from([1e-3, 0.05, 2.0]),
-       quantise=st.booleans())
+@given(**_SAMPLER_DRAWS)
 def test_sampler_is_bitwise_the_one_shot_reference(n, t, seed, sigma, quantise):
+    # n at the block edges of T = 4; the test below takes every T's own
+    _check_sampler_against_one_shot(n, t, seed, sigma, quantise)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+@settings(max_examples=2, deadline=None)
+@given(**_SAMPLER_DRAWS)
+def test_sampler_is_bitwise_the_one_shot_reference_at_each_ts_block_edge(edge, t, seed, sigma,
+                                                                        quantise):
+    _check_sampler_against_one_shot(_block(t) + edge, t, seed, sigma, quantise)
+
+
+def _check_sampler_against_one_shot(n, t, seed, sigma, quantise):
     stream = RandomStream(seed)
     s = stream.gaussian(t)
     if quantise:
@@ -281,7 +305,7 @@ def test_exact_ties_rank_toward_the_smaller_frame():
     # 1e6 + 1e-12 z rounds back to 1e6: every draw is an exact three-way
     # tie, so every sample keeps frame order and the matrix is the identity
     s = np.array([1e6, 1e6, 1e6], F32)
-    cfg = PerturbConfig(sigma=1e-12, n_samples=2 * _BLOCK + 3, seed=4)
+    cfg = PerturbConfig(sigma=1e-12, n_samples=2 * _block(3) + 3, seed=4)
     g = RandomStream(5).gaussian64((3, 3))
     matrix = perturbed_rank(s, cfg)
     assert np.array_equal(matrix, np.eye(3, dtype=F32))
@@ -299,7 +323,7 @@ def test_sampler_memory_stays_within_a_few_blocks():
     cfg = PerturbConfig(sigma=0.05, n_samples=n, seed=6)
     s = RandomStream(7).gaussian(t)
     g = RandomStream(8).gaussian64((t, t))
-    bound = 8 * _BLOCK * t * 8
+    bound = 8 * numerics._CHUNK * 8
     assert bound < n * t * 8 / 10
     tracemalloc.start()
     try:
