@@ -15,22 +15,25 @@ independent routes check it:
   re-estimated with fresh draws, with agreement measured in combined
   standard errors rather than absolute tolerance.
 
-The finite-difference endpoint estimates share no state, so
-``run_fd_check`` runs them on a thread pool of ``_workers`` threads (the
-CPUs the process may use, capped at ``2 * frames``) while the calling
-thread computes each vector's gradient; numpy releases the GIL in the
-draws, the sort and the gathers.  Each estimate keeps its own seed, so
-the rows are bitwise those of a serial loop.  An endpoint in flight holds
-its [n] per-sample products and a few sampler blocks; the gradient, on
-the calling thread, also holds its [n, T] draws, which it needs to stay
-bitwise the production gradient.  Both standard errors are closed forms
-over those arrays, so no estimate walks its samples twice or builds
-another array of their size.
+No estimate of either check shares state with another, so each check
+queues all of its estimates at once (``_on_pool``) on a thread pool of
+``_workers`` threads, the CPUs the process may use, capped at the task
+count, and the calling thread only collects the results in submission
+order; numpy releases the GIL in the draws, the sort and the gathers.
+The finite-difference check queues each vector's gradient ahead of its
+endpoints.  Each estimate keeps its own seed, so the rows are bitwise
+those of a serial loop.  An estimate in flight holds its [n] per-sample
+products and a few sampler blocks; a gradient also holds its [n, T]
+draws, which it needs to stay bitwise the production gradient, in a
+memory map of their own (``_unpooled``).  Both
+standard errors are closed forms over those arrays, so no estimate walks
+its samples twice or builds another array of their size.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass, replace
 
@@ -92,6 +95,36 @@ def _workers(tasks: int) -> int:
     return min(cpus, tasks)
 
 
+def _on_pool(calls: list[tuple]) -> list:
+    """Run each call (fn, *args) as one task on a pool of ``_workers``
+    threads, all queued at once so that the pool never idles between
+    them, and return their results in call order.  A queued task holds
+    only its inputs."""
+    # imported here: the pool's modules add ~0.4 MB of resident memory to
+    # every process that imports gradcheck, grad-check or not
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(_workers(len(calls)))
+    try:
+        futures = [pool.submit(*call) for call in calls]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _unpooled(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array in its own private anonymous memory map, which
+    goes back to the system when the array is freed.  From malloc, a pool
+    thread's arena would keep a freed gradient's [n, T] draws for that
+    thread's next request: with gradients on both threads of grad-check's
+    pool that held about 3 MB more resident.  Where the platform can
+    (Linux), the map's pages are all made in the one call, not faulted in
+    one by one as the draws fill them."""
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape), flags=flags),
+                         np.float64).reshape(shape)
+
+
 def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     """The production MC gradient of <G, smoothed rank(s)>, kept in
     float64 (perturbed_objective rounds it to float32), and its
@@ -103,7 +136,7 @@ def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     squared products, centred in place, and the draws.  Besides z, no
     [n, T] array is built."""
     s64, g = _check_objective(s, grad_matrix)
-    dots, z = _objective_samples(s64, cfg, g)
+    dots, z = _objective_samples(s64, cfg, g, _unpooled((cfg.n_samples, s64.shape[0])))
     grad = ranking._score_gradient(dots, z, cfg)
     n = cfg.n_samples
     dots -= dots.mean()
@@ -118,7 +151,7 @@ def objective_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     the [n] per-sample products, not the draws."""
     dots = np.empty(cfg.n_samples)
     s64, g = _check_objective(s, grad_matrix)
-    for rows, _, block_dots in ranking._objective_blocks(s64, cfg, g):
+    for rows, block_dots in ranking._objective_blocks(s64, cfg, g):
         dots[rows] = block_dots
     mean = dots.mean()
     dots -= mean
@@ -137,15 +170,19 @@ def run_t2_check(sigma: float = 0.05, n_samples: int = 100_000, seed: int = 0,
     stream = RandomStream(seed)
     g = np.zeros((2, 2))
     g[0, 0] = 1.0  # pick out P(frame 0 first)
-    rows = []
+    pairs = []
     for trial in range(trials):
         a = float(stream.gaussian64(())) * sigma
         # spread the gaps over (0, 3 sigma]: u cycles through fixed fractions
         gap = sigma * (0.1 + 2.9 * trial / max(trials - 1, 1))
-        b = a - gap if trial % 2 == 0 else a + gap
+        pairs.append((a, a - gap if trial % 2 == 0 else a + gap))
+    estimates = _on_pool([
+        (vjp_with_se, np.array([a, b], F32),
+         PerturbConfig(sigma=sigma, n_samples=n_samples, seed=seed + 101 + trial), g)
+        for trial, (a, b) in enumerate(pairs)])
+    rows = []
+    for trial, ((a, b), (grad, _)) in enumerate(zip(pairs, estimates)):
         exact = t2_top_prob_grad(a, b, sigma)
-        cfg = PerturbConfig(sigma=sigma, n_samples=n_samples, seed=seed + 101 + trial)
-        grad, _ = vjp_with_se(np.array([a, b], F32), cfg, g)
         rel = abs(grad[0] - exact) / abs(exact)
         rows.append(CheckRow(
             label=f"pair {trial}: gap={b - a:+.4f}",
@@ -185,32 +222,25 @@ def run_fd_check(frames: int = 4, sigma: float = 0.05, n_samples: int = 100_000,
         g = stream.gaussian64((frames, frames))
         inputs.append((s, g, PerturbConfig(sigma=sigma, n_samples=n_samples,
                                            seed=seed + 1000 + 7919 * v)))
-    # imported here: the pool's modules add ~0.4 MB of resident memory to
-    # every process that imports gradcheck, grad-check or not
-    from concurrent.futures import ThreadPoolExecutor
-
+    calls = []  # each vector's gradient, then its 2 * frames endpoints
+    for s, g, base in inputs:
+        calls.append((vjp_with_se, s, base, g))
+        calls += [(objective_with_se, x, replace(base, seed=base.seed + k), g)
+                  for k, x in enumerate(_shifted(s, delta), start=1)]
+    estimates = _on_pool(calls)
     rows = []
-    # every endpoint estimate is queued at once, so the pool never idles
-    # between vectors; a queued task holds only its inputs
-    pool = ThreadPoolExecutor(_workers(2 * frames))
-    try:
-        endpoints = [[pool.submit(objective_with_se, x, replace(base, seed=base.seed + k), g)
-                      for k, x in enumerate(_shifted(s, delta), start=1)]
-                     for s, g, base in inputs]
-        for v, ((s, g, base), futures) in enumerate(zip(inputs, endpoints)):
-            grad, grad_se = vjp_with_se(s, base, g)
-            for i in range(frames):
-                f_up, se_up = futures[2 * i].result()
-                f_dn, se_dn = futures[2 * i + 1].result()
-                fd = (f_up - f_dn) / (2 * delta)
-                fd_se = np.sqrt(se_up ** 2 + se_dn ** 2) / (2 * delta)
-                combined = float(np.sqrt(grad_se[i] ** 2 + fd_se ** 2))
-                err = abs(float(grad[i]) - fd) / combined
-                rows.append(CheckRow(
-                    label=f"vector {v} coord {i}",
-                    analytic=fd, estimate=float(grad[i]),
-                    error=err, passed=bool(err < FD_SE_LIMIT),
-                ))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    per_vector = 2 * frames + 1
+    for v in range(vectors):
+        (grad, grad_se), *ends = estimates[v * per_vector:(v + 1) * per_vector]
+        for i in range(frames):
+            (f_up, se_up), (f_dn, se_dn) = ends[2 * i], ends[2 * i + 1]
+            fd = (f_up - f_dn) / (2 * delta)
+            fd_se = np.sqrt(se_up ** 2 + se_dn ** 2) / (2 * delta)
+            combined = float(np.sqrt(grad_se[i] ** 2 + fd_se ** 2))
+            err = abs(float(grad[i]) - fd) / combined
+            rows.append(CheckRow(
+                label=f"vector {v} coord {i}",
+                analytic=fd, estimate=float(grad[i]),
+                error=err, passed=bool(err < FD_SE_LIMIT),
+            ))
     return CheckReport(f"finite differences (T={frames})", tuple(rows))

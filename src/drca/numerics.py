@@ -177,9 +177,10 @@ class RandomStream:
             out *= F32(scale)
         return out
 
-    def gaussian64(self, shape) -> np.ndarray:
-        """Same stream at float64, for the ranking path (see ranking module)."""
-        return self._gen.standard_normal(size=shape)
+    def gaussian64(self, shape=None, out: np.ndarray | None = None) -> np.ndarray:
+        """Same stream at float64, for the ranking path (see ranking
+        module), drawn into ``out`` (C-contiguous float64) if one is given."""
+        return self._gen.standard_normal(size=shape, out=out)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

@@ -15,12 +15,15 @@ forms the perturbed scores and sorts them in blocks of ``_CHUNK // T``
 draws (see numerics), and each estimate reduces a block as soon as it
 is sorted.  ``perturbed_rank`` adds the block's exact integer counts,
 so it holds nothing whose size grows with ``n_samples``.
-``_objective_blocks`` is the one gather of each draw's
-<G, Y>; ``_objective_samples`` keeps those [n] products and the draws
-z [n, T] that the score gradient needs, and an estimate that needs no
-gradient can keep the products alone.  No other [n, T] array outlives
-its block.  Successive blocks continue one random stream, so every
-output is bitwise what a single [n, T] draw would give.
+``_objective_blocks`` forms each draw's <G, Y> with one gather of the
+block's cells, which lie rank by rank, and adds the ranks' terms as
+whole rows in numpy's own summation order (``_pairwise_sum``), so the
+products are bitwise a per-draw ``sum`` without its per-draw reduce.
+``_objective_samples`` keeps those [n] products and the draws z [n, T]
+that the score gradient needs, drawn straight into that array, and an
+estimate that needs no gradient keeps the products alone.  No other
+[n, T] array outlives its block.  Successive blocks continue one random
+stream, so every output is bitwise what a single [n, T] draw would give.
 ``_check_objective`` validates the scores and G once, for one score
 vector or, in ``perturbed_objective``, a stack of them, a vector being
 a stack of one; each video makes its own walk with its own seed and
@@ -119,30 +122,36 @@ def topk_split(tokens: np.ndarray, perm: SortPermutation, k: int):
     return ordered[:k], ordered[k:], times
 
 
-def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig):
+def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, draws: np.ndarray | None = None):
     """The one sampling walk behind every estimate.  For each block of at
-    most ``_CHUNK // T`` draws it yields the block's rows of the full
-    sample, the common-random-number draws z [rows, T], and the cells
-    [rows, T] that the hard ranking of s + sigma * z fills:
-    cells[j, c] = c * T + o for the frame o that draw j ranks c-th, the
-    flat index of entry (o, c) in a T x T matrix stored transposed.
-    Successive blocks continue one stream, so together they are the
-    one-shot [n_samples, T] draw."""
+    most ``_CHUNK // T`` common-random-number draws z it yields the
+    block's rows of the full sample and the cells [T, rows] that the hard
+    ranking of s + sigma * z fills: cells[c, j] = c * T + o for the frame
+    o that draw j ranks c-th, the flat index of entry (o, c) in a T x T
+    matrix stored transposed.  The draws go into ``draws`` [n_samples, T]
+    if it is given, else into the block's sort key, which the next block
+    overwrites.  Successive blocks continue one stream, so together they
+    are the one-shot [n_samples, T] draw."""
     stream = RandomStream(cfg.seed)
     t = s64.shape[0]
-    col_offsets = np.arange(t) * t
+    col_offsets = np.arange(0, t * t, t)[:, None]
     # a block's noise, key, cells and gathered <G, Y> terms are one chunk
     # each; at T = 4, 16384 rows measured slower on grad-check, 4096 no faster
     block = max(_CHUNK // t, 1)
+    buffer = np.empty((min(block, cfg.n_samples), t))
     for lo in range(0, cfg.n_samples, block):
-        z = stream.gaussian64((min(block, cfg.n_samples - lo), t))
+        rows = slice(lo, min(lo + block, cfg.n_samples))
+        key = buffer[:rows.stop - lo]
+        z = stream.gaussian64(out=key if draws is None else draws[rows])
         # bitwise -(s + sigma * z): the stable ascending sort is descending
         # in s + sigma * z, ties toward the smaller frame index
-        key = z * -cfg.sigma
+        np.multiply(z, -cfg.sigma, out=key)
         key -= s64
-        cells = np.argsort(key, axis=1, kind="stable")
+        # sorting along the key's transpose lays the cells out rank by
+        # rank, so each rank's cells are contiguous
+        cells = np.argsort(key.T, axis=0, kind="stable")
         cells += col_offsets
-        yield slice(lo, lo + z.shape[0]), z, cells
+        yield rows, cells
 
 
 def _check_objective(s, grad_matrix: np.ndarray, stacked: bool = False):
@@ -159,26 +168,60 @@ def _check_objective(s, grad_matrix: np.ndarray, stacked: bool = False):
     return s64, g
 
 
-def _objective_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray):
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the first axis of float64 ``terms`` [n, ...] in numpy's
+    pairwise order, the order of its sum over a contiguous axis of length
+    n, overwriting ``terms``: for [n, rows], bitwise
+    ``terms.T.copy().sum(axis=1)`` when no term holds -0.0.
+
+    Up to 128 terms numpy keeps ``width`` running sums (eight, or one
+    below eight terms): running sum k adds terms k, k + width, ... up to
+    the last whole group of ``width``.  It combines them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then adds the
+    remaining terms in order.  Past 128 terms it sums the first n/2,
+    rounded down to a multiple of eight, and the rest apart."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(terms[:half])
+        total += _pairwise_sum(terms[half:])
+        return total
+    width = 8 if n >= 8 else 1
+    stop = n - n % width
+    sums = terms[:width]
+    for lo in range(width, stop, width):
+        sums += terms[lo:lo + width]
+    while len(sums) > 1:
+        # not in place: numpy would copy one of two interleaved views first
+        sums = sums[0::2] + sums[1::2]
+    total = sums[0]
+    for term in terms[stop:]:
+        total += term
+    return total
+
+
+def _objective_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
+                      draws: np.ndarray | None = None):
     """An iterator over the sampling walk's blocks for one score vector
     and its G, as ``_check_objective`` returns them, that yields
-    (rows, z, dots): the block's rows of the full sample, its draws
-    z [rows, T] and its float64 Frobenius products
-    <G, Y(s + sigma z_j)> [rows].  Each estimate keeps what it needs."""
-    flat_gt = g.T.ravel()
-    return ((rows, z, np.take(flat_gt, cells).sum(axis=1))
-            for rows, z, cells in _sample_blocks(s64, cfg))
+    (rows, dots): the block's rows of the full sample and its float64
+    Frobenius products <G, Y(s + sigma z_j)> [rows].  The draws go into
+    ``draws`` as in ``_sample_blocks``."""
+    # G transposed and flattened; + 0.0 turns a -0.0 entry into 0.0, as
+    # the 0.0 that numpy's sum starts from does
+    flat_gt = np.add(g.T, 0.0, order="C").ravel()
+    return ((rows, _pairwise_sum(np.take(flat_gt, cells)))
+            for rows, cells in _sample_blocks(s64, cfg, draws))
 
 
-def _objective_samples(s64: np.ndarray, cfg: PerturbConfig,
-                       g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _objective_samples(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
+                       draws: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The per-sample products <G, Y(s + sigma z_j)> [n] and the shared
     draws z [n, T] that the score gradient reduces, for one checked
-    score vector and its G."""
+    score vector and its G; the draws go into ``draws`` if it is given."""
     dots = np.empty(cfg.n_samples)
-    zs = np.empty((cfg.n_samples, s64.shape[0]))
-    for rows, z, block_dots in _objective_blocks(s64, cfg, g):
-        zs[rows] = z
+    zs = np.empty((cfg.n_samples, s64.shape[0])) if draws is None else draws
+    for rows, block_dots in _objective_blocks(s64, cfg, g, zs):
         dots[rows] = block_dots
     return dots, zs
 
@@ -199,7 +242,7 @@ def perturbed_rank(s, cfg: PerturbConfig) -> np.ndarray:
     s64 = _check_scores(s)
     t = s64.shape[0]
     counts = np.zeros(t * t, dtype=np.int64)  # transposed, as the cells index it
-    for _, _, cells in _sample_blocks(s64, cfg):
+    for _, cells in _sample_blocks(s64, cfg):
         counts += np.bincount(cells.ravel(), minlength=t * t)
     freq = counts.reshape(t, t).T.astype(np.float64) / cfg.n_samples
     return freq.astype(F32, order="C")

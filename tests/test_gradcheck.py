@@ -220,23 +220,61 @@ def test_fd_check_is_bitwise_the_serial_loop(monkeypatch, workers, frames, n_sam
         f"vector {v} coord {i}" for v in range(vectors) for i in range(frames)]
 
 
-def test_fd_endpoints_run_on_the_pool_and_the_gradient_on_the_caller(monkeypatch):
-    seen = {"objective_with_se": set(), "vjp_with_se": set()}
+def _serial_t2_rows(sigma, n_samples, seed, trials):
+    # the closed-form check as a plain loop, one estimate at a time
+    stream = RandomStream(seed)
+    g = np.zeros((2, 2))
+    g[0, 0] = 1.0
+    rows = []
+    for trial in range(trials):
+        a = float(stream.gaussian64(())) * sigma
+        gap = sigma * (0.1 + 2.9 * trial / max(trials - 1, 1))
+        b = a - gap if trial % 2 == 0 else a + gap
+        exact = t2_top_prob_grad(a, b, sigma)
+        cfg = PerturbConfig(sigma, n_samples, seed + 101 + trial)
+        grad, _ = vjp_with_se(np.array([a, b], F32), cfg, g)
+        rel = abs(grad[0] - exact) / abs(exact)
+        rows.append((f"pair {trial}: gap={b - a:+.4f}", exact, float(grad[0]), float(rel),
+                     bool(rel < gradcheck.T2_REL_TOL)))
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+@pytest.mark.parametrize("trials", [1, 2, 10])
+# n below and above the sampler's block of numerics._CHUNK // 2 rows at T = 2
+@pytest.mark.parametrize("n_samples, seed", [
+    (numerics._CHUNK // 2 - 1, 3),
+    (numerics._CHUNK // 2 + 1, 4),
+])
+def test_t2_check_is_bitwise_the_serial_loop(monkeypatch, workers, trials, n_samples, seed):
+    monkeypatch.setattr(gradcheck, "_workers", lambda tasks: workers)
+    report = run_t2_check(sigma=0.05, n_samples=n_samples, seed=seed, trials=trials)
+    got = [(r.label, r.analytic, r.estimate, r.error, r.passed) for r in report.rows]
+    want = _serial_t2_rows(0.05, n_samples, seed, trials)
+    assert [row[0] for row in got] == [row[0] for row in want]
+    assert np.array([row[1:] for row in got]).tobytes() == np.array(
+        [row[1:] for row in want]).tobytes()
+
+
+def test_no_estimate_of_either_check_runs_on_the_calling_thread(monkeypatch):
+    seen = {"objective_with_se": [], "vjp_with_se": []}
 
     def spy(name):
         real = getattr(gradcheck, name)
 
         def recorded(*args):
-            seen[name].add(threading.current_thread())
+            seen[name].append(threading.current_thread())
             return real(*args)
         return recorded
 
     for name in seen:
         monkeypatch.setattr(gradcheck, name, spy(name))
     monkeypatch.setattr(gradcheck, "_workers", lambda tasks: 2)
+    run_t2_check(sigma=0.05, n_samples=2000, seed=1, trials=3)
+    assert len(seen["vjp_with_se"]) == 3 and not seen["objective_with_se"]
     run_fd_check(frames=3, sigma=0.05, n_samples=2000, seed=1, vectors=2)
-    assert seen["vjp_with_se"] == {threading.main_thread()}
-    assert seen["objective_with_se"] and threading.main_thread() not in seen["objective_with_se"]
+    assert len(seen["vjp_with_se"]) == 3 + 2 and len(seen["objective_with_se"]) == 2 * 6
+    assert threading.current_thread() not in seen["vjp_with_se"] + seen["objective_with_se"]
 
 
 def test_pool_size_is_the_usable_cpus_capped_by_the_tasks(monkeypatch):

@@ -582,6 +582,17 @@ def test_gaussian_at_the_default_chunk_is_the_one_shot_draw():
     assert RandomStream(22).gaussian(shape).tobytes() == want.tobytes()
 
 
+def test_gaussian64_into_a_buffer_continues_the_one_shot_draw():
+    # rows of one C-contiguous buffer, drawn in turn, are the one-shot draw
+    want = RandomStream(23).gaussian64((7, 3))
+    stream, out = RandomStream(23), np.full((7, 3), np.nan)
+    for rows in (slice(0, 2), slice(2, 3), slice(3, 7)):
+        stream.gaussian64(out=out[rows])
+    assert out.tobytes() == want.tobytes()
+    buf = np.empty((2, 3))
+    assert RandomStream(23).gaussian64(out=buf) is buf
+
+
 def test_random_stream_permutation_covers_range():
     p = RandomStream(5).permutation(10)
     assert np.array_equal(np.sort(p), np.arange(10))

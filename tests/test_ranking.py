@@ -15,7 +15,9 @@ from drca import numerics
 from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import (
     PerturbConfig,
+    _objective_blocks,
     _objective_samples,
+    _sample_blocks,
     hard_rank,
     perturbed_objective,
     perturbed_rank,
@@ -299,6 +301,37 @@ def _check_sampler_against_one_shot(n, t, seed, sigma, quantise):
     assert dots.tobytes() == want_dots.tobytes()
     assert z.tobytes() == want_z.tobytes()
     assert perturbed_rank(s, cfg).tobytes() == want_matrix.tobytes()
+
+
+def _row_sum_products(s, cfg, g):
+    # each block's products as numpy's per-row reduce forms them: one
+    # [rows, T] gather of the cells from G stored transposed
+    return np.concatenate([np.take(g.T.ravel(), cells.T).sum(axis=1)
+                           for _, cells in _sample_blocks(s, cfg)])
+
+
+@pytest.mark.parametrize("t", list(range(1, 21)) + [127, 128, 129, 256, 257, 300])
+@pytest.mark.parametrize("edge", [-1, 1])
+def test_products_are_bitwise_numpys_row_sums(t, edge):
+    # numpy's pairwise order differs below 8 terms, up to 128 and past it;
+    # terms spanning e^-30..e^30 with both signs make any other order round
+    # differently.  n on both sides of T's sampler block
+    stream = RandomStream(50 + t)
+    s = stream.gaussian64(t)
+    g = np.exp(stream.gaussian64((t, t)) * 10) * np.sign(stream.gaussian64((t, t)))
+    cfg = PerturbConfig(sigma=0.5, n_samples=_block(t) + edge, seed=60 + t)
+    got = np.concatenate([dots for _, dots in _objective_blocks(s, cfg, g)])
+    assert got.tobytes() == _row_sum_products(s, cfg, g).tobytes()
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 8, 9])
+def test_products_of_negative_zeros_are_positive_zero_like_numpys_row_sums(t):
+    # numpy's sum starts from 0.0, so a row of -0.0 terms sums to 0.0
+    s = RandomStream(70).gaussian64(t)
+    g = np.full((t, t), -0.0)
+    cfg = PerturbConfig(sigma=0.5, n_samples=20, seed=71)
+    got = np.concatenate([dots for _, dots in _objective_blocks(s, cfg, g)])
+    assert got.tobytes() == _row_sum_products(s, cfg, g).tobytes() == np.zeros(20).tobytes()
 
 
 def test_exact_ties_rank_toward_the_smaller_frame():
