@@ -19,15 +19,15 @@ No estimate of either check shares state with another, so each check
 queues all of its estimates at once (``_on_pool``) on a thread pool of
 ``_workers`` threads, the CPUs the process may use, capped at the task
 count, and the calling thread only collects the results in submission
-order; numpy releases the GIL in the draws, the sort and the gathers.
+order; numpy releases the GIL in the draws, the ranking and the gathers.
 The finite-difference check queues each vector's gradient ahead of its
 endpoints.  Each estimate keeps its own seed, so the rows are bitwise
 those of a serial loop.  An estimate in flight holds its [n] per-sample
 products and a few sampler blocks; a gradient also holds its [n, T]
 draws, which it needs to stay bitwise the production gradient, in a
-memory map of their own (``_unpooled``).  Both
-standard errors are closed forms over those arrays, so no estimate walks
-its samples twice or builds another array of their size.
+memory map of their own (``_unpooled``).  Both standard errors are
+closed forms over those arrays, so no estimate walks its samples twice
+or builds another array of their size.
 """
 
 from __future__ import annotations
@@ -113,16 +113,12 @@ def _on_pool(calls: list[tuple]) -> list:
 
 
 def _unpooled(shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 array in its own private anonymous memory map, which
-    goes back to the system when the array is freed.  From malloc, a pool
-    thread's arena would keep a freed gradient's [n, T] draws for that
-    thread's next request: with gradients on both threads of grad-check's
-    pool that held about 3 MB more resident.  Where the platform can
-    (Linux), the map's pages are all made in the one call, not faulted in
-    one by one as the draws fill them."""
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape), flags=flags),
-                         np.float64).reshape(shape)
+    """A float64 array in its own anonymous memory map, which goes back to
+    the system when the array is freed.  From malloc, a pool thread's
+    arena would keep a freed gradient's [n, T] draws for that thread's
+    next request: with gradients on both threads of grad-check's pool
+    that held 2 to 3 MB more resident."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
 
 
 def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):

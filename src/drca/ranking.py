@@ -11,14 +11,18 @@ smoothed ranking serves training (``perturbed_objective``) and the
 command line, which computes it from the scores a forward returns.
 
 One walk, ``_sample_blocks``, makes every sample: it draws the noise,
-forms the perturbed scores and sorts them in blocks of ``_CHUNK // T``
+forms the perturbed scores and ranks them in blocks of ``_CHUNK // T``
 draws (see numerics), and each estimate reduces a block as soon as it
-is sorted.  ``perturbed_rank`` adds the block's exact integer counts,
-so it holds nothing whose size grows with ``n_samples``.
-``_objective_blocks`` forms each draw's <G, Y> with one gather of the
-block's cells, which lie rank by rank, and adds the ranks' terms as
-whole rows in numpy's own summation order (``_pairwise_sum``), so the
-products are bitwise a per-draw ``sum`` without its per-draw reduce.
+is ranked.  While the T! rankings are no more than a block's draws (up
+to six frames), a draw's ranking is found by comparisons alone and
+named by its index among all T! rankings, so the estimate's
+per-ranking value (a <G, Y> product, or the ranking's cells) is formed
+once per ranking and looked up per draw; with more frames each block is
+sorted.  ``perturbed_rank`` adds the block's exact integer counts, so it
+holds nothing whose size grows with ``n_samples``.
+``_objective_blocks`` forms each product as one gather of a ranking's
+cells and numpy's own sum over them, so it is bitwise a per-draw
+``sum`` whichever way the ranking was found.
 ``_objective_samples`` keeps those [n] products and the draws z [n, T]
 that the score gradient needs, drawn straight into that array, and an
 estimate that needs no gradient keeps the products alone.  No other
@@ -38,6 +42,8 @@ events below any realistic sample count.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -122,36 +128,76 @@ def topk_split(tokens: np.ndarray, perm: SortPermutation, k: int):
     return ordered[:k], ordered[k:], times
 
 
-def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, draws: np.ndarray | None = None):
+def _every_ranking(t: int) -> np.ndarray:
+    """The order [T!, T] of every ranking of T frames, indexed by
+    ``_ranking_codes``: row p is the ranking whose frame ranks, read as a
+    permutation, come p-th in lexicographic order."""
+    ranks = np.array(list(itertools.permutations(range(t))))
+    return np.argsort(ranks, axis=1)
+
+
+def _ranking_codes(key: np.ndarray) -> np.ndarray:
+    """The row of ``_every_ranking`` that each row of ``key`` [rows, T]
+    takes in a stable ascending sort, from T (T - 1) / 2 column
+    comparisons: the Lehmer code sum_i c_i (T - 1 - i)!, where c_i counts
+    the later frames whose key is below frame i's (an equal key stays
+    behind frame i, so ties go to the smaller index), accumulated in
+    Horner form."""
+    t = key.shape[1]
+    code = np.zeros(key.shape[0], dtype=np.intp)
+    for i in range(t - 1):
+        code *= t - i
+        for k in range(i + 1, t):
+            code += key[:, k] < key[:, i]
+    return code
+
+
+def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, per_ranking,
+                   draws: np.ndarray | None = None):
     """The one sampling walk behind every estimate.  For each block of at
     most ``_CHUNK // T`` common-random-number draws z it yields the
-    block's rows of the full sample and the cells [T, rows] that the hard
-    ranking of s + sigma * z fills: cells[c, j] = c * T + o for the frame
-    o that draw j ranks c-th, the flat index of entry (o, c) in a T x T
-    matrix stored transposed.  The draws go into ``draws`` [n_samples, T]
-    if it is given, else into the block's sort key, which the next block
-    overwrites.  Successive blocks continue one stream, so together they
-    are the one-shot [n_samples, T] draw."""
+    block's rows of the full sample and, for each draw, the value that
+    ``per_ranking`` gives the hard ranking of s + sigma * z.
+    ``per_ranking`` maps the cells of rankings [P, T] to one value per
+    ranking, an array of first axis P: cells[p, c] = c * T + o for the
+    frame o that ranking p puts c-th, the flat index of entry (o, c) in
+    a T x T matrix stored transposed.
+
+    While the T! rankings are no more than the first block's draws (up
+    to six frames), ``per_ranking`` runs once, on every ranking, and a
+    block only finds each draw's ranking by comparisons
+    (``_ranking_codes``) and looks its value up.  Past that, where the
+    table would outgrow a block and the T (T - 1) / 2 comparisons cost
+    more than a sort, it runs on each block's sorted cells.  Either way a
+    draw's value is what ``per_ranking`` makes of its own ranking.
+    The draws go into ``draws`` [n_samples, T] if it is given, else into
+    the block's sort key, which the next block overwrites.  Successive
+    blocks continue one stream, so together they are the one-shot
+    [n_samples, T] draw."""
     stream = RandomStream(cfg.seed)
     t = s64.shape[0]
-    col_offsets = np.arange(0, t * t, t)[:, None]
+    col_offsets = np.arange(t) * t
     # a block's noise, key, cells and gathered <G, Y> terms are one chunk
     # each; at T = 4, 16384 rows measured slower on grad-check, 4096 no faster
     block = max(_CHUNK // t, 1)
+    by_code = None
+    if math.factorial(t) <= min(block, cfg.n_samples):
+        by_code = per_ranking(_every_ranking(t) + col_offsets)
     buffer = np.empty((min(block, cfg.n_samples), t))
     for lo in range(0, cfg.n_samples, block):
         rows = slice(lo, min(lo + block, cfg.n_samples))
         key = buffer[:rows.stop - lo]
         z = stream.gaussian64(out=key if draws is None else draws[rows])
-        # bitwise -(s + sigma * z): the stable ascending sort is descending
-        # in s + sigma * z, ties toward the smaller frame index
+        # bitwise -(s + sigma * z): the stable ascending ranking is
+        # descending in s + sigma * z, ties toward the smaller frame index
         np.multiply(z, -cfg.sigma, out=key)
         key -= s64
-        # sorting along the key's transpose lays the cells out rank by
-        # rank, so each rank's cells are contiguous
-        cells = np.argsort(key.T, axis=0, kind="stable")
-        cells += col_offsets
-        yield rows, cells
+        if by_code is None:
+            cells = np.argsort(key, axis=1, kind="stable")
+            cells += col_offsets
+            yield rows, per_ranking(cells)
+        else:
+            yield rows, np.take(by_code, _ranking_codes(key), axis=0)
 
 
 def _check_objective(s, grad_matrix: np.ndarray, stacked: bool = False):
@@ -168,38 +214,6 @@ def _check_objective(s, grad_matrix: np.ndarray, stacked: bool = False):
     return s64, g
 
 
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """The sum over the first axis of float64 ``terms`` [n, ...] in numpy's
-    pairwise order, the order of its sum over a contiguous axis of length
-    n, overwriting ``terms``: for [n, rows], bitwise
-    ``terms.T.copy().sum(axis=1)`` when no term holds -0.0.
-
-    Up to 128 terms numpy keeps ``width`` running sums (eight, or one
-    below eight terms): running sum k adds terms k, k + width, ... up to
-    the last whole group of ``width``.  It combines them as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then adds the
-    remaining terms in order.  Past 128 terms it sums the first n/2,
-    rounded down to a multiple of eight, and the rest apart."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_sum(terms[:half])
-        total += _pairwise_sum(terms[half:])
-        return total
-    width = 8 if n >= 8 else 1
-    stop = n - n % width
-    sums = terms[:width]
-    for lo in range(width, stop, width):
-        sums += terms[lo:lo + width]
-    while len(sums) > 1:
-        # not in place: numpy would copy one of two interleaved views first
-        sums = sums[0::2] + sums[1::2]
-    total = sums[0]
-    for term in terms[stop:]:
-        total += term
-    return total
-
-
 def _objective_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
                       draws: np.ndarray | None = None):
     """An iterator over the sampling walk's blocks for one score vector
@@ -207,11 +221,8 @@ def _objective_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
     (rows, dots): the block's rows of the full sample and its float64
     Frobenius products <G, Y(s + sigma z_j)> [rows].  The draws go into
     ``draws`` as in ``_sample_blocks``."""
-    # G transposed and flattened; + 0.0 turns a -0.0 entry into 0.0, as
-    # the 0.0 that numpy's sum starts from does
-    flat_gt = np.add(g.T, 0.0, order="C").ravel()
-    return ((rows, _pairwise_sum(np.take(flat_gt, cells)))
-            for rows, cells in _sample_blocks(s64, cfg, draws))
+    flat_gt = g.T.ravel()
+    return _sample_blocks(s64, cfg, lambda cells: np.take(flat_gt, cells).sum(axis=1), draws)
 
 
 def _objective_samples(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
@@ -242,7 +253,7 @@ def perturbed_rank(s, cfg: PerturbConfig) -> np.ndarray:
     s64 = _check_scores(s)
     t = s64.shape[0]
     counts = np.zeros(t * t, dtype=np.int64)  # transposed, as the cells index it
-    for _, cells in _sample_blocks(s64, cfg):
+    for _, cells in _sample_blocks(s64, cfg, lambda cells: cells):
         counts += np.bincount(cells.ravel(), minlength=t * t)
     freq = counts.reshape(t, t).T.astype(np.float64) / cfg.n_samples
     return freq.astype(F32, order="C")

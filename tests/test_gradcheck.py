@@ -314,6 +314,33 @@ def test_estimators_memory_stays_within_their_outputs_and_a_few_blocks():
     assert vjp_peak <= 2 * dots_bytes + z_bytes + blocks
 
 
+def test_gradient_maps_only_its_draws(monkeypatch):
+    # tracemalloc does not see a memory map, so count the mapped bytes
+    # and add them to what it sees
+    n, t = 10**6, 4
+    cfg = PerturbConfig(sigma=0.05, n_samples=n, seed=6)
+    s = RandomStream(7).gaussian(t)
+    g = RandomStream(8).gaussian64((t, t))
+    mapped = []
+
+    def counted(shape):
+        mapped.append(math.prod(shape) * 8)
+        return unpooled(shape)
+
+    unpooled = gradcheck._unpooled
+    monkeypatch.setattr(gradcheck, "_unpooled", counted)
+    tracemalloc.start()
+    try:
+        grad, _ = vjp_with_se(s, cfg, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mapped == [n * t * 8]
+    assert peak + sum(mapped) <= 2 * n * 8 + n * t * 8 + 8 * numerics._CHUNK * 8
+    assert grad.tobytes() == ranking._score_gradient(
+        *ranking._objective_samples(s.astype(np.float64), cfg, g), cfg).tobytes()
+
+
 def test_objective_matches_production_estimator_exactly():
     s = RandomStream(2).gaussian(5)
     g = RandomStream(3).gaussian64((5, 5))

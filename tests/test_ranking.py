@@ -2,6 +2,7 @@
 ranking's polytope, invariance, and consistency properties, and the
 blocked sampler against a one-shot reference."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -15,9 +16,10 @@ from drca import numerics
 from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import (
     PerturbConfig,
+    _every_ranking,
     _objective_blocks,
     _objective_samples,
-    _sample_blocks,
+    _ranking_codes,
     hard_rank,
     perturbed_objective,
     perturbed_rank,
@@ -304,10 +306,13 @@ def _check_sampler_against_one_shot(n, t, seed, sigma, quantise):
 
 
 def _row_sum_products(s, cfg, g):
-    # each block's products as numpy's per-row reduce forms them: one
-    # [rows, T] gather of the cells from G stored transposed
-    return np.concatenate([np.take(g.T.ravel(), cells.T).sum(axis=1)
-                           for _, cells in _sample_blocks(s, cfg)])
+    # the products as numpy's per-row reduce forms them: one one-shot
+    # sort, one [n, T] gather of the cells from G stored transposed
+    s64 = np.asarray(s, np.float64)
+    t = s64.shape[0]
+    z = RandomStream(cfg.seed).gaussian64((cfg.n_samples, t))
+    cells = np.argsort(-(s64 + cfg.sigma * z), axis=1, kind="stable") + np.arange(t) * t
+    return np.take(g.T.ravel(), cells).sum(axis=1)
 
 
 @pytest.mark.parametrize("t", list(range(1, 21)) + [127, 128, 129, 256, 257, 300])
@@ -315,7 +320,8 @@ def _row_sum_products(s, cfg, g):
 def test_products_are_bitwise_numpys_row_sums(t, edge):
     # numpy's pairwise order differs below 8 terms, up to 128 and past it;
     # terms spanning e^-30..e^30 with both signs make any other order round
-    # differently.  n on both sides of T's sampler block
+    # differently.  n on both sides of T's sampler block, and T on both
+    # sides of the largest T whose rankings are looked up, not sorted
     stream = RandomStream(50 + t)
     s = stream.gaussian64(t)
     g = np.exp(stream.gaussian64((t, t)) * 10) * np.sign(stream.gaussian64((t, t)))
@@ -332,6 +338,20 @@ def test_products_of_negative_zeros_are_positive_zero_like_numpys_row_sums(t):
     cfg = PerturbConfig(sigma=0.5, n_samples=20, seed=71)
     got = np.concatenate([dots for _, dots in _objective_blocks(s, cfg, g)])
     assert got.tobytes() == _row_sum_products(s, cfg, g).tobytes() == np.zeros(20).tobytes()
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+def test_ranking_codes_index_the_stable_sort(t):
+    # keys drawn from three values tie often; every ranking of T frames
+    # has its own code
+    key = RandomStream(80 + t).permutation(3 * 2000 * t).reshape(-1, t) % 3 * 0.5
+    key = np.concatenate([key, RandomStream(81).gaussian64((2000, t))])
+    want = np.argsort(key, axis=1, kind="stable")
+    assert np.array_equal(_every_ranking(t)[_ranking_codes(key)], want)
+    every = _every_ranking(t)
+    assert len(np.unique(every, axis=0)) == len(every) == math.factorial(t)
+    assert np.array_equal(_ranking_codes(np.argsort(every, axis=1).astype(np.float64)),
+                          np.arange(len(every)))
 
 
 def test_exact_ties_rank_toward_the_smaller_frame():
