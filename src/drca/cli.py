@@ -33,7 +33,7 @@ from .dccm import (MAX_TRAIN_VIDEOS, make_planted_dataset, toy_train_bytes, toy_
                    ScoreNetParams)
 from .flops import compare, count_flops, instrument_check
 from .model import ModelConfig, baseline_forward, forward, init_params, params_from_named
-from .numerics import RandomStream, ShapeError
+from .numerics import F32, RandomStream, ShapeError
 from .ranking import PerturbConfig, hard_rank, perturbed_rank
 
 EXIT_OK = 0
@@ -192,10 +192,10 @@ def _check_sizes(model: ModelConfig | None = None, frames: int = 0,
     a model: the largest array of each kind that the flop model's walk
     sizes (see ``flops.count_flops``), then its float32 weight total.
     For a ranking: its float64 [frames, frames] matrix and its
-    [n_samples, frames] draws, which grad-check and toy-train hold at
-    once; rank and forward hold one sampler block at a time, so for them
-    the bound caps the work, not the memory.  For toy training: the
-    tokens of its planted videos (see ``dccm.toy_train_bytes``)."""
+    [n_samples, frames] draws, which no command holds: every estimate
+    holds a few sampler blocks at a time, so the bound caps the work,
+    not the memory.  For toy training: the tokens of its planted videos
+    (see ``dccm.toy_train_bytes``)."""
     checks = []
     if model is not None:
         walk = count_flops(model)
@@ -235,8 +235,19 @@ def _require_counts(args, **minimums: int) -> None:
             raise ConfigError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
 
 
+def _check_sigma(sigma: float, low: float, high: float) -> None:
+    """Refuse a --sigma outside [low, high], the range in which the
+    command's float32 scores, steps and float64 perturbed keys neither
+    round away nor overflow; NaN is outside every range."""
+    low, high = float(low), float(high)  # not float32: sigma would round
+    if not low <= sigma <= high:
+        raise ConfigError(f"--sigma must be in [{low:.6g}, {high:.6g}], got {sigma}")
+
+
 def cmd_rank(args) -> int:
     seed = _default_seed(args.seed)
+    # at most the largest float32 score, so that s + sigma z stays finite
+    _check_sigma(args.sigma, np.finfo(np.float64).smallest_subnormal, np.finfo(F32).max)
     cfg = PerturbConfig(sigma=args.sigma, n_samples=args.n_samples, seed=seed)
     _echo_flags(args, seed)
     scores = tensor_io.read_tnsr(args.scores)
@@ -265,8 +276,11 @@ def cmd_grad_check(args) -> int:
     seed = _default_seed(args.seed)
     _echo_flags(args, seed)
     _require_counts(args, frames=2, trials=1)
-    if not 0 < args.sigma < np.inf:
-        raise ConfigError(f"--sigma must be positive and finite, got {args.sigma}")
+    # the smallest score gap (sigma / 10) and the finite-difference step
+    # (sigma / 5) stay normal float32s, and the float32 scores, within
+    # (|z| + 3) sigma, stay finite for any |z| below 29
+    f32 = np.finfo(F32)
+    _check_sigma(args.sigma, 10 * f32.tiny, f32.max / 32)
     _check_sizes(frames=args.frames, n_samples=args.n_samples)
     if args.n_samples < MIN_SAMPLES_FOR_CHECKS:
         print(

@@ -22,18 +22,17 @@ count, and the calling thread only collects the results in submission
 order; numpy releases the GIL in the draws, the ranking and the gathers.
 The finite-difference check queues each vector's gradient ahead of its
 endpoints.  Each estimate keeps its own seed, so the rows are bitwise
-those of a serial loop.  An estimate in flight holds its [n] per-sample
-products and a few sampler blocks; a gradient also holds its [n, T]
-draws, which it needs to stay bitwise the production gradient, in a
-memory map of their own (``_unpooled``).  Both standard errors are
-closed forms over those arrays, so no estimate walks its samples twice
-or builds another array of their size.
+those of a serial loop.  An estimate in flight holds a few sampler
+blocks: a gradient streams its centred sums and second moments
+(``ranking._objective_sums``) and keeps no draw, and a finite-difference
+endpoint keeps its [n] per-sample products.  Both standard errors are
+closed forms over those sums or products, so no estimate walks its
+samples twice or builds an [n, T] array.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 from dataclasses import dataclass, replace
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from . import ranking
 from .numerics import F32, RandomStream
-from .ranking import PerturbConfig, _check_objective, _objective_samples
+from .ranking import PerturbConfig, _check_objective, _objective_products
 
 # pass thresholds: relative error against the closed form, and the
 # finite-difference disagreement in combined standard errors
@@ -112,15 +111,6 @@ def _on_pool(calls: list[tuple]) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _unpooled(shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 array in its own anonymous memory map, which goes back to
-    the system when the array is freed.  From malloc, a pool thread's
-    arena would keep a freed gradient's [n, T] draws for that thread's
-    next request: with gradients on both threads of grad-check's pool
-    that held 2 to 3 MB more resident."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
-
-
 def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     """The production MC gradient of <G, smoothed rank(s)>, kept in
     float64 (perturbed_objective rounds it to float32), and its
@@ -128,16 +118,14 @@ def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
 
     With d = dots - mean(dots), the per-sample gradients d_j z_j / sigma
     average to the gradient g, so their squared spread about it is
-    sum_j d_j^2 z_ji^2 / sigma^2 - n g_i^2: one reduction over the
-    squared products, centred in place, and the draws.  Besides z, no
-    [n, T] array is built."""
+    sum_j d_j^2 z_ji^2 / sigma^2 - n g_i^2, from the second moments that
+    the gradient's own streaming pass adds up.  No [n] or [n, T] array
+    is built."""
     s64, g = _check_objective(s, grad_matrix)
-    dots, z = _objective_samples(s64, cfg, g, _unpooled((cfg.n_samples, s64.shape[0])))
-    grad = ranking._score_gradient(dots, z, cfg)
+    _, centred, squares = ranking._objective_sums(s64, cfg, g, spread=True)
+    grad = ranking._score_gradient(centred, cfg)
     n = cfg.n_samples
-    dots -= dots.mean()
-    np.square(dots, out=dots)
-    sq = np.einsum("j,ji,ji->i", dots, z, z) / cfg.sigma ** 2 - n * grad * grad
+    sq = squares / cfg.sigma ** 2 - n * grad * grad
     # rounding can take a spread of zero below it
     return grad, np.sqrt(np.maximum(sq, 0.0) / (n - 1)) / np.sqrt(n)
 
@@ -145,10 +133,8 @@ def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
 def objective_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     """MC value of <G, smoothed rank(s)> and its standard error.  Keeps
     the [n] per-sample products, not the draws."""
-    dots = np.empty(cfg.n_samples)
     s64, g = _check_objective(s, grad_matrix)
-    for rows, block_dots in ranking._objective_blocks(s64, cfg, g):
-        dots[rows] = block_dots
+    dots = _objective_products(s64, cfg, g)
     mean = dots.mean()
     dots -= mean
     # not dots @ dots: OpenBLAS threads its ddot at this n, and from the

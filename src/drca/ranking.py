@@ -23,11 +23,16 @@ holds nothing whose size grows with ``n_samples``.
 ``_objective_blocks`` forms each product as one gather of a ranking's
 cells and numpy's own sum over them, so it is bitwise a per-draw
 ``sum`` whichever way the ranking was found.
-``_objective_samples`` keeps those [n] products and the draws z [n, T]
-that the score gradient needs, drawn straight into that array, and an
-estimate that needs no gradient keeps the products alone.  No other
-[n, T] array outlives its block.  Successive blocks continue one random
-stream, so every output is bitwise what a single [n, T] draw would give.
+Every estimate is one streaming pass that holds a few blocks and O(T)
+sums: ``_objective_sums`` adds up each block's products and draws about
+the first block's mean product, which gives the gradient's centred sum
+(and its standard error's second moments) without keeping any draw, and
+``_objective_products`` keeps the [n] products of an estimate that
+needs no gradient.  No [n, T] array is built.  Successive blocks
+continue one random stream, so the draws, the products and the
+smoothed ranking are bitwise those of a single [n, T] draw; the mean
+and the gradient are too where n fits one block, and past that differ
+from a one-shot reduction by rounding alone.
 ``_check_objective`` validates the scores and G once, for one score
 vector or, in ``perturbed_objective``, a stack of them, a vector being
 a stack of one; each video makes its own walk with its own seed and
@@ -136,27 +141,30 @@ def _every_ranking(t: int) -> np.ndarray:
     return np.argsort(ranks, axis=1)
 
 
-def _ranking_codes(key: np.ndarray) -> np.ndarray:
-    """The row of ``_every_ranking`` that each row of ``key`` [rows, T]
-    takes in a stable ascending sort, from T (T - 1) / 2 column
-    comparisons: the Lehmer code sum_i c_i (T - 1 - i)!, where c_i counts
-    the later frames whose key is below frame i's (an equal key stays
-    behind frame i, so ties go to the smaller index), accumulated in
-    Horner form."""
-    t = key.shape[1]
-    code = np.zeros(key.shape[0], dtype=np.intp)
+def _ranking_codes(columns: np.ndarray) -> np.ndarray:
+    """The row of ``_every_ranking`` that each draw takes in a stable
+    ascending sort of its keys, for keys given frame by frame: columns
+    [T, rows] (T <= 8) holds frame i's keys in row i.  From T (T - 1) / 2
+    comparisons of those rows: the Lehmer code sum_i c_i (T - 1 - i)!,
+    where c_i counts the later frames whose key is below frame i's (an
+    equal key stays behind frame i, so ties go to the smaller index),
+    accumulated in Horner form, the comparisons' bools viewed as uint8,
+    in the narrowest integer that holds T! codes: uint8 up to five
+    frames, else uint16."""
+    t = columns.shape[0]
+    code = np.zeros(columns.shape[1], np.uint8 if t <= 5 else np.uint16)
+    below = np.empty(columns.shape[1], bool)
     for i in range(t - 1):
         code *= t - i
         for k in range(i + 1, t):
-            code += key[:, k] < key[:, i]
+            code += np.less(columns[k], columns[i], out=below).view(np.uint8)
     return code
 
 
-def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, per_ranking,
-                   draws: np.ndarray | None = None):
+def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, per_ranking):
     """The one sampling walk behind every estimate.  For each block of at
     most ``_CHUNK // T`` common-random-number draws z it yields the
-    block's rows of the full sample and, for each draw, the value that
+    block's draws z [rows, T] and, for each draw, the value that
     ``per_ranking`` gives the hard ranking of s + sigma * z.
     ``per_ranking`` maps the cells of rankings [P, T] to one value per
     ranking, an array of first axis P: cells[p, c] = c * T + o for the
@@ -170,34 +178,45 @@ def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, per_ranking,
     table would outgrow a block and the T (T - 1) / 2 comparisons cost
     more than a sort, it runs on each block's sorted cells.  Either way a
     draw's value is what ``per_ranking`` makes of its own ranking.
-    The draws go into ``draws`` [n_samples, T] if it is given, else into
-    the block's sort key, which the next block overwrites.  Successive
-    blocks continue one stream, so together they are the one-shot
-    [n_samples, T] draw."""
+    The yielded draws are the walk's own buffer, which the next block
+    overwrites.  Successive blocks continue one stream, so together they
+    are the one-shot [n_samples, T] draw."""
     stream = RandomStream(cfg.seed)
     t = s64.shape[0]
     col_offsets = np.arange(t) * t
     # a block's noise, key, cells and gathered <G, Y> terms are one chunk
     # each; at T = 4, 16384 rows measured slower on grad-check, 4096 no faster
     block = max(_CHUNK // t, 1)
-    by_code = None
-    if math.factorial(t) <= min(block, cfg.n_samples):
+    width = min(block, cfg.n_samples)
+    draws = np.empty((width, t))
+    if math.factorial(t) <= width:
         by_code = per_ranking(_every_ranking(t) + col_offsets)
-    buffer = np.empty((min(block, cfg.n_samples), t))
+        # the keys frame by frame [T, rows], as the comparisons read them;
+        # subtracting s a frame at a time runs along contiguous rows
+        keys, s_frames = np.empty((t, width)), s64[:, None]
+    else:
+        by_code = None
+        # the scores and column offsets as full [rows, T] operands, built
+        # once: against a [T] vector numpy's add and subtract step row by row
+        keys, s_rows = np.empty((width, t)), np.empty((width, t))
+        s_rows[:] = s64
+        offsets = np.empty((width, t), np.intp)
+        offsets[:] = col_offsets
     for lo in range(0, cfg.n_samples, block):
-        rows = slice(lo, min(lo + block, cfg.n_samples))
-        key = buffer[:rows.stop - lo]
-        z = stream.gaussian64(out=key if draws is None else draws[rows])
+        rows = min(block, cfg.n_samples - lo)
+        z = stream.gaussian64(out=draws[:rows])
         # bitwise -(s + sigma * z): the stable ascending ranking is
         # descending in s + sigma * z, ties toward the smaller frame index
-        np.multiply(z, -cfg.sigma, out=key)
-        key -= s64
         if by_code is None:
+            key = np.multiply(z, -cfg.sigma, out=keys[:rows])
+            key -= s_rows[:rows]
             cells = np.argsort(key, axis=1, kind="stable")
-            cells += col_offsets
-            yield rows, per_ranking(cells)
+            cells += offsets[:rows]
+            yield z, per_ranking(cells)
         else:
-            yield rows, np.take(by_code, _ranking_codes(key), axis=0)
+            key = np.multiply(z.T, -cfg.sigma, out=keys[:, :rows])
+            key -= s_frames
+            yield z, np.take(by_code, _ranking_codes(key), axis=0)
 
 
 def _check_objective(s, grad_matrix: np.ndarray, stacked: bool = False):
@@ -214,37 +233,88 @@ def _check_objective(s, grad_matrix: np.ndarray, stacked: bool = False):
     return s64, g
 
 
-def _objective_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
-                      draws: np.ndarray | None = None):
+def _objective_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray):
     """An iterator over the sampling walk's blocks for one score vector
     and its G, as ``_check_objective`` returns them, that yields
-    (rows, dots): the block's rows of the full sample and its float64
-    Frobenius products <G, Y(s + sigma z_j)> [rows].  The draws go into
-    ``draws`` as in ``_sample_blocks``."""
+    (z, dots): the block's draws [rows, T], as ``_sample_blocks`` yields
+    them, and its float64 Frobenius products <G, Y(s + sigma z_j)>
+    [rows], a fresh array the caller may overwrite."""
     flat_gt = g.T.ravel()
-    return _sample_blocks(s64, cfg, lambda cells: np.take(flat_gt, cells).sum(axis=1), draws)
+    return _sample_blocks(s64, cfg, lambda cells: np.take(flat_gt, cells).sum(axis=1))
 
 
-def _objective_samples(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
-                       draws: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The per-sample products <G, Y(s + sigma z_j)> [n] and the shared
-    draws z [n, T] that the score gradient reduces, for one checked
-    score vector and its G; the draws go into ``draws`` if it is given."""
+def _objective_products(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray) -> np.ndarray:
+    """The per-sample products <G, Y(s + sigma z_j)> [n] for one checked
+    score vector and its G."""
     dots = np.empty(cfg.n_samples)
-    zs = np.empty((cfg.n_samples, s64.shape[0])) if draws is None else draws
-    for rows, block_dots in _objective_blocks(s64, cfg, g, zs):
-        dots[rows] = block_dots
-    return dots, zs
+    lo = 0
+    for _, block in _objective_blocks(s64, cfg, g):
+        dots[lo:lo + block.shape[0]] = block
+        lo += block.shape[0]
+    return dots
 
 
-def _score_gradient(dots: np.ndarray, z: np.ndarray, cfg: PerturbConfig) -> np.ndarray:
+def _objective_sums(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
+                    spread: bool = False):
+    """One streaming pass over the walk for one checked score vector and
+    its G that holds its sampler blocks and O(T) sums, nothing of size n.
+    Returns the mean product mean(d) over d_j = <G, Y(s + sigma z_j)>;
+    the centred sum sum_j (d_j - mean(d)) z_j [T] that
+    ``_score_gradient`` scales; and, if ``spread``, the centred second
+    moments sum_j (d_j - mean(d))^2 z_j^2 [T] that the gradient's
+    standard error needs, else None.
+
+    Each block adds its sums about m0, the first block's mean product:
+    sum d and sum (d - m0) z, with sum (d - m0)^2 z^2 for the spread.
+    Where the walk has more blocks than one it also adds sum z (and
+    sum (d - m0) z^2 and sum z^2), and with delta = mean(d) - m0
+
+        sum (d - mean) z = sum (d - m0) z - delta sum z,
+        sum (d - mean)^2 z^2 = sum (d - m0)^2 z^2
+                               - 2 delta sum (d - m0) z^2 + delta^2 sum z^2.
+
+    With one block m0 is the mean, so the centred sum is one gemv,
+    bitwise (d - mean(d)) @ z over the whole sample; past that it differs
+    from that one gemv by rounding alone.  Column sums are gemvs with a
+    vector of ones: numpy's own sum over the rows of a [rows, T] block
+    steps row by row, and took 14 to 34 times as long at T = 2 or 4."""
+    sums = ones = None
+    for z, dots in _objective_blocks(s64, cfg, g):
+        total = dots.sum()
+        if sums is None:
+            m0 = total / dots.shape[0]
+            if dots.shape[0] < cfg.n_samples:
+                ones = np.ones(dots.shape[0])
+        dots -= m0
+        # each sum is named by its terms; past "d" (sum d), d is d - m0
+        block = {"d": total, "dz": dots @ z}
+        if spread:
+            z2 = np.square(z)
+            block["ddzz"] = np.square(dots) @ z2
+        if ones is not None:
+            block["z"] = ones[:z.shape[0]] @ z
+            if spread:
+                block["dzz"], block["zz"] = dots @ z2, ones[:z.shape[0]] @ z2
+        sums = block if sums is None else {k: sums[k] + v for k, v in block.items()}
+    mean = sums["d"] / cfg.n_samples
+    centred, squares = sums["dz"], sums.get("ddzz")
+    if ones is not None:
+        delta = mean - m0
+        centred = centred - delta * sums["z"]
+        if spread:
+            squares = squares - 2 * delta * sums["dzz"] + delta * delta * sums["zz"]
+    return mean, centred, squares
+
+
+def _score_gradient(centred: np.ndarray, cfg: PerturbConfig) -> np.ndarray:
     """The one Monte Carlo score gradient of <G, smoothed rank(s)>, float64
-    [T]: ds_i = (1 / (n * sigma)) * sum_j (dots_j - mean(dots)) * z_j[i].
+    [T], from the centred sum sum_j (dots_j - mean(dots)) z_j that
+    ``_objective_sums`` returns: ds_i = (1 / (n * sigma)) * that sum.
     Training (via perturbed_objective) and both grad-check oracles call
     it.  Subtracting the sample mean is a control variate: the expectation
     is untouched up to O(1/n) while the variance no longer blows up once
     the ranking saturates (all samples equal -> rounding-level gradient)."""
-    return (dots - dots.mean()) @ z / (cfg.n_samples * cfg.sigma)
+    return centred / (cfg.n_samples * cfg.sigma)
 
 
 def perturbed_rank(s, cfg: PerturbConfig) -> np.ndarray:
@@ -276,7 +346,6 @@ def perturbed_objective(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     values, grads = np.empty(stack.shape[0]), np.empty(stack.shape, F32)
     for i, (video, g_video) in enumerate(zip(stack, g.reshape(-1, t, t))):
         video_cfg = replace(cfg, seed=cfg.seed + i)
-        dots, z = _objective_samples(video, video_cfg, g_video)
-        values[i] = dots.mean()
-        grads[i] = _score_gradient(dots, z, video_cfg)
+        values[i], centred, _ = _objective_sums(video, video_cfg, g_video)
+        grads[i] = _score_gradient(centred, video_cfg)
     return (float(values[0]), grads[0]) if s64.ndim == 1 else (values, grads)

@@ -4,6 +4,7 @@ formats, and byte-stable stdout."""
 import ast
 import inspect
 import io
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -238,6 +239,47 @@ def _one_line_error(capsys, *names: str) -> None:
 def test_bad_values_exit_2_with_one_line_error(capsys, argv, names):
     assert main(argv) == EXIT_BAD_INPUT
     _one_line_error(capsys, *names)
+
+
+@pytest.mark.parametrize("argv", [
+    # the finite-difference step and the score gaps round to 0 in float32
+    ["grad-check", "--sigma", "1e-300"],
+    # the float32 scores overflow
+    ["grad-check", "--sigma", "1e300"],
+    # sigma z overflows the float64 keys
+    ["rank", "SCORES", "OUT", "--sigma", "1e308"],
+])
+def test_unrepresentable_sigma_exits_2_without_warnings(tmp_path, capsys, argv):
+    write_tnsr(tmp_path / "s.tnsr", np.array([0.3, -0.1, 0.2], F32))
+    paths = {"SCORES": str(tmp_path / "s.tnsr"), "OUT": str(tmp_path / "out.tnsr")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([paths.get(arg, arg) for arg in argv])
+    assert code == EXIT_BAD_INPUT
+    _one_line_error(capsys, "--sigma")
+    assert not (tmp_path / "out.tnsr").exists()
+
+
+def _check_columns(capsys, sigma: str) -> list[str]:
+    argv = ["grad-check", "--sigma", sigma, "--n-samples", "4000", "--trials", "3",
+            "--frames", "3", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return [code] + [line.split()[-2:] for line in captured.out.splitlines() if "_" in line
+                     and line.startswith("  ")]
+
+
+def test_grad_check_judges_alike_at_either_end_of_its_sigma_range(capsys):
+    # every quantity scales with sigma, so the relative errors, standard
+    # error units and verdicts at the ends of the range are those at 0.05
+    f32 = np.finfo(F32)
+    want = _check_columns(capsys, "0.05")
+    assert len(want) == 1 + 3 + 5 * 3
+    assert _check_columns(capsys, repr(float(10 * f32.tiny))) == want
+    assert _check_columns(capsys, repr(float(f32.max / 32))) == want
 
 
 def test_writing_over_a_directory_exits_2(tmp_path, capsys):
@@ -612,7 +654,7 @@ def test_selftest_detects_injected_fault(capsys, monkeypatch):
 def test_selftest_checks_the_production_gradient(capsys, monkeypatch):
     grad = ranking._score_gradient
     with monkeypatch.context() as patch:
-        patch.setattr(ranking, "_score_gradient", lambda dots, z, cfg: -grad(dots, z, cfg))
+        patch.setattr(ranking, "_score_gradient", lambda centred, cfg: -grad(centred, cfg))
         code = main(["selftest"])
     captured = capsys.readouterr()
     assert code == EXIT_CHECK_FAILED

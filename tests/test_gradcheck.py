@@ -78,11 +78,14 @@ def test_vjp_se_is_calibrated():
 def _se_oracle(s, cfg, g):
     # both standard errors by the two-pass textbook formula: a plain
     # float64 loop over the per-sample terms, first their mean, then their
-    # squared deviations from it, over the estimators' own samples
-    s64, g64 = ranking._check_objective(s, g)
-    dots, z = ranking._objective_samples(s64, cfg, g64)
-    n, t = z.shape
-    dots, z = dots.tolist(), z.tolist()
+    # squared deviations from it, over the estimators' draws made afresh:
+    # one [n, T] draw, ranked by a stable sort
+    s64, g64 = np.asarray(s, np.float64), np.asarray(g, np.float64)
+    n, t = cfg.n_samples, s64.shape[0]
+    z = RandomStream(cfg.seed).gaussian64((n, t))
+    orders = np.argsort(-(s64 + cfg.sigma * z), axis=1, kind="stable").tolist()
+    g64, z = g64.tolist(), z.tolist()
+    dots = [sum(g64[order[c]][c] for c in range(t)) for order in orders]
 
     def se(terms):
         mean = sum(terms) / n
@@ -130,24 +133,28 @@ def test_standard_errors_are_exactly_zero_when_every_sample_is_equal(t):
 
 def test_vjp_matches_production_estimator():
     # one gradient formula: the oracles' float64 estimate is bitwise the
-    # shared function's, and rounds to exactly what training receives
+    # shared function's, and rounds to exactly what training receives;
+    # at one block it is bitwise the centred products' gemv with the draws
     s = RandomStream(2).gaussian(5)
     g = RandomStream(3).gaussian64((5, 5))
     cfg = PerturbConfig(0.05, 600, seed=9)
     grad, _ = vjp_with_se(s, cfg, g)
-    dots, z = ranking._objective_samples(s, cfg, g)
+    _, centred, _ = ranking._objective_sums(s.astype(np.float64), cfg, g)
     assert grad.dtype == np.float64
-    assert grad.tobytes() == ranking._score_gradient(dots, z, cfg).tobytes()
+    assert grad.tobytes() == ranking._score_gradient(centred, cfg).tobytes()
     _, ds = perturbed_objective(s, cfg, g)
     assert grad.astype(F32).tobytes() == ds.tobytes()
+    dots = ranking._objective_products(s.astype(np.float64), cfg, g)
+    z = RandomStream(cfg.seed).gaussian64((cfg.n_samples, 5))
+    assert grad.tobytes() == ((dots - dots.mean()) @ z / (600 * 0.05)).tobytes()
 
 
 # faults planted once in the shared gradient, each built from the real one
 _PLANTED = {
-    "sign flip": lambda grad: lambda dots, z, cfg: -grad(dots, z, cfg),
-    "missing 1/sigma": lambda grad: lambda dots, z, cfg: grad(dots, z, cfg) * cfg.sigma,
-    "sigma off by 10%": lambda grad: lambda dots, z, cfg: grad(
-        dots, z, replace(cfg, sigma=cfg.sigma * 1.1)),
+    "sign flip": lambda grad: lambda centred, cfg: -grad(centred, cfg),
+    "missing 1/sigma": lambda grad: lambda centred, cfg: grad(centred, cfg) * cfg.sigma,
+    "sigma off by 10%": lambda grad: lambda centred, cfg: grad(
+        centred, replace(cfg, sigma=cfg.sigma * 1.1)),
 }
 
 
@@ -167,8 +174,8 @@ def test_planted_gradient_defect_fails_both_checks(monkeypatch, defect):
     s = RandomStream(6).gaussian(4)
     g = RandomStream(7).gaussian64((4, 4))
     cfg = PerturbConfig(0.05, 300, seed=8)
-    dots, z = ranking._objective_samples(s, cfg, g)
-    assert perturbed_objective(s, cfg, g)[1].tobytes() == faulty(dots, z, cfg).astype(F32).tobytes()
+    _, centred, _ = ranking._objective_sums(s.astype(np.float64), cfg, g)
+    assert perturbed_objective(s, cfg, g)[1].tobytes() == faulty(centred, cfg).astype(F32).tobytes()
     # ... and both oracles catch it
     assert not run_t2_check(**_PLANTED_AT).passed
     assert not run_fd_check(**_PLANTED_AT).passed
@@ -295,9 +302,9 @@ def test_estimators_memory_stays_within_their_outputs_and_a_few_blocks():
     cfg = PerturbConfig(sigma=0.05, n_samples=n, seed=6)
     s = RandomStream(7).gaussian(t)
     g = RandomStream(8).gaussian64((t, t))
-    dots_bytes, z_bytes = n * 8, n * t * 8
-    blocks = 8 * numerics._CHUNK * 8
-    assert blocks < dots_bytes / 2
+    dots_bytes = n * 8
+    blocks = 5 * numerics._CHUNK * 8
+    assert blocks < dots_bytes / 5
     tracemalloc.start()
     try:
         objective_with_se(s, cfg, g)
@@ -309,36 +316,27 @@ def test_estimators_memory_stays_within_their_outputs_and_a_few_blocks():
         tracemalloc.stop()
     # the value needs the [n] products, not the draws
     assert objective_peak <= dots_bytes + blocks
-    # the gradient needs the products and the draws; _score_gradient
-    # centres one [n] copy of the products for its dot product
-    assert vjp_peak <= 2 * dots_bytes + z_bytes + blocks
+    # the gradient streams: neither the products nor the draws
+    assert vjp_peak <= blocks
 
 
-def test_gradient_maps_only_its_draws(monkeypatch):
-    # tracemalloc does not see a memory map, so count the mapped bytes
-    # and add them to what it sees
-    n, t = 10**6, 4
+@pytest.mark.parametrize("t", [2, 4, 8])
+def test_gradient_holds_a_few_blocks_and_no_draws(t):
+    # at T = 2 and 4 the walk looks rankings up, at 8 it sorts; one [n]
+    # float64 array is 8 MB and the [n, T] draws 16 to 64 MB here
+    n = 10**6
     cfg = PerturbConfig(sigma=0.05, n_samples=n, seed=6)
     s = RandomStream(7).gaussian(t)
     g = RandomStream(8).gaussian64((t, t))
-    mapped = []
-
-    def counted(shape):
-        mapped.append(math.prod(shape) * 8)
-        return unpooled(shape)
-
-    unpooled = gradcheck._unpooled
-    monkeypatch.setattr(gradcheck, "_unpooled", counted)
     tracemalloc.start()
     try:
         grad, _ = vjp_with_se(s, cfg, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert mapped == [n * t * 8]
-    assert peak + sum(mapped) <= 2 * n * 8 + n * t * 8 + 8 * numerics._CHUNK * 8
+    assert peak <= 8 * numerics._CHUNK * 8 < n * 8
     assert grad.tobytes() == ranking._score_gradient(
-        *ranking._objective_samples(s.astype(np.float64), cfg, g), cfg).tobytes()
+        ranking._objective_sums(s.astype(np.float64), cfg, g)[1], cfg).tobytes()
 
 
 def test_objective_matches_production_estimator_exactly():

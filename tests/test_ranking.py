@@ -18,7 +18,8 @@ from drca.ranking import (
     PerturbConfig,
     _every_ranking,
     _objective_blocks,
-    _objective_samples,
+    _objective_products,
+    _objective_sums,
     _ranking_codes,
     hard_rank,
     perturbed_objective,
@@ -282,13 +283,26 @@ def test_sampler_is_bitwise_the_one_shot_reference(n, t, seed, sigma, quantise):
     _check_sampler_against_one_shot(n, t, seed, sigma, quantise)
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("t", range(1, 10))
 @pytest.mark.parametrize("edge", [-1, 0, 1])
 @settings(max_examples=2, deadline=None)
 @given(**_SAMPLER_DRAWS)
 def test_sampler_is_bitwise_the_one_shot_reference_at_each_ts_block_edge(edge, t, seed, sigma,
                                                                         quantise):
     _check_sampler_against_one_shot(_block(t) + edge, t, seed, sigma, quantise)
+
+
+def _walk(s, cfg, g):
+    # the walk's products and draws over the whole sample; each block's
+    # draws are copied, since the next block overwrites them
+    blocks = [(z.copy(), dots) for z, dots in _objective_blocks(np.asarray(s, np.float64), cfg, g)]
+    return np.concatenate([dots for _, dots in blocks]), np.concatenate([z for z, _ in blocks])
+
+
+# the streamed mean and centred sum against the one-shot ones where n
+# spans several blocks: two float64 sums of the same terms in another
+# order, so within this fraction of the sum of the terms' magnitudes
+_STREAMED_RTOL = 1e-13
 
 
 def _check_sampler_against_one_shot(n, t, seed, sigma, quantise):
@@ -299,10 +313,26 @@ def _check_sampler_against_one_shot(n, t, seed, sigma, quantise):
     g = stream.gaussian64((t, t))
     cfg = PerturbConfig(sigma=sigma, n_samples=n, seed=seed + 1)
     want_dots, want_z, want_matrix = _one_shot_reference(s, cfg, g)
-    dots, z = _objective_samples(s, cfg, g)
+    dots, z = _walk(s, cfg, g)
     assert dots.tobytes() == want_dots.tobytes()
     assert z.tobytes() == want_z.tobytes()
+    assert _objective_products(s.astype(np.float64), cfg, g).tobytes() == want_dots.tobytes()
     assert perturbed_rank(s, cfg).tobytes() == want_matrix.tobytes()
+    # the streamed estimate against the one-shot mean and gemv
+    mean = want_dots.mean()
+    want_centred = (want_dots - mean) @ want_z
+    value, centred, _ = _objective_sums(s.astype(np.float64), cfg, g)
+    if n <= _block(t):  # one block: bitwise
+        assert value == mean
+        assert centred.tobytes() == want_centred.tobytes()
+    else:
+        assert abs(value - mean) <= _STREAMED_RTOL * np.abs(want_dots).mean()
+        assert np.all(np.abs(centred - want_centred)
+                      <= _STREAMED_RTOL * (np.abs(want_dots) @ np.abs(want_z)))
+    # perturbed_objective returns that estimate
+    got_value, grad = perturbed_objective(s, cfg, g)
+    assert got_value == value
+    assert grad.tobytes() == (centred / (n * sigma)).astype(F32).tobytes()
 
 
 def _row_sum_products(s, cfg, g):
@@ -340,18 +370,38 @@ def test_products_of_negative_zeros_are_positive_zero_like_numpys_row_sums(t):
     assert got.tobytes() == _row_sum_products(s, cfg, g).tobytes() == np.zeros(20).tobytes()
 
 
+def _tied_keys(t, seed):
+    # keys drawn from three values tie often, besides continuous keys
+    key = RandomStream(seed).permutation(3 * 2000 * t).reshape(-1, t) % 3 * 0.5
+    return np.concatenate([key, RandomStream(81).gaussian64((2000, t))])
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
 def test_ranking_codes_index_the_stable_sort(t):
-    # keys drawn from three values tie often; every ranking of T frames
-    # has its own code
-    key = RandomStream(80 + t).permutation(3 * 2000 * t).reshape(-1, t) % 3 * 0.5
-    key = np.concatenate([key, RandomStream(81).gaussian64((2000, t))])
+    # every ranking of T frames has its own code
+    key = _tied_keys(t, 80 + t)
     want = np.argsort(key, axis=1, kind="stable")
-    assert np.array_equal(_every_ranking(t)[_ranking_codes(key)], want)
+    assert np.array_equal(_every_ranking(t)[_ranking_codes(key.T)], want)
     every = _every_ranking(t)
     assert len(np.unique(every, axis=0)) == len(every) == math.factorial(t)
-    assert np.array_equal(_ranking_codes(np.argsort(every, axis=1).astype(np.float64)),
+    assert np.array_equal(_ranking_codes(np.argsort(every, axis=1).T.astype(np.float64)),
                           np.arange(len(every)))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+def test_ranking_codes_are_a_plain_loops_lehmer_codes(t):
+    # the codes of a row-by-row loop in Python integers, from keys with
+    # planted ties, frame by frame in contiguous or strided rows, in the
+    # narrowest dtype that holds T!
+    key = _tied_keys(t, 180 + t)
+    key[::7, t // 2] = key[::7, 0]
+    want = [sum(sum(row[k] < row[i] for k in range(i + 1, t)) * math.factorial(t - 1 - i)
+                for i in range(t))
+            for row in key.tolist()]
+    got = _ranking_codes(key.T.copy())
+    assert got.dtype == (np.uint8 if t <= 5 else np.uint16)
+    assert got.tolist() == want
+    assert _ranking_codes(key.T).tolist() == want
 
 
 def test_exact_ties_rank_toward_the_smaller_frame():
@@ -363,7 +413,7 @@ def test_exact_ties_rank_toward_the_smaller_frame():
     matrix = perturbed_rank(s, cfg)
     assert np.array_equal(matrix, np.eye(3, dtype=F32))
     want_dots, want_z, want_matrix = _one_shot_reference(s, cfg, g)
-    dots, z = _objective_samples(s, cfg, g)
+    dots, z = _walk(s, cfg, g)
     assert matrix.tobytes() == want_matrix.tobytes()
     assert dots.tobytes() == want_dots.tobytes()
     assert np.all(dots == np.trace(g))
@@ -374,18 +424,24 @@ def test_sampler_memory_stays_within_a_few_blocks():
     # tracemalloc sees numpy's buffers; one [n, T] float64 array is 32 MB here
     n, t = 10**6, 4
     cfg = PerturbConfig(sigma=0.05, n_samples=n, seed=6)
-    s = RandomStream(7).gaussian(t)
+    s = RandomStream(7).gaussian(t).astype(np.float64)
     g = RandomStream(8).gaussian64((t, t))
-    bound = 8 * numerics._CHUNK * 8
-    assert bound < n * t * 8 / 10
+    bound = 5 * numerics._CHUNK * 8  # five of the walk's blocks
+    assert bound < n * 8 / 5
     tracemalloc.start()
     try:
         perturbed_rank(s, cfg)
         _, rank_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        dots, z = _objective_samples(s, cfg, g)
-        _, objective_peak = tracemalloc.get_traced_memory()
+        dots = _objective_products(s, cfg, g)
+        _, products_peak = tracemalloc.get_traced_memory()
+        del dots
+        tracemalloc.reset_peak()
+        _objective_sums(s, cfg, g, spread=True)
+        _, sums_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rank_peak < bound
-    assert objective_peak <= dots.nbytes + z.nbytes + bound
+    assert products_peak <= n * 8 + bound
+    # the streamed gradient and its second moments hold nothing of size n
+    assert sums_peak < bound
