@@ -142,8 +142,12 @@ def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = 
     are run keys outside ``run_keys``, the ones the command reads, and
     ``sigma`` and ``n_samples`` unless ``mode = train``."""
     if os.path.exists(token):
-        with open(token) as f:
-            raw = _parse_config_text(f.read(), token)
+        try:
+            with open(token, encoding="utf-8") as f:
+                raw = _parse_config_text(f.read(), token)
+        except UnicodeDecodeError as err:
+            raise ConfigError(
+                f"{token}: not a UTF-8 text file (byte {err.start}: {err.reason})") from None
     else:
         if "=" in token or token.endswith(".conf"):
             raise ConfigError(f"config file {token!r} does not exist")
@@ -235,19 +239,24 @@ def _require_counts(args, **minimums: int) -> None:
             raise ConfigError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
 
 
-def _check_sigma(sigma: float, low: float, high: float) -> None:
-    """Refuse a --sigma outside [low, high], the range in which the
-    command's float32 scores, steps and float64 perturbed keys neither
-    round away nor overflow; NaN is outside every range."""
+def _check_sigma(sigma: float, low: float, high: float, name: str = "--sigma") -> None:
+    """Refuse a sigma (flag or key ``name``) outside [low, high], the
+    range in which the command's float32 scores, steps and float64
+    perturbed keys neither round away nor overflow; NaN is outside every
+    range."""
     low, high = float(low), float(high)  # not float32: sigma would round
     if not low <= sigma <= high:
-        raise ConfigError(f"--sigma must be in [{low:.6g}, {high:.6g}], got {sigma}")
+        raise ConfigError(f"{name} must be in [{low:.6g}, {high:.6g}], got {sigma}")
+
+
+# a smoothed ranking's sigma: its float64 keys s + sigma z stay finite
+# for float32 scores
+_RANK_SIGMA = (np.finfo(np.float64).smallest_subnormal, np.finfo(F32).max)
 
 
 def cmd_rank(args) -> int:
     seed = _default_seed(args.seed)
-    # at most the largest float32 score, so that s + sigma z stays finite
-    _check_sigma(args.sigma, np.finfo(np.float64).smallest_subnormal, np.finfo(F32).max)
+    _check_sigma(args.sigma, *_RANK_SIGMA)
     cfg = PerturbConfig(sigma=args.sigma, n_samples=args.n_samples, seed=seed)
     _echo_flags(args, seed)
     scores = tensor_io.read_tnsr(args.scores)
@@ -305,6 +314,8 @@ def cmd_grad_check(args) -> int:
 
 def cmd_forward(args) -> int:
     run = load_run_config(args.config, args.set, args.seed)
+    if run.perturb is not None:
+        _check_sigma(run.sigma, *_RANK_SIGMA, name="sigma")
     _echo(run.echo_pairs())
     config = run.model
     _check_sizes(config.baseline() if args.baseline else config, config.frames,
@@ -374,9 +385,14 @@ def cmd_toy_train(args) -> int:
     seed = _default_seed(args.seed)
     _echo_flags(args, seed)
     _require_counts(args, videos=1, holdout=1, steps=0, frames=2, salient=1)
+    f32 = np.finfo(F32)
     for flag in ("lr", "init_scale"):
-        if not np.isfinite(getattr(args, flag)):
-            raise ConfigError(f"--{flag.replace('_', '-')} must be finite, got {getattr(args, flag)}")
+        value = getattr(args, flag)
+        if not abs(value) <= float(f32.max):  # so F32(value) is finite
+            raise ConfigError(f"--{flag.replace('_', '-')} must be a finite float32 "
+                              f"(|value| <= {float(f32.max):.6g}), got {value}")
+    # sigma and the 1 / sigma of the float32 gradient stay normal float32s
+    _check_sigma(args.sigma, f32.tiny, f32.max)
     if args.videos >= MAX_TRAIN_VIDEOS:
         raise ConfigError(f"--videos must be < {MAX_TRAIN_VIDEOS}, got {args.videos}")
     _check_sizes(frames=args.frames, n_samples=args.n_samples,

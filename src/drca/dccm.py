@@ -163,11 +163,11 @@ class ScoreNetPass(NamedTuple):
 
 def _video_linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     # in numpy's matrix-vector path (one row or one column) a row's result
-    # depends on its place in the call, so there each video of a stack
-    # makes its own call; elsewhere one call gives every row its own bits
-    if x.ndim == 2 or (x.shape[-2] > 1 and w.shape[1] > 1):
-        return numerics.linear(x, w, b)
-    return np.stack([numerics.linear(video, w, b) for video in x])
+    # depends on its place in the call, so there a stack is one stacked
+    # product, which gives each video its own call's bits; elsewhere one
+    # flattened product gives every row its own bits
+    stacked = x.ndim > 2 and (x.shape[-2] == 1 or w.shape[1] == 1)
+    return numerics.linear(x, w, b, stacked=stacked)
 
 
 def score_net_forward(tokens: np.ndarray, p: ScoreNetParams) -> ScoreNetPass:
@@ -322,7 +322,9 @@ def make_planted_dataset(count: int, frames: int = 8, salient_count: int = 2,
         tokens = stream.gaussian((frames, grid, grid, channels))
         salient = np.sort(stream.permutation(frames)[:salient_count]).astype(np.int64)
         tokens[salient] += amplitude * direction
-        background = np.setdiff1d(np.arange(frames, dtype=np.int64), salient)
+        rest = np.ones(frames, bool)
+        rest[salient] = False
+        background = np.arange(frames, dtype=np.int64)[rest]
         videos.append(PlantedVideo(tokens, salient, np.concatenate([salient, background])))
     return videos
 
@@ -354,7 +356,7 @@ def selection_accuracy(p: ScoreNetParams, videos: list[PlantedVideo], k: int) ->
         scores = score_net_forward(np.stack([v.tokens for v in block]), p).scores
         for v, s in zip(block, scores):
             order = hard_rank(s).order
-            hits += len(np.intersect1d(order[:k], v.salient_times)) / k
+            hits += int(np.count_nonzero(np.isin(order[:k], v.salient_times))) / k
     return hits / len(videos)
 
 
@@ -369,6 +371,7 @@ def _add_in_video_order(acc: ScoreNetParams | None, g: ScoreNetParams) -> ScoreN
                              ScoreNetParams, acc, g)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
                        p: ScoreNetParams, k: int, steps: int, lr: float,
                        cfg: PerturbConfig) -> tuple[ScoreNetParams, list[TraceRow]]:
@@ -388,7 +391,11 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
     one call, and video i draws with seed ``cfg.seed + i``: one frozen
     draw per video, shared by the loss and its gradient and reused
     across steps, so full-batch descent walks a fixed sampled objective
-    and the loss trace stays free of resampling jitter."""
+    and the loss trace stays free of resampling jitter.
+
+    A run that diverges raises a ValueError naming the step whose
+    training scores are not finite; the overflows on the way there raise
+    no floating-point warnings."""
     if not train or not holdout:
         raise ValueError("toy training needs at least one training and one holdout video")
     if len(train) >= MAX_TRAIN_VIDEOS:
@@ -404,6 +411,9 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
         grads_sum = None
         for lo in range(0, len(train), _VIDEO_BLOCK):
             fwd = score_net_forward(tokens[lo:lo + _VIDEO_BLOCK], p)
+            if not np.isfinite(fwd.scores).all():
+                raise ValueError(f"toy training diverged at step {step}: "
+                                 "the score-net's scores are not finite")
             # minus each target permutation matrix: entry (o, c) is -1
             # where the video's target order ranks frame o c-th
             targets = -(orders[lo:lo + _VIDEO_BLOCK, None, :] == frames).astype(F32)

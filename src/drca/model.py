@@ -250,9 +250,12 @@ def params_from_named(config: ModelConfig, named: dict[str, np.ndarray]) -> Drca
 
 
 def patch_embed(video: np.ndarray, params: DrcaParams, config: ModelConfig) -> np.ndarray:
-    """Non-overlapping patch projection plus separable position embeddings.
+    """Non-overlapping patch projection plus separable position embeddings,
+    added in place into the projected tokens.
 
-    video: [T, H, W, 3] -> tokens [T, M, N, C].
+    video: [T, H, W, 3] -> tokens [T, M, N, C].  All frames go through one
+    projection: a frame's smaller product can take another BLAS kernel
+    (it does at the toy's 16 patches) and change the last bits.
     """
     video = np.asarray(video, dtype=F32)
     expect = (config.frames, config.height, config.width, 3)
@@ -268,8 +271,8 @@ def patch_embed(video: np.ndarray, params: DrcaParams, config: ModelConfig) -> n
     )
     tokens = numerics.linear(patches, params.patch_w, params.patch_b)
     c = config.embed_dim
-    tokens = tokens + params.pos_spatial.reshape(1, m, n, c)
-    tokens = tokens + params.pos_temporal.reshape(t, 1, 1, c)
+    tokens += params.pos_spatial.reshape(1, m, n, c)
+    tokens += params.pos_temporal.reshape(t, 1, 1, c)
     return tokens
 
 
@@ -287,36 +290,36 @@ def _head(seq, params: DrcaParams, config: ModelConfig) -> np.ndarray:
 
 def forward(video: np.ndarray, params: DrcaParams, config: ModelConfig) -> ModelOutput:
     """Full pipeline with the compression split after `dccm_insert_after`
-    full-resolution layers."""
-    tokens = patch_embed(video, params, config)
-    seq = full_res_sequence(tokens)
+    full-resolution layers.  Every layer updates one residual stream in
+    place: the patch tokens up to the split, then the gathered and
+    compressed sequence, so the stage-1 stream is freed at the split."""
+    seq = full_res_sequence(patch_embed(video, params, config))
     for layer in params.stage1:
-        seq = rat_layer_forward(seq, layer, config.head_count)
+        seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
     # stage-1 times are the identity, so storage order is time order
     result = dccm_forward(seq.saliency, params.dccm, config.saliency_count,
                           config.compression_factor)
     seq = result.sequence
     for layer in params.rat:
-        seq = rat_layer_forward(seq, layer, config.head_count)
+        seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
     return ModelOutput(
         output=_head(seq, params, config),
         scores=result.scores,
-        selected_times=result.sequence.times.saliency,
+        selected_times=seq.times.saliency,
     )
 
 
 def baseline_forward(video: np.ndarray, params: DrcaParams,
                      config: ModelConfig) -> ModelOutput:
     """The same parameters with no split: every layer runs full-resolution
-    divided space-time attention.  The score-net still runs, purely as a
-    diagnostic."""
-    tokens = patch_embed(video, params, config)
-    seq = full_res_sequence(tokens)
+    divided space-time attention, updating one residual stream in place.
+    The score-net still runs, purely as a diagnostic."""
+    seq = full_res_sequence(patch_embed(video, params, config))
     for layer in params.stage1:
-        seq = rat_layer_forward(seq, layer, config.head_count)
+        seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
     scores = score_net_forward(seq.saliency, params.dccm.score).scores
     for layer in params.rat:
-        seq = rat_layer_forward(seq, layer, config.head_count)
+        seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
     order = hard_rank(scores).order
     return ModelOutput(
         output=_head(seq, params, config),

@@ -1,8 +1,9 @@
 """Dense float32 numeric kernels shared by every other module.
 
 All public operations take and return float32 arrays and are pure
-functions of their inputs; the only stateful object is RandomStream,
-which advances explicitly.  Video tokens follow the layout convention
+functions of their inputs, save for the ``out=`` array that ``gelu``
+and ``softmax_lastdim`` may be given; the only stateful object is
+RandomStream, which advances explicitly.  Video tokens follow the layout convention
 [..., M, N, C] with the channel axis last.
 
 Every kernel that performs arithmetic reports its cost to any active
@@ -16,10 +17,22 @@ analytic side.
 Kernel arithmetic is float32: reductions are numpy's float32 sums and
 matmul accumulates in 32 bits.  A kernel's result for one token depends
 only on that token's row, so slices of two or more rows match the full
-batch bitwise (the transformer layers rely on this to run in blocks).
-A single row, or a weight with a single column, takes numpy's
-matrix-vector path, where a row's last bits depend on its place in the
-call.
+batch bitwise (the transformer layers rely on this to run in blocks)
+wherever both products take the same BLAS kernel.  A single row, or a
+weight with a single column, takes numpy's matrix-vector path, where a
+row's last bits depend on its place in the call; ``linear(...,
+stacked=True)`` gives each matrix of a stack its own call's bits there.
+A smaller product can also take another BLAS kernel (OpenBLAS has a
+small-matrix path) that sums a long inner axis in another order: 16-row
+slices of a [128, 768] @ [768, 16] product differ from it in the last
+bits, so the patch projection runs over all frames at once.
+
+``gelu`` and ``softmax_lastdim`` write into ``out`` if one is given
+(C-contiguous float32 of the input's shape), which may be the input
+itself: the layers hand them their own fresh linear output and attention
+scores, so neither allocates a second array of that size.  GELU keeps
+four ``_CHUNK``-sized scratch vectors and reads each input chunk only
+before writing the output chunk, so in place is bitwise out of place.
 
 ``RandomStream.gaussian`` draws its float64 stream in chunks of
 ``_CHUNK`` values and casts each into the float32 output, and scales in
@@ -206,17 +219,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Affine map along the channel (last) axis: x @ weight + bias."""
+def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
+           stacked: bool = False) -> np.ndarray:
+    """Affine map along the channel (last) axis: x @ weight + bias.
+
+    One product over every token row, or with ``stacked`` one stacked
+    product over the leading axes of a [..., rows, C] input, each matrix
+    getting the bits its own call would (see the module docstring).
+    """
     x = np.asarray(x, dtype=F32)
     weight = np.asarray(weight, dtype=F32)
     if weight.ndim != 2:
         raise ShapeError(f"linear weight must be 2-D, got {weight.shape}")
-    if x.ndim < 1 or x.shape[-1] != weight.shape[0]:
+    if x.ndim < (2 if stacked else 1) or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear input channels {x.shape} do not match weight {weight.shape}")
     c_in, c_out = weight.shape
     tokens = x.size // c_in if c_in else 0
-    out = np.matmul(x.reshape(-1, c_in), weight)
+    out = np.matmul(x if stacked else x.reshape(-1, c_in), weight)
     flops = MACS_TO_FLOPS * tokens * c_in * c_out
     if bias is not None:
         bias = np.asarray(bias, dtype=F32)
@@ -228,12 +247,25 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
     return out.reshape(x.shape[:-1] + (c_out,))
 
 
-def softmax_lastdim(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, stabilised by max subtraction."""
+def _out_like(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``out``, checked to be a C-contiguous float32 array of x's shape,
+    or a fresh one."""
+    if out is None:
+        return np.empty_like(x)
+    if out.shape != x.shape or out.dtype != F32 or not out.flags.c_contiguous:
+        raise ShapeError(
+            f"out must be a C-contiguous float32 array of shape {x.shape}, got "
+            f"{out.dtype} {out.shape}")
+    return out
+
+
+def softmax_lastdim(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, stabilised by max subtraction, into
+    ``out`` if one is given (it may be ``x`` itself)."""
     x = np.asarray(x, dtype=F32)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError(f"softmax needs a non-empty last axis, got {x.shape}")
-    out = np.subtract(x, x.max(axis=-1, keepdims=True))
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=_out_like(x, out))
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True, dtype=F32)
     _count(SOFTMAX_FLOPS_PER_ELEMENT * x.size)
@@ -264,7 +296,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nda
 
     scores = matmul(split(q), np.swapaxes(split(k), -1, -2))  # [..., heads, L_q, L_k]
     scores /= F32(np.sqrt(d))
-    scores = softmax_lastdim(scores)  # rebound, so the raw scores are freed before v
+    softmax_lastdim(scores, out=scores)
     out = matmul(scores, split(v))                             # [..., heads, L_q, d]
     return np.swapaxes(out, -3, -2).reshape(*out.shape[:-3], q.shape[-2], c)
 
@@ -351,7 +383,8 @@ def conv3d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     out = np.zeros(x.shape[:-1] + (c_out,), dtype=F32)
     # one GEMM over every video's rows; where that product would take
     # numpy's matrix-vector path (one row per video, or one output
-    # channel) each video makes its own, as dccm._video_linear does
+    # channel) one stacked product gives each video its own, as the
+    # score-net's linear layers do
     rows = math.prod(x.shape[-4:-1])
     lead = (math.prod(x.shape[:-1]),)
     if x.ndim == 5 and (rows == 1 or c_out == 1):
@@ -425,21 +458,22 @@ _PHI_T_SCALE = F32(2.0 * math.sqrt(2.0))
 _GELU_CLAMP = F32(12.94)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU, x Phi(x), as relu(x) - |x| Phi(-|x|).
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact (erf-based) GELU, x Phi(x), as relu(x) - |x| Phi(-|x|), into
+    ``out`` if one is given (it may be ``x`` itself).
 
     Runs over contiguous blocks of ``_CHUNK`` elements with out= ufuncs
     only; see the module docstring for the erfc fit and its tested error.
     """
     x = np.asarray(x, dtype=F32, order="C")
-    out = np.empty_like(x)
+    out = _out_like(x, out)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     width = min(_CHUNK, flat_x.size)
-    a_buf, t_buf, p_buf = (np.empty(width, F32) for _ in range(3))
+    a_buf, t_buf, p_buf, q_buf = (np.empty(width, F32) for _ in range(4))
     for lo in range(0, flat_x.size, _CHUNK):
         xb = flat_x[lo:lo + _CHUNK]
         ob = flat_out[lo:lo + _CHUNK]
-        a, t, p = a_buf[:xb.size], t_buf[:xb.size], p_buf[:xb.size]
+        a, t, p, q = a_buf[:xb.size], t_buf[:xb.size], p_buf[:xb.size], q_buf[:xb.size]
         np.abs(xb, out=a)
         np.minimum(a, _GELU_CLAMP, out=a)
         np.add(a, _PHI_T_SCALE, out=t)
@@ -449,12 +483,13 @@ def gelu(x: np.ndarray) -> np.ndarray:
             p += c
             p *= t
         p += _PHI_C0
-        np.multiply(a, a, out=ob)  # ob is scratch until the last two lines
-        ob *= F32(0.5)
-        p -= ob
+        np.multiply(a, a, out=q)
+        q *= F32(0.5)
+        p -= q
         np.exp(p, out=p)
         p *= t
         p *= a                     # p = |x| Phi(-|x|)
+        # ob may be xb: x is read here for the last time
         np.maximum(xb, F32(0), out=ob)
         ob -= p
     _count(NONLINEARITY_FLOPS_PER_ELEMENT * x.size)

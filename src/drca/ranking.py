@@ -118,19 +118,19 @@ def hard_rank(s) -> SortPermutation:
 
 def topk_split(tokens: np.ndarray, perm: SortPermutation, k: int):
     """Split frames into the top-k saliency part and the rest, both in rank
-    order, returning (saliency, non_saliency, TimeIndexMap)."""
+    order, returning (saliency, non_saliency, TimeIndexMap); the parts are
+    two gathered arrays, so neither holds the other's frames."""
     tokens = np.asarray(tokens)
     t = perm.order.shape[0]
     if tokens.shape[0] != t:
         raise ShapeError(f"{tokens.shape[0]} frames vs {t}-frame permutation")
     if not (1 <= k <= t):
         raise ShapeError(f"k must be in [1, {t}], got {k}")
-    ordered = tokens[perm.order]
     times = TimeIndexMap(
         saliency=perm.order[:k].copy(),
         non_saliency=perm.order[k:].copy(),
     )
-    return ordered[:k], ordered[k:], times
+    return tokens[times.saliency], tokens[times.non_saliency], times
 
 
 def _every_ranking(t: int) -> np.ndarray:

@@ -10,12 +10,17 @@ saliency part is added to every cell of its h x h block.
 Each sublayer streams: it runs its whole chain (norm, projections,
 attention or MLP, out-projection, residual) over blocks of independent
 groups -- grid rows for temporal attention, frames for spatial
-attention, token rows for the feed-forward sublayer -- and writes each
-block into one output allocated up front, so no transient is larger
-than a block's (``_BLOCK_ROWS``).  Every kernel computes a token row,
-and an attention group, on its own, and no block is a single row, so
-the blocked output is bitwise that of one call on the whole.  Blocks
-change neither the flops nor which kernels are called.
+attention, token rows for the feed-forward sublayer -- so no transient
+is larger than a block's (``_BLOCK_ROWS``).  A block reads only its own
+rows (temporal attention copies its block's grid rows into time order
+first) and adds its residual into those rows of ``out``, a sequence
+shaped like the input, in numpy's idiom.  The model passes the residual
+stream itself as ``out``, so a forward updates one stream in place;
+without ``out`` a sublayer writes a fresh sequence and leaves its input
+as it was.  Every kernel computes a token row, and an attention group,
+on its own, and no block is a single row, so the blocked output is
+bitwise that of one call on the whole.  Blocks change neither the flops
+nor which kernels are called.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import F32, RandomStream
+from .numerics import F32, RandomStream, ShapeError
 from .dccm import MultiResSequence
 
 
@@ -122,12 +127,26 @@ def _blocks(groups: int, rows: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _residual(x: np.ndarray, fn) -> np.ndarray:
-    """x + fn(x) over blocks of the leading axis of `x`, an axis of
-    independent groups of token rows [G, ..., C], into one output."""
-    out = np.empty_like(x)
+def _residual(x: np.ndarray, fn, out: np.ndarray) -> np.ndarray:
+    """x + fn(x) into ``out`` (which may be ``x``) over blocks of the
+    leading axis of `x`, an axis of independent groups of token rows
+    [G, ..., C]."""
     for block in _blocks(len(x), math.prod(x.shape[1:-1])):
         np.add(x[block], fn(x[block]), out=out[block])
+    return out
+
+
+def _target(seq: MultiResSequence, out: MultiResSequence | None) -> MultiResSequence:
+    """Where a sublayer writes its result: ``out`` (numpy's idiom: C-contiguous
+    parts of seq's shapes, and seq's times), or a fresh sequence like seq."""
+    if out is None:
+        return MultiResSequence(np.empty_like(seq.saliency), np.empty_like(seq.non_saliency),
+                                seq.times, seq.h)
+    if out.h != seq.h or any(
+            o.shape != a.shape or not o.flags.c_contiguous
+            for o, a in ((out.saliency, seq.saliency), (out.non_saliency, seq.non_saliency))
+    ) or any(not np.array_equal(o, a) for o, a in zip(out.times, seq.times)):
+        raise ShapeError("out must be a C-contiguous sequence with the input's shapes and times")
     return out
 
 
@@ -142,8 +161,8 @@ def _multihead(x: np.ndarray, p: AttentionParams, heads: int) -> np.ndarray:
     return numerics.linear(numerics.attention(q, k, v, heads), p.wo)
 
 
-def temporal_attention(seq: MultiResSequence, p: AttentionParams,
-                       heads: int) -> MultiResSequence:
+def temporal_attention(seq: MultiResSequence, p: AttentionParams, heads: int,
+                       out: MultiResSequence | None = None) -> MultiResSequence:
     """Attention along time on the aligned coarse grid.
 
     Saliency frames are mean-pooled to the non-saliency grid, every frame
@@ -157,55 +176,58 @@ def temporal_attention(seq: MultiResSequence, p: AttentionParams,
     c = seq.channels
 
     low_sal = numerics.avgpool_downsample(sal, h) if h > 1 else sal
-    # location-major, time the attention axis: [ml, nl, T, C]
-    merged = np.empty((ml, nl, k + r, c), F32)
-    merged[:, :, times.saliency] = low_sal.transpose(1, 2, 0, 3)
-    merged[:, :, times.non_saliency] = non.transpose(1, 2, 0, 3)
-
-    new_sal, new_non = np.empty_like(sal), np.empty_like(non)
+    out = _target(seq, out)
     # [K, ml, h, nl, h, C] views: one coarse cell's h x h block of cells
-    sal6, new_sal6 = (a.reshape(k, ml, h, nl, h, c) for a in (sal, new_sal))
+    sal6, out6 = (a.reshape(k, ml, h, nl, h, c) for a in (sal, out.saliency))
     for rows in _blocks(ml, nl * (k + r)):
-        att = _multihead(merged[rows], p, heads)
+        # the block's grid rows, location-major with time the attention
+        # axis [rows, nl, T, C]: a copy, made before out (which may be
+        # seq) is written in these rows
+        merged = np.empty((rows.stop - rows.start, nl, k + r, c), F32)
+        merged[:, :, times.saliency] = low_sal[:, rows].transpose(1, 2, 0, 3)
+        merged[:, :, times.non_saliency] = non[:, rows].transpose(1, 2, 0, 3)
+        att = _multihead(merged, p, heads)
         att_sal = att[:, :, times.saliency].transpose(2, 0, 1, 3)
-        np.add(sal6[:, rows], att_sal[:, :, None, :, None], out=new_sal6[:, rows])
+        np.add(sal6[:, rows], att_sal[:, :, None, :, None], out=out6[:, rows])
         att_non = att[:, :, times.non_saliency].transpose(2, 0, 1, 3)
-        np.add(non[:, rows], att_non, out=new_non[:, rows])
-    return MultiResSequence(new_sal, new_non, times, h)
+        np.add(non[:, rows], att_non, out=out.non_saliency[:, rows])
+    return out
 
 
-def spatial_attention(seq: MultiResSequence, p: AttentionParams,
-                      heads: int) -> MultiResSequence:
+def spatial_attention(seq: MultiResSequence, p: AttentionParams, heads: int,
+                      out: MultiResSequence | None = None) -> MultiResSequence:
     """Per-frame self-attention, each part at its native resolution; runs
     over blocks of frames."""
-
-    def attend(part: np.ndarray) -> np.ndarray:
+    out = _target(seq, out)
+    for part, dest in ((seq.saliency, out.saliency), (seq.non_saliency, out.non_saliency)):
         f, m, n, c = part.shape
-        x = part.reshape(f, m * n, c)
-        return _residual(x, lambda xb: _multihead(xb, p, heads)).reshape(part.shape)
+        _residual(part.reshape(f, m * n, c), lambda xb: _multihead(xb, p, heads),
+                  dest.reshape(f, m * n, c))
+    return out
 
-    return MultiResSequence(attend(seq.saliency), attend(seq.non_saliency), seq.times, seq.h)
 
-
-def feed_forward(seq: MultiResSequence, p: FeedForwardParams) -> MultiResSequence:
+def feed_forward(seq: MultiResSequence, p: FeedForwardParams,
+                 out: MultiResSequence | None = None) -> MultiResSequence:
     """Token-wise two-layer GELU block applied to both parts; runs over
     blocks of token rows."""
 
     def mlp(x: np.ndarray) -> np.ndarray:
         ln = numerics.layer_norm(x, p.ln_gain, p.ln_shift)
-        hidden = numerics.gelu(numerics.linear(ln, p.w1, p.b1))
-        return numerics.linear(hidden, p.w2, p.b2)
+        hidden = numerics.linear(ln, p.w1, p.b1)
+        return numerics.linear(numerics.gelu(hidden, out=hidden), p.w2, p.b2)
 
-    def run(part: np.ndarray) -> np.ndarray:
-        return _residual(part.reshape(-1, part.shape[-1]), mlp).reshape(part.shape)
+    out = _target(seq, out)
+    for part, dest in ((seq.saliency, out.saliency), (seq.non_saliency, out.non_saliency)):
+        c = part.shape[-1]
+        _residual(part.reshape(-1, c), mlp, dest.reshape(-1, c))
+    return out
 
-    return MultiResSequence(run(seq.saliency), run(seq.non_saliency), seq.times, seq.h)
 
-
-def rat_layer_forward(seq: MultiResSequence, p: RatLayerParams,
-                      heads: int) -> MultiResSequence:
+def rat_layer_forward(seq: MultiResSequence, p: RatLayerParams, heads: int,
+                      out: MultiResSequence | None = None) -> MultiResSequence:
     """One full layer with `heads` attention heads: temporal, then
-    spatial, then feed-forward."""
-    seq = temporal_attention(seq, p.temporal, heads)
-    seq = spatial_attention(seq, p.spatial, heads)
-    return feed_forward(seq, p.ffn)
+    spatial, then feed-forward, each writing into ``out`` (which may be
+    ``seq``) or, without one, into one fresh sequence."""
+    out = temporal_attention(seq, p.temporal, heads, out=out)
+    out = spatial_attention(out, p.spatial, heads, out=out)
+    return feed_forward(out, p.ffn, out=out)

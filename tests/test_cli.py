@@ -4,6 +4,9 @@ formats, and byte-stable stdout."""
 import ast
 import inspect
 import io
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import drca
 from drca import cli, numerics, ranking
 from drca.cli import (
     _MODEL_KEYS,
@@ -235,10 +239,29 @@ def _one_line_error(capsys, *names: str) -> None:
      ["sigma", "n_samples"]),
     (["forward", "toy", "--set", "mode=train", "--set", "n_samples=0"], ["n_samples"]),
     (["forward", "toy", "--set", "mode=train", "--set", "sigma=nan"], ["sigma"]),
+    # values that a float32 (or the smoothed ranking's float64 keys)
+    # cannot hold are refused before anything runs
+    (["toy-train", "--lr", "1e300"], ["--lr"]),
+    (["toy-train", "--init-scale=-1e300"], ["--init-scale"]),
+    (["toy-train", "--sigma", "1e-300"], ["--sigma"]),
+    (["toy-train", "--sigma", "1e300"], ["--sigma"]),
+    (["forward", "toy", "--set", "mode=train", "--set", "sigma=1e308"], ["sigma"]),
+    # a representable run that diverges names its step
+    (["toy-train", "--init-scale", "1e30", "--videos", "4", "--holdout", "2", "--steps", "2"],
+     ["diverged at step 0"]),
+    (["toy-train", "--lr", "1e38", "--init-scale", "1e12", "--videos", "4", "--holdout", "2",
+      "--steps", "3"], ["diverged at step 1"]),
+    # a config file that is not text names its path
+    (["forward", "BINARY_CONF"], ["BINARY_CONF", "UTF-8"]),
 ])
-def test_bad_values_exit_2_with_one_line_error(capsys, argv, names):
-    assert main(argv) == EXIT_BAD_INPUT
-    _one_line_error(capsys, *names)
+def test_bad_values_exit_2_with_one_line_error(tmp_path, capsys, argv, names):
+    binary = tmp_path / "binary.conf"
+    binary.write_bytes(b"\x80variant = toy\n")
+    argv = [arg.replace("BINARY_CONF", str(binary)) for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_BAD_INPUT
+    _one_line_error(capsys, *(name.replace("BINARY_CONF", str(binary)) for name in names))
 
 
 @pytest.mark.parametrize("argv", [
@@ -662,3 +685,16 @@ def test_selftest_checks_the_production_gradient(capsys, monkeypatch):
     assert "suite ranking" in captured.err and "gradient" in captured.err
     assert ranking._score_gradient is grad
     assert main(["selftest"]) == EXIT_OK
+
+
+def test_toy_train_never_imports_numpy_ma():
+    # np.unique, behind np.setdiff1d and np.intersect1d, imports numpy.ma
+    # on its first call: about 1.4 MB resident and 14 ms for nothing
+    code = ("import sys\nfrom drca.cli import main\n"
+            "main(['toy-train', '--videos', '4', '--holdout', '2', '--steps', '1'])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(drca.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -352,3 +352,61 @@ def test_forward_holds_block_sized_activations():
     finally:
         tracemalloc.stop()
     assert peak <= budget, (peak, budget)
+
+
+# --- one residual stream -------------------------------------------------
+
+def _leaf_bytes(params) -> dict[str, bytes]:
+    return {name: leaf.tobytes() for name, leaf in named_params(params).items()}
+
+
+@pytest.mark.parametrize("config", [ModelConfig.toy(), ModelConfig.toy(dccm_insert_after=0),
+                                    ModelConfig.toy(saliency_count=8, compression_factor=1)])
+@pytest.mark.parametrize("fwd", [forward, baseline_forward])
+def test_forward_leaves_the_video_and_params_unchanged(config, fwd):
+    # the passes update their own residual stream in place, never an input
+    params = init_params(config, seed=7)
+    video = _toy_video(8, config)
+    video_before, params_before = video.tobytes(), _leaf_bytes(params)
+    fwd(video, params, config)
+    assert video.tobytes() == video_before
+    assert _leaf_bytes(params) == params_before
+
+
+@pytest.mark.parametrize("fwd", [forward, baseline_forward])
+def test_sublayers_hold_one_stream_and_one_blocks_transients(monkeypatch, fwd):
+    # measured from the start of the pass, with the video and the weights
+    # made before it: while a sublayer runs, what is traced is the
+    # residual stream it updates (one token tensor up to the split, 5/8
+    # of one after it) plus one block's transients, at most three arrays
+    # the size of the largest block array.  A sublayer that writes a
+    # second stream, or builds its merged temporal grid whole, takes five
+    # token tensors or more; a stage-1 stream kept past the split adds one.
+    config = _SMALL_2
+    params = init_params(config, seed=0)
+    video = RandomStream(1).gaussian((config.frames, config.height, config.width, 3))
+    m, n = config.grid
+    token_bytes = 4 * config.frames * m * n * config.embed_dim
+    arrays = dict(count_flops(config).arrays)
+    block = max(arrays["an attention-score tensor"], arrays["the feed-forward hidden activation"])
+    peaks = []
+
+    def traced(fn):
+        def run(seq, *args, **kwargs):
+            tracemalloc.reset_peak()
+            out = fn(seq, *args, **kwargs)
+            stream = seq.saliency.nbytes + seq.non_saliency.nbytes
+            peaks.append((fn.__name__, tracemalloc.get_traced_memory()[1], stream + 3 * block))
+            return out
+        return run
+
+    for name in ("temporal_attention", "spatial_attention", "feed_forward"):
+        monkeypatch.setattr(rat, name, traced(getattr(rat, name)))
+    tracemalloc.start()
+    try:
+        fwd(video, params, config)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3 * config.depth
+    assert peaks[0][2] == token_bytes + 3 * block
+    assert all(peak <= budget for _, peak, budget in peaks), peaks

@@ -500,6 +500,44 @@ def test_gelu_independent_of_strides_and_blocks():
     assert np.array_equal(gelu(flat[lo:hi]), gelu(flat)[lo:hi])
 
 
+@pytest.mark.parametrize("size", [1, numerics._CHUNK - 1, numerics._CHUNK,
+                                  numerics._CHUNK + 1, 2 * numerics._CHUNK + 7])
+def test_gelu_and_softmax_in_place_are_bitwise_fresh_calls(size):
+    x = (_stream(size).gaussian(size) * F32(6)).reshape(-1, 1 if size % 7 else 7)
+    for kernel in (gelu, softmax_lastdim):
+        fresh = kernel(x)
+        y = x.copy()
+        assert kernel(y, out=y) is y
+        assert y.tobytes() == fresh.tobytes()
+        other = np.full_like(x, np.nan)
+        assert kernel(x, out=other) is other and other.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("out", [np.zeros((3, 5), F32), np.zeros((4, 5)),
+                                 np.zeros((4, 10), F32)[:, ::2]])
+def test_gelu_and_softmax_refuse_an_out_they_cannot_fill(out):
+    x = _stream(3).gaussian((4, 5))
+    for kernel in (gelu, softmax_lastdim):
+        with pytest.raises(ShapeError, match="out must be"):
+            kernel(x, out=out)
+
+
+def test_stacked_linear_is_bitwise_each_matrix_alone_and_counts_the_same():
+    s = _stream(19)
+    for shape, width in (((5, 3, 8), 1), ((5, 1, 8), 4), ((2, 4, 1, 8), 1)):
+        x, w, b = s.gaussian(shape), s.gaussian((8, width)), s.gaussian(width)
+        with FlopCounter() as stacked:
+            got = linear(x, w, b, stacked=True)
+        with FlopCounter() as flat:
+            linear(x, w, b)
+        assert stacked.total == flat.total
+        alone = np.stack([linear(m, w, b) for m in x.reshape(-1, *shape[-2:])])
+        assert got.shape == shape[:-1] + (width,)
+        assert got.tobytes() == alone.tobytes()
+    with pytest.raises(ShapeError):
+        linear(s.gaussian(8), w, b, stacked=True)
+
+
 # The expression forms the in-place kernels replaced; the kernels must
 # stay bitwise equal to them.
 

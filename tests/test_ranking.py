@@ -83,6 +83,21 @@ def test_topk_split_parts_and_times():
     assert np.array_equal(np.sort(np.concatenate(times)), np.arange(6))
 
 
+def test_topk_split_parts_hold_only_their_own_frames():
+    # the non-saliency part, once compressed away, frees its frames: it
+    # is no view of a gathered copy that the saliency part keeps alive
+    tokens = RandomStream(6).gaussian((8, 14, 14, 16))
+    perm = hard_rank(RandomStream(7).gaussian(8))
+    tracemalloc.start()
+    try:
+        sal, non, _ = topk_split(tokens, perm, 2)
+        del non
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * sal.nbytes, (held, sal.nbytes)
+
+
 def test_topk_split_rejects_bad_k():
     tokens = RandomStream(4).gaussian((5, 2, 2, 3))
     perm = hard_rank(RandomStream(5).gaussian(5))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from drca import rat
+from drca import numerics, rat
 from drca.dccm import MultiResSequence, full_res_sequence
 from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import TimeIndexMap
@@ -262,3 +262,67 @@ def test_blocks_cover_the_groups_evenly_and_never_as_one_row(monkeypatch, block_
             # at most _BLOCK_ROWS // rows groups, save that one-row groups
             # may need blocks of two or three
             assert max(sizes) <= max(block_rows // rows, 1 if rows > 1 else 3)
+
+
+# --- out= ---------------------------------------------------------------
+
+def _copy(seq: MultiResSequence) -> MultiResSequence:
+    return MultiResSequence(seq.saliency.copy(), seq.non_saliency.copy(), seq.times, seq.h)
+
+
+_SUBLAYERS = {
+    "temporal": lambda seq, p, out=None: temporal_attention(seq, p.temporal, 2, out=out),
+    "spatial": lambda seq, p, out=None: spatial_attention(seq, p.spatial, 2, out=out),
+    "ffn": lambda seq, p, out=None: feed_forward(seq, p.ffn, out=out),
+    "layer": lambda seq, p, out=None: rat_layer_forward(seq, p, 2, out=out),
+}
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("name", sorted(_SUBLAYERS))
+def test_out_is_bitwise_a_fresh_result_and_without_it_the_input_stays(name, h):
+    # k=3, r=5 at 8x8 runs every sublayer over several blocks
+    fn, p = _SUBLAYERS[name], _layer(6, 31)
+    seq = _sequence(30 + h, k=3, r=5, m=8, n=8, h=h)
+    before = _copy(seq)
+    fresh = fn(seq, p)
+    for got, want in ((seq.saliency, before.saliency), (seq.non_saliency, before.non_saliency)):
+        assert got.tobytes() == want.tobytes()
+    assert fresh.saliency is not seq.saliency and fresh.non_saliency is not seq.non_saliency
+
+    in_place = _copy(seq)
+    noise = _sequence(40, k=3, r=5, m=8, n=8, h=h)  # any contents: overwritten
+    other = MultiResSequence(noise.saliency, noise.non_saliency, seq.times, h)
+    for out, source in ((in_place, in_place), (other, seq)):
+        got = fn(source, p, out=out)
+        assert got is out
+        assert got.saliency.tobytes() == fresh.saliency.tobytes()
+        assert got.non_saliency.tobytes() == fresh.non_saliency.tobytes()
+
+
+def test_out_must_be_a_contiguous_sequence_with_the_inputs_shapes_and_times():
+    seq, p = _sequence(50), _layer(6, 51)
+    for wrong in (_sequence(52, k=3, r=2), _sequence(53, h=1, m=2, n=2),
+                  MultiResSequence(seq.saliency, seq.non_saliency,
+                                   TimeIndexMap(seq.times.saliency[::-1], seq.times.non_saliency),
+                                   seq.h)):
+        with pytest.raises(ShapeError, match="out must be"):
+            feed_forward(seq, p.ffn, out=wrong)
+    strided = MultiResSequence(np.zeros((2, 4, 8, 6), F32)[:, :, ::2], seq.non_saliency.copy(),
+                               seq.times, seq.h)
+    with pytest.raises(ShapeError, match="out must be"):
+        spatial_attention(seq, p.spatial, 2, out=strided)
+
+
+def test_ffn_and_attention_overwrite_their_own_hidden_and_scores(monkeypatch):
+    # GELU and softmax get the fresh linear-1 output and attention scores
+    # as out=, so neither allocates a second array of that size
+    calls = []
+    for name in ("gelu", "softmax_lastdim"):
+        def spy(x, out=None, _kernel=getattr(numerics, name), _name=name):
+            calls.append((_name, out is x))
+            return _kernel(x, out=out)
+        monkeypatch.setattr(numerics, name, spy)
+    rat_layer_forward(_sequence(60), _layer(6, 61), heads=2)
+    assert {name for name, _ in calls} == {"gelu", "softmax_lastdim"}
+    assert all(in_place for _, in_place in calls), calls
