@@ -266,7 +266,8 @@ def dccm_forward(tokens: np.ndarray, params: DccmParams, k: int, h: int) -> Dccm
     The token path is hard: the top-k frames by score stay at full
     resolution.  At h == 1 the two parts already share a grid and the
     compressor is skipped entirely, which keeps K=T/h=1 configurations
-    bit-comparable to an unsplit pipeline.
+    bit-comparable to an unsplit pipeline.  A caller that hands over its
+    only reference to the tokens has them freed at the split.
     """
     tokens = np.asarray(tokens, dtype=F32)
     if tokens.ndim != 4:
@@ -274,6 +275,7 @@ def dccm_forward(tokens: np.ndarray, params: DccmParams, k: int, h: int) -> Dccm
 
     scores = score_net_forward(tokens, params.score).scores
     sal, non, times = topk_split(tokens, hard_rank(scores), k)
+    del tokens
     if h == 1:
         compressed = non
     else:

@@ -24,7 +24,7 @@ float32 weight total.  The transformer layers run over blocks of
 independent groups (see ``rat.block_groups``), so their attention scores
 and feed-forward hidden activation are sized from the largest block;
 the compressor's scores, from all of its groups at once; the
-score-net's zero-padded input, whole; a seeded draw, the larger of its
+score-net's tap window, input-sized; a seeded draw, the larger of its
 float32 output and the float64 chunk of at most ``numerics._CHUNK``
 values it is drawn through.  The command line refuses a model
 on these figures before it allocates anything.
@@ -135,9 +135,9 @@ _FF_DRAW = "the feed-forward weight draw"
 _PATCH_DRAW = "the patch projection draw"
 _HEAD_DRAW = "the head weight draw"
 _VIDEO_DRAW = "the input video draw"
-_CONV_INPUT = "the score-net's zero-padded input"
+_CONV_WINDOW = "the score-net's tap window"
 _CONV_DRAW = "the score-net kernel draw"
-_KINDS = (_SCORES, _HIDDEN, _FF_DRAW, _PATCH_DRAW, _HEAD_DRAW, _VIDEO_DRAW, _CONV_INPUT,
+_KINDS = (_SCORES, _HIDDEN, _FF_DRAW, _PATCH_DRAW, _HEAD_DRAW, _VIDEO_DRAW, _CONV_WINDOW,
           _CONV_DRAW)
 
 
@@ -260,7 +260,7 @@ def count_flops(config: ModelConfig) -> FlopsReport:
         + NONLIN * t * hid                   # relu
         + 2 * t * hid * 1 + t,               # linear 2 + bias
     )
-    walk.array(_CONV_INPUT, _F32_BYTES * (t + 2) * (m + 2) * (n + 2) * c)
+    walk.array(_CONV_WINDOW, _F32_BYTES * t * grid * c)
     walk.weight(27 * c, mid, draw=_CONV_DRAW)
     walk.weight(mid * hid + hid + hid + 1)
     walk.weight(c, c, times=3)  # compressor projections, drawn for every model

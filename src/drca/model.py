@@ -28,7 +28,7 @@ from .dccm import (
     full_res_sequence,
     score_net_forward,
 )
-from .rat import RatLayerParams, rat_layer_forward
+from .rat import RatLayerParams, _blocks, rat_layer_forward
 
 _NAME_RE = re.compile(r"^DRCA-([BS])-K(\d+)$")
 
@@ -249,13 +249,23 @@ def params_from_named(config: ModelConfig, named: dict[str, np.ndarray]) -> Drca
     return params
 
 
+# the most patch rows in one product of the patch projection: DRCA-S and
+# DRCA-B project blocks of two frames (392 rows), the toy all 128 rows at
+# once.  A smaller product can take another BLAS kernel and change the
+# last bits (16-row slices of the toy's [128, 768] @ [768, 16] product
+# do), so the projection keeps its own bound rather than the sublayers'
+# rat._BLOCK_ROWS, which the block tests shrink to a row or two
+_PATCH_BLOCK_ROWS = 512
+
+
 def patch_embed(video: np.ndarray, params: DrcaParams, config: ModelConfig) -> np.ndarray:
     """Non-overlapping patch projection plus separable position embeddings,
     added in place into the projected tokens.
 
-    video: [T, H, W, 3] -> tokens [T, M, N, C].  All frames go through one
-    projection: a frame's smaller product can take another BLAS kernel
-    (it does at the toy's 16 patches) and change the last bits.
+    video: [T, H, W, 3] -> tokens [T, M, N, C].  The projection runs
+    over blocks of frames of at most ``_PATCH_BLOCK_ROWS`` patches, so
+    only one block's patches are ever copied out of the video; the toy's
+    frames are one block.
     """
     video = np.asarray(video, dtype=F32)
     expect = (config.frames, config.height, config.width, 3)
@@ -264,13 +274,13 @@ def patch_embed(video: np.ndarray, params: DrcaParams, config: ModelConfig) -> n
     t, hgt, wid, _ = video.shape
     p = config.patch_size
     m, n = config.grid
-    patches = (
-        video.reshape(t, m, p, n, p, 3)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(t, m, n, p * p * 3)
-    )
-    tokens = numerics.linear(patches, params.patch_w, params.patch_b)
     c = config.embed_dim
+    patches = video.reshape(t, m, p, n, p, 3).transpose(0, 1, 3, 2, 4, 5)
+    tokens = np.empty((t, m, n, c), F32)
+    for frames in _blocks(t, m * n, _PATCH_BLOCK_ROWS):
+        # one block's patches are copied into rows at a time
+        tokens[frames] = numerics.linear(
+            patches[frames].reshape(-1, m, n, p * p * 3), params.patch_w, params.patch_b)
     tokens += params.pos_spatial.reshape(1, m, n, c)
     tokens += params.pos_temporal.reshape(t, 1, 1, c)
     return tokens
@@ -288,17 +298,24 @@ def _head(seq, params: DrcaParams, config: ModelConfig) -> np.ndarray:
     return out
 
 
+def _stage1(video: np.ndarray, params: DrcaParams, config: ModelConfig):
+    """The patch tokens after the full-resolution layers, as an
+    all-saliency sequence updated in place by every layer."""
+    seq = full_res_sequence(patch_embed(video, params, config))
+    for layer in params.stage1:
+        seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
+    return seq
+
+
 def forward(video: np.ndarray, params: DrcaParams, config: ModelConfig) -> ModelOutput:
     """Full pipeline with the compression split after `dccm_insert_after`
     full-resolution layers.  Every layer updates one residual stream in
     place: the patch tokens up to the split, then the gathered and
-    compressed sequence, so the stage-1 stream is freed at the split."""
-    seq = full_res_sequence(patch_embed(video, params, config))
-    for layer in params.stage1:
-        seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
+    compressed sequence.  dccm gets the only reference to the stage-1
+    stream, which is freed at the split, before compression runs."""
     # stage-1 times are the identity, so storage order is time order
-    result = dccm_forward(seq.saliency, params.dccm, config.saliency_count,
-                          config.compression_factor)
+    result = dccm_forward(_stage1(video, params, config).saliency, params.dccm,
+                          config.saliency_count, config.compression_factor)
     seq = result.sequence
     for layer in params.rat:
         seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
@@ -314,9 +331,7 @@ def baseline_forward(video: np.ndarray, params: DrcaParams,
     """The same parameters with no split: every layer runs full-resolution
     divided space-time attention, updating one residual stream in place.
     The score-net still runs, purely as a diagnostic."""
-    seq = full_res_sequence(patch_embed(video, params, config))
-    for layer in params.stage1:
-        seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
+    seq = _stage1(video, params, config)
     scores = score_net_forward(seq.saliency, params.dccm.score).scores
     for layer in params.rat:
         seq = rat_layer_forward(seq, layer, config.head_count, out=seq)

@@ -25,7 +25,8 @@ stacked=True)`` gives each matrix of a stack its own call's bits there.
 A smaller product can also take another BLAS kernel (OpenBLAS has a
 small-matrix path) that sums a long inner axis in another order: 16-row
 slices of a [128, 768] @ [768, 16] product differ from it in the last
-bits, so the patch projection runs over all frames at once.
+bits, so the patch projection runs over blocks of up to 512 rows, not
+frame by frame.
 
 ``gelu`` and ``softmax_lastdim`` write into ``out`` if one is given
 (C-contiguous float32 of the input's shape), which may be the input
@@ -44,7 +45,9 @@ the one-shot ``standard_normal(shape).astype(F32)``.
 sqrt(d)) v per head: the transformer layers call it with their head
 count, the compressor with one head and 2-D keys and values that
 broadcast against its queries.  Its cost is that of its two matmuls and
-its softmax.
+its softmax.  It drops q and k once the scores are made, and the scores
+and v once they are applied, so a caller that hands over its only
+references has them freed there.
 
 GELU is the exact erf form, evaluated as relu(x) - |x| Phi(-|x|) with
 Phi(-a) = erfc(a / sqrt 2) / 2 and erfc from the Numerical Recipes
@@ -54,15 +57,17 @@ within (1e-7 + 1e-6 |gelu(x)|) / 2 at every point; |x| is clamped so
 that neither the output nor any intermediate is subnormal.
 
 ``conv3d`` and its kernel gradient ``conv3d_kernel_grad`` share one
-padded-window walk.  Both take a [T, M, N, C] video or a stack
-[B, T, M, N, C] of videos; the walk pads only the last four axes, so
-each video of a stack gets bitwise the result of its own call, and the
-kernel gradient of a stack is the per-video gradients, not their sum.
-Each kernel tap is one product over a contiguous copy of the tap's
-window: ``conv3d`` makes one GEMM over every video's rows (one per
-video where numpy would take its matrix-vector path), the gradient one
-window^T @ d_out per video.  At most one window copy is alive at a
-time; no im2col of all taps is built.
+window walk.  Both take a [T, M, N, C] video or a stack [B, T, M, N, C]
+of videos; the walk zero-pads only the last four axes, so each video of
+a stack gets bitwise the result of its own call, and the kernel gradient
+of a stack is the per-video gradients, not their sum.  Each kernel tap
+is one product over the tap's window, built straight from the unpadded
+input into one contiguous input-sized buffer that every tap reuses: the
+shifted input, and zeros in the border strips that the shift uncovers.
+No padded copy and no im2col of all taps is made, and each window holds
+the bytes of the padded copy's window.  ``conv3d`` makes one GEMM over
+every video's rows (one per video where numpy would take its
+matrix-vector path), the gradient one window^T @ d_out per video.
 ``tree_map`` is the single walk over the parameter dataclass trees: it
 names, rebuilds and updates them field by field.
 """
@@ -289,16 +294,20 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nda
         raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}")
     if heads < 1 or c % heads:
         raise ShapeError(f"head count {heads} must divide width {c}")
-    d = c // heads
+    d, l_q = c // heads, q.shape[-2]
 
     def split(x):  # [..., L, C] -> [..., heads, L, d]
         return np.swapaxes(x.reshape(*x.shape[:-1], heads, d), -3, -2)
 
+    # each operand is dropped after its last reader, which frees it where
+    # this call holds the only reference
     scores = matmul(split(q), np.swapaxes(split(k), -1, -2))  # [..., heads, L_q, L_k]
+    del q, k
     scores /= F32(np.sqrt(d))
     softmax_lastdim(scores, out=scores)
     out = matmul(scores, split(v))                             # [..., heads, L_q, d]
-    return np.swapaxes(out, -3, -2).reshape(*out.shape[:-3], q.shape[-2], c)
+    del scores, v
+    return np.swapaxes(out, -3, -2).reshape(*out.shape[:-3], l_q, c)
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -345,26 +354,57 @@ def mean_pool(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _padded_windows(x: np.ndarray, kernel_shape: tuple[int, ...]):
-    """The one window walk behind ``conv3d`` and its kernel gradient:
-    validate a [T, M, N, C_in] or [B, T, M, N, C_in] input against a
-    [kt, kh, kw, C_in, C_out] kernel shape, zero-pad its last four axes
-    by half the kernel extents, and return ``(tap, window)`` for every
-    kernel tap, ``window`` being the input-shaped view that tap reads."""
+def _check_conv(x: np.ndarray, kernel_shape: tuple[int, ...]) -> None:
+    """Validate a [T, M, N, C_in] or [B, T, M, N, C_in] input against a
+    [kt, kh, kw, C_in, C_out] kernel shape."""
     if x.ndim not in (4, 5):
         raise ShapeError(f"conv3d input must be [T, M, N, C] or [B, T, M, N, C], got {x.shape}")
     if len(kernel_shape) != 5:
         raise ShapeError(f"conv3d kernel must be [kt, kh, kw, Cin, Cout], got {kernel_shape}")
-    kt, kh, kw, c_in, _ = kernel_shape
-    if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv3d kernel extents must be odd, got {(kt, kh, kw)}")
-    if x.shape[-1] != c_in:
-        raise ShapeError(f"conv3d channels {x.shape[-1]} do not match kernel {c_in}")
-    t, m, n, _ = x.shape[-4:]
-    pad = ((0, 0),) * (x.ndim - 4) + ((kt // 2,) * 2, (kh // 2,) * 2, (kw // 2,) * 2, (0, 0))
-    xp = np.pad(x, pad)
-    return [((dt, dh, dw), xp[..., dt:dt + t, dh:dh + m, dw:dw + n, :])
-            for dt in range(kt) for dh in range(kh) for dw in range(kw)]
+    if any(e % 2 == 0 for e in kernel_shape[:3]):
+        raise ShapeError(f"conv3d kernel extents must be odd, got {kernel_shape[:3]}")
+    if x.shape[-1] != kernel_shape[3]:
+        raise ShapeError(f"conv3d channels {x.shape[-1]} do not match kernel {kernel_shape[3]}")
+
+
+@functools.lru_cache(maxsize=64)
+def _tap_plan(extents: tuple[int, ...], lengths: tuple[int, ...]) -> tuple:
+    """For each tap of a kernel of the given (time, height, width)
+    extents over a video of the given lengths, in tap order: the tap, the
+    window's index that the input fills, the input's index that fills
+    it, and the window's border strips, which are zero."""
+    axes = []  # per axis and tap offset: (destination, source, border strips)
+    for axis, (extent, length) in enumerate(zip(extents, lengths)):
+        shifts = []
+        for d in range(extent):
+            shift = d - extent // 2
+            lo = min(max(-shift, 0), length)
+            hi = max(min(length - shift, length), lo)
+            strips = tuple((...,) + (slice(None),) * axis + (s,) + (slice(None),) * (3 - axis)
+                           for s in (slice(0, lo), slice(hi, length)) if s.stop > s.start)
+            shifts.append((slice(lo, hi), slice(lo + shift, hi + shift), strips))
+        axes.append(shifts)
+    return tuple(
+        ((dt, dh, dw), (..., t[0], m[0], n[0], slice(None)),
+         (..., t[1], m[1], n[1], slice(None)), t[2] + m[2] + n[2])
+        for dt, t in enumerate(axes[0]) for dh, m in enumerate(axes[1])
+        for dw, n in enumerate(axes[2]))
+
+
+def _tap_windows(x: np.ndarray, extents: tuple[int, ...]):
+    """The one window walk behind ``conv3d`` and its kernel gradient:
+    yield ``(tap, window)`` for every tap of a kernel of the given
+    (time, height, width) extents, in tap order.  ``window`` is one
+    C-contiguous input-shaped buffer, refilled for each tap with what the
+    tap reads of the input zero-padded by half the extents on its last
+    four axes: the shifted input, and zeros in the border strips that the
+    shift leaves uncovered.  No padded copy of the input is made."""
+    window = np.empty(x.shape, F32)
+    for tap, dst, src, strips in _tap_plan(tuple(extents), x.shape[-4:-1]):
+        window[dst] = x[src]
+        for strip in strips:
+            window[strip] = 0
+        yield tap, window
 
 
 def conv3d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -373,12 +413,12 @@ def conv3d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     x: [T, M, N, C_in] or a stack [B, T, M, N, C_in] of videos, kernel:
     [kt, kh, kw, C_in, C_out] with odd spatial/temporal extents.  Returns
     [(B,) T, M, N, C_out]; each video of a stack is bitwise its own call.
-    Each tap is one product of a contiguous copy of its window with the
+    Each tap is one product of its window (see ``_tap_windows``) with the
     tap's [C_in, C_out] matrix, added into the output in tap order.
     """
     x = np.asarray(x, dtype=F32)
     kernel = np.asarray(kernel, dtype=F32)
-    windows = _padded_windows(x, kernel.shape)
+    _check_conv(x, kernel.shape)
     c_in, c_out = kernel.shape[-2:]
     out = np.zeros(x.shape[:-1] + (c_out,), dtype=F32)
     # one GEMM over every video's rows; where that product would take
@@ -390,9 +430,9 @@ def conv3d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if x.ndim == 5 and (rows == 1 or c_out == 1):
         lead = (x.shape[0], rows)
     flat = out.reshape(lead + (c_out,))
-    for tap, window in windows:
-        flat += np.ascontiguousarray(window).reshape(lead + (c_in,)) @ kernel[tap]
-    _count(MACS_TO_FLOPS * out.size * len(windows) * c_in)
+    for tap, window in _tap_windows(x, kernel.shape[:3]):
+        flat += window.reshape(lead + (c_in,)) @ kernel[tap]
+    _count(MACS_TO_FLOPS * out.size * math.prod(kernel.shape[:3]) * c_in)
     return out
 
 
@@ -411,7 +451,7 @@ def conv3d_kernel_grad(x: np.ndarray, d_out: np.ndarray,
     x = np.asarray(x, dtype=F32)
     d_out = np.asarray(d_out, dtype=F32)
     kernel_shape = tuple(int(e) for e in kernel_shape)
-    windows = _padded_windows(x, kernel_shape)
+    _check_conv(x, kernel_shape)
     if d_out.shape != x.shape[:-1] + kernel_shape[-1:]:
         raise ShapeError(
             f"conv3d output gradient must be {x.shape[:-1] + kernel_shape[-1:]}, "
@@ -424,11 +464,9 @@ def conv3d_kernel_grad(x: np.ndarray, d_out: np.ndarray,
     videos = (slice(None),) * len(lead)
     # a stack makes one product per video, each the one its own call makes
     d_rows = d_out.reshape(lead + (rows, c_out))
-    for tap, window in windows:
-        # one expression, so each tap's window copy is freed before the next
-        grad[videos + tap] = np.swapaxes(
-            np.ascontiguousarray(window).reshape(lead + (rows, c_in)), -1, -2) @ d_rows
-    _count(MACS_TO_FLOPS * d_out.size * len(windows) * c_in)
+    for tap, window in _tap_windows(x, kernel_shape[:3]):
+        grad[videos + tap] = np.swapaxes(window.reshape(lead + (rows, c_in)), -1, -2) @ d_rows
+    _count(MACS_TO_FLOPS * d_out.size * math.prod(kernel_shape[:3]) * c_in)
     return grad
 
 

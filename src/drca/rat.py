@@ -20,7 +20,9 @@ without ``out`` a sublayer writes a fresh sequence and leaves its input
 as it was.  Every kernel computes a token row, and an attention group,
 on its own, and no block is a single row, so the blocked output is
 bitwise that of one call on the whole.  Blocks change neither the flops
-nor which kernels are called.
+nor which kernels are called, and an empty part runs no block.  Within
+a block each temporary is freed once its last reader has run, so the
+block's working set peaks at its projections and attention scores.
 """
 
 from __future__ import annotations
@@ -102,15 +104,16 @@ class RatLayerParams:
 _BLOCK_ROWS = 512
 
 
-def _block_count(groups: int, rows: int) -> int:
+def _block_count(groups: int, rows: int, most_rows: int | None = None) -> int:
     """How many blocks a sublayer splits `groups` independent groups of
-    `rows` token rows into: enough for each to hold at most
-    ``_BLOCK_ROWS`` rows (at least one group), but never so many that a
-    block is a single row, unless the whole is one row.  A single row
-    takes numpy's matrix-vector path, whose last bits differ from the
-    full call's."""
+    `rows` token rows into: enough for each to hold at most `most_rows`
+    (by default ``_BLOCK_ROWS``) rows (at least one group), but never so
+    many that a block is a single row, unless the whole is one row.  A
+    single row takes numpy's matrix-vector path, whose last bits differ
+    from the full call's."""
     most = groups // 2 if rows == 1 else groups
-    return max(min(-(-groups // max(_BLOCK_ROWS // rows, 1)), most), 1)
+    per_block = max((most_rows or _BLOCK_ROWS) // rows, 1)
+    return max(min(-(-groups // per_block), most), 1)
 
 
 def block_groups(groups: int, rows: int) -> int:
@@ -119,12 +122,13 @@ def block_groups(groups: int, rows: int) -> int:
     return -(-groups // _block_count(groups, rows))
 
 
-def _blocks(groups: int, rows: int) -> list[slice]:
+def _blocks(groups: int, rows: int, most_rows: int | None = None) -> list[slice]:
     """The blocks of `groups` groups of `rows` token rows, split as evenly
-    as the groups allow."""
-    count = _block_count(groups, rows)
+    as the groups allow (see ``_block_count``)."""
+    count = _block_count(groups, rows, most_rows)
     bounds = [groups * i // count for i in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # no groups make no block
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def _residual(x: np.ndarray, fn, out: np.ndarray) -> np.ndarray:
@@ -154,11 +158,19 @@ def _multihead(x: np.ndarray, p: AttentionParams, heads: int) -> np.ndarray:
     """Pre-norm multi-head self-attention over the second-to-last axis.
 
     x: [..., tokens, C]; returns the out-projected attention result
-    (residual is added by the caller).
+    (residual is added by the caller).  A caller that hands over its only
+    reference to x has it freed once it is normalised.
     """
     ln = numerics.layer_norm(x, p.ln_gain, p.ln_shift)
-    q, k, v = (numerics.linear(ln, w) for w in (p.wq, p.wk, p.wv))
-    return numerics.linear(numerics.attention(q, k, v, heads), p.wo)
+    del x
+    # the projections are made in the call, and the name ln is rebound to
+    # the last of them, v: the norm output is freed before attention runs,
+    # and attention holds the only references to q and k, freeing them
+    # once its scores are made
+    att = numerics.attention(numerics.linear(ln, p.wq), numerics.linear(ln, p.wk),
+                             ln := numerics.linear(ln, p.wv), heads)
+    del ln
+    return numerics.linear(att, p.wo)
 
 
 def temporal_attention(seq: MultiResSequence, p: AttentionParams, heads: int,
@@ -177,20 +189,27 @@ def temporal_attention(seq: MultiResSequence, p: AttentionParams, heads: int,
 
     low_sal = numerics.avgpool_downsample(sal, h) if h > 1 else sal
     out = _target(seq, out)
-    # [K, ml, h, nl, h, C] views: one coarse cell's h x h block of cells
-    sal6, out6 = (a.reshape(k, ml, h, nl, h, c) for a in (sal, out.saliency))
-    for rows in _blocks(ml, nl * (k + r)):
+
+    def merged(rows: slice) -> np.ndarray:
         # the block's grid rows, location-major with time the attention
         # axis [rows, nl, T, C]: a copy, made before out (which may be
         # seq) is written in these rows
-        merged = np.empty((rows.stop - rows.start, nl, k + r, c), F32)
-        merged[:, :, times.saliency] = low_sal[:, rows].transpose(1, 2, 0, 3)
-        merged[:, :, times.non_saliency] = non[:, rows].transpose(1, 2, 0, 3)
-        att = _multihead(merged, p, heads)
-        att_sal = att[:, :, times.saliency].transpose(2, 0, 1, 3)
-        np.add(sal6[:, rows], att_sal[:, :, None, :, None], out=out6[:, rows])
-        att_non = att[:, :, times.non_saliency].transpose(2, 0, 1, 3)
-        np.add(non[:, rows], att_non, out=out.non_saliency[:, rows])
+        block = np.empty((rows.stop - rows.start, nl, k + r, c), F32)
+        block[:, :, times.saliency] = low_sal[:, rows].transpose(1, 2, 0, 3)
+        block[:, :, times.non_saliency] = non[:, rows].transpose(1, 2, 0, 3)
+        return block
+
+    # [K, ml, h, nl, h, C] views: one coarse cell's h x h block of cells
+    sal6, out6 = (a.reshape(k, ml, h, nl, h, c) for a in (sal, out.saliency))
+    for rows in _blocks(ml, nl * (k + r)):
+        # _multihead holds the merged block's only reference, and no
+        # block's result outlives its residual adds
+        att = _multihead(merged(rows), p, heads)
+        np.add(sal6[:, rows], att[:, :, times.saliency].transpose(2, 0, 1, 3)[:, :, None, :, None],
+               out=out6[:, rows])
+        np.add(non[:, rows], att[:, :, times.non_saliency].transpose(2, 0, 1, 3),
+               out=out.non_saliency[:, rows])
+        del att
     return out
 
 
@@ -212,8 +231,8 @@ def feed_forward(seq: MultiResSequence, p: FeedForwardParams,
     blocks of token rows."""
 
     def mlp(x: np.ndarray) -> np.ndarray:
-        ln = numerics.layer_norm(x, p.ln_gain, p.ln_shift)
-        hidden = numerics.linear(ln, p.w1, p.b1)
+        # the norm output is freed once the hidden activation is made
+        hidden = numerics.linear(numerics.layer_norm(x, p.ln_gain, p.ln_shift), p.w1, p.b1)
         return numerics.linear(numerics.gelu(hidden, out=hidden), p.w2, p.b2)
 
     out = _target(seq, out)

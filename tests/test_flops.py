@@ -244,7 +244,7 @@ _KERNELS = ("matmul", "linear", "softmax_lastdim", "attention", "layer_norm",
 
 def _recorded_arrays(monkeypatch) -> list:
     """Record (bytes, source, shape) of every kernel output, every seeded
-    draw's largest array, and every zero-padded copy made from now on."""
+    draw's largest array, and every conv tap window made from now on."""
     seen = []
 
     def recording(name, fn, nbytes=lambda out: out.nbytes):
@@ -260,7 +260,14 @@ def _recorded_arrays(monkeypatch) -> list:
     monkeypatch.setattr(numerics.RandomStream, "gaussian", recording(
         "gaussian", numerics.RandomStream.gaussian,
         lambda out: max(out.nbytes, 8 * min(out.size, numerics._CHUNK))))
-    monkeypatch.setattr(np, "pad", recording("pad", np.pad))
+    walk = numerics._tap_windows
+
+    def windows(x, extents):
+        for tap, window in walk(x, extents):
+            seen.append((window.nbytes, "window", window.shape))
+            yield tap, window
+
+    monkeypatch.setattr(numerics, "_tap_windows", windows)
     return seen
 
 
@@ -277,8 +284,7 @@ def _recorded_arrays(monkeypatch) -> list:
     ModelConfig.toy(compression_factor=4, saliency_count=1, dccm_insert_after=0),
     ModelConfig.toy(head_count=1),
     ModelConfig.toy(head_mode="retrieval", embed_out=40),
-    # the largest arrays of these two: the score-net's zero-padded input
-    # and its kernel draw
+    # the largest array of these two is the score-net kernel draw
     ModelConfig.toy(embed_dim=128, patch_size=2, height=8, width=8, frames=10,
                     saliency_count=8, depth=0, dccm_insert_after=0),
     ModelConfig.toy(patch_size=1, height=2, width=2, frames=1, saliency_count=1,
@@ -335,8 +341,49 @@ def test_walk_sizes_the_feed_forward_hidden_activation_exactly(monkeypatch, conf
 
 
 @pytest.mark.parametrize("config", _EXACT_SIZES)
+def test_walk_sizes_the_conv_tap_window_exactly(monkeypatch, config):
+    # the score-net's one window buffer, input-sized: no padded copy
+    arrays, seen = _walk_and_forward(monkeypatch, config)
+    window = arrays["the score-net's tap window"]
+    assert window == max(nbytes for nbytes, name, _ in seen if name == "window")
+    m, n = config.grid
+    assert window == 4 * config.frames * m * n * config.embed_dim
+
+
+@pytest.mark.parametrize("config", _EXACT_SIZES)
 def test_walk_sizes_the_attention_scores_exactly(monkeypatch, config):
     # the largest softmax of the transformer blocks and the compressor
     arrays, seen = _walk_and_forward(monkeypatch, config)
     scores = arrays["an attention-score tensor"]
     assert scores == max(nbytes for nbytes, name, _ in seen if name == "softmax_lastdim")
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig.toy(),
+    ModelConfig.toy(dccm_insert_after=0),
+    ModelConfig.toy(saliency_count=8, compression_factor=1),
+    ModelConfig.small(depth=2, dccm_insert_after=1),
+])
+@pytest.mark.parametrize("twin", [False, True])
+def test_no_kernel_gets_a_zero_row_operand(monkeypatch, config, twin):
+    # an all-saliency sequence's empty non-saliency part (stage 1, and
+    # every layer of the baseline pass) runs no block, and the counted
+    # flops still match the walk exactly.  K = T at h > 1 is left out:
+    # the compressor's no-query path still pools its zero frames
+    empty = []
+
+    def checking(name, fn):
+        def call(*args, **kwargs):
+            empty.extend(name for a in (*args, *kwargs.values())
+                         if isinstance(a, np.ndarray) and a.size == 0)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in _KERNELS:
+        monkeypatch.setattr(numerics, name, checking(name, getattr(numerics, name)))
+    params = init_params(config, seed=3)
+    video = numerics.RandomStream(4).gaussian((config.frames, config.height, config.width, 3))
+    with numerics.FlopCounter() as counter:
+        (baseline_forward if twin else forward)(video, params, config)
+    assert empty == []
+    assert counter.total == count_flops(config.baseline() if twin else config).total

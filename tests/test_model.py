@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from drca import model as model_module
-from drca import rat
+from drca import dccm, rat
 from drca.flops import count_flops
 from drca.model import (
     ModelConfig,
@@ -236,6 +236,26 @@ def test_patch_embed_matches_explicit_patches():
         np.testing.assert_allclose(tokens[t, i, j], expected, atol=1e-4)
 
 
+@pytest.mark.parametrize("config", [
+    ModelConfig.small(depth=0, dccm_insert_after=0),   # four products of 392 rows
+    ModelConfig.base(depth=0, dccm_insert_after=0),
+    ModelConfig.toy(patch_size=4),                     # four of 512 rows
+    ModelConfig.toy(),                                 # one of 128 rows
+])
+def test_patch_embed_blocks_are_bitwise_one_projection(monkeypatch, config):
+    params = init_params(config, seed=8)
+    video = RandomStream(9).gaussian((config.frames, config.height, config.width, 3))
+    calls = []
+    linear = model_module.numerics.linear
+    monkeypatch.setattr(model_module.numerics, "linear",
+                        lambda x, *rest: calls.append(x.shape[0]) or linear(x, *rest))
+    blocked = patch_embed(video, params, config)
+    m, n = config.grid
+    assert max(calls) * m * n <= model_module._PATCH_BLOCK_ROWS and sum(calls) == config.frames
+    monkeypatch.setattr(model_module, "_PATCH_BLOCK_ROWS", 1 << 40)
+    assert blocked.tobytes() == patch_embed(video, params, config).tobytes()
+
+
 def test_patch_embed_rejects_wrong_shape():
     cfg = ModelConfig.toy()
     params = init_params(cfg, seed=10)
@@ -376,12 +396,20 @@ def test_forward_leaves_the_video_and_params_unchanged(config, fwd):
 @pytest.mark.parametrize("fwd", [forward, baseline_forward])
 def test_sublayers_hold_one_stream_and_one_blocks_transients(monkeypatch, fwd):
     # measured from the start of the pass, with the video and the weights
-    # made before it: while a sublayer runs, what is traced is the
-    # residual stream it updates (one token tensor up to the split, 5/8
-    # of one after it) plus one block's transients, at most three arrays
-    # the size of the largest block array.  A sublayer that writes a
-    # second stream, or builds its merged temporal grid whole, takes five
-    # token tensors or more; a stage-1 stream kept past the split adds one.
+    # made before it: while a stage runs, what is traced is the residual
+    # stream it reads or writes plus an allowance of block arrays, the
+    # block array being the largest [392, 1536] hidden activation.  Here a
+    # token tensor is just as large (asserted below), so any video-sized
+    # temporary takes at least one more:
+    # - a sublayer: two.  A second stream, or a merged temporal grid built
+    #   whole, takes more; a stage-1 stream kept past the split adds one
+    #   to the 5/8 of a token tensor the later sublayers update.
+    # - patch_embed, whose stream is its output: one, for one block of
+    #   frames' patches and their projection.  A copy of every patch is two.
+    # - score_net_forward: one and a quarter, for its one tap window (a
+    #   token tensor) and its small conv output.  A zero-padded input is 1.6.
+    # - compress, whose stream is its two parts: one and a half, for the
+    #   projected parts.  A stage-1 stream kept past the split adds one.
     config = _SMALL_2
     params = init_params(config, seed=0)
     video = RandomStream(1).gaussian((config.frames, config.height, config.width, 3))
@@ -389,24 +417,38 @@ def test_sublayers_hold_one_stream_and_one_blocks_transients(monkeypatch, fwd):
     token_bytes = 4 * config.frames * m * n * config.embed_dim
     arrays = dict(count_flops(config).arrays)
     block = max(arrays["an attention-score tensor"], arrays["the feed-forward hidden activation"])
+    assert block == token_bytes == arrays["the score-net's tap window"]
     peaks = []
 
-    def traced(fn):
-        def run(seq, *args, **kwargs):
+    def traced(fn, allowance, stream_of):
+        def run(*args, **kwargs):
             tracemalloc.reset_peak()
-            out = fn(seq, *args, **kwargs)
-            stream = seq.saliency.nbytes + seq.non_saliency.nbytes
-            peaks.append((fn.__name__, tracemalloc.get_traced_memory()[1], stream + 3 * block))
+            out = fn(*args, **kwargs)
+            budget = stream_of(args, out) + int(allowance * block)
+            peaks.append((fn.__name__, tracemalloc.get_traced_memory()[1], budget))
             return out
         return run
 
+    def seq_stream(args, _):
+        return args[0].saliency.nbytes + args[0].non_saliency.nbytes
+
     for name in ("temporal_attention", "spatial_attention", "feed_forward"):
-        monkeypatch.setattr(rat, name, traced(getattr(rat, name)))
+        monkeypatch.setattr(rat, name, traced(getattr(rat, name), 2, seq_stream))
+    monkeypatch.setattr(model_module, "patch_embed", traced(
+        model_module.patch_embed, 1, lambda _, out: out.nbytes))
+    score_net = traced(dccm.score_net_forward, 1.25, lambda args, _: args[0].nbytes)
+    monkeypatch.setattr(dccm, "score_net_forward", score_net)
+    monkeypatch.setattr(model_module, "score_net_forward", score_net)
+    monkeypatch.setattr(dccm, "compress", traced(
+        dccm.compress, 1.5, lambda args, _: args[0].nbytes + args[1].nbytes))
     tracemalloc.start()
     try:
         fwd(video, params, config)
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 3 * config.depth
-    assert peaks[0][2] == token_bytes + 3 * block
+    names = [name for name, _, _ in peaks]
+    assert names.count("patch_embed") == names.count("score_net_forward") == 1
+    assert names.count("compress") == (fwd is forward)
+    assert len(names) == 3 * config.depth + 2 + (fwd is forward)
+    assert peaks[1][0] == "temporal_attention" and peaks[1][2] == token_bytes + 2 * block
     assert all(peak <= budget for _, peak, budget in peaks), peaks

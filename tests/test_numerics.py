@@ -383,15 +383,14 @@ def test_conv3d_is_bitwise_the_tap_ordered_loop_property(b, t, m, n, c_in, c_out
 
 
 def test_conv3d_and_its_kernel_grad_hold_one_window_copy_at_a_time():
-    # above its inputs, each kernel holds the padded input, one window
-    # copy, one tap's product (no larger than a window here) and its
-    # output; an im2col of the 27 windows, or a second window copy, would
-    # not fit
+    # above its inputs, each kernel holds one input-sized window, one
+    # tap's product (no larger than a window here) and its output; a
+    # zero-padded copy of the input (5x its size here), an im2col of the
+    # 27 windows, or a second window, would not fit
     s = _stream(17)
     x = s.gaussian((32, 8, 2, 2, 8))
     kernel = s.gaussian((3, 3, 3, 8, 4))
     d_out = s.gaussian((32, 8, 2, 2, 4))
-    padded = 4 * 32 * 10 * 4 * 4 * 8
     for run in (lambda: conv3d(x, kernel), lambda: conv3d_kernel_grad(x, d_out, kernel.shape)):
         tracemalloc.start()
         try:
@@ -400,8 +399,47 @@ def test_conv3d_and_its_kernel_grad_hold_one_window_copy_at_a_time():
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        budget = padded + 2 * x.nbytes + out.nbytes
+        budget = 2 * x.nbytes + out.nbytes
         assert peak <= budget, (peak, budget)
+
+
+def _padded_windows(x, extents):
+    # the window walk conv3d and its kernel gradient replaced: zero-pad
+    # the input, then copy each tap's window out of the padded copy
+    kt, kh, kw = extents
+    t, m, n = x.shape[-4:-1]
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 4)
+                + ((kt // 2,) * 2, (kh // 2,) * 2, (kw // 2,) * 2, (0, 0)))
+    for dt in range(kt):
+        for dh in range(kh):
+            for dw in range(kw):
+                yield (dt, dh, dw), np.ascontiguousarray(
+                    xp[..., dt:dt + t, dh:dh + m, dw:dw + n, :])
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(0, 3), t=st.integers(1, 4), m=st.integers(1, 4), n=st.integers(1, 4),
+       c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+       extents=st.tuples(*[st.sampled_from([1, 3, 5])] * 3), seed=st.integers(0, 2**16))
+def test_conv3d_windows_are_bitwise_the_padded_copy_reference(b, t, m, n, c_in, c_out,
+                                                               extents, seed):
+    # the padless windows hold the padded copy's bytes, so both kernels'
+    # products see the same operands: 4-D inputs and stacks (b = 0 is
+    # 4-D), extents past the input, one-frame, one-row and one-column
+    # videos, one input channel, and one output channel, where a stack
+    # takes the stacked matrix-vector product
+    s = _stream(seed)
+    x = s.gaussian(((b,) if b else ()) + (t, m, n, c_in))
+    kernel = s.gaussian((*extents, c_in, c_out))
+    d_out = s.gaussian(x.shape[:-1] + (c_out,))
+    for (tap, window), (ref_tap, ref) in zip(numerics._tap_windows(x, extents),
+                                             _padded_windows(x, extents), strict=True):
+        assert tap == ref_tap and window.tobytes() == ref.tobytes()
+    got = conv3d(x, kernel), conv3d_kernel_grad(x, d_out, kernel.shape)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_tap_windows", _padded_windows)
+        want = conv3d(x, kernel), conv3d_kernel_grad(x, d_out, kernel.shape)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @settings(max_examples=40, deadline=None)

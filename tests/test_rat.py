@@ -254,6 +254,9 @@ def test_blocks_cover_the_groups_evenly_and_never_as_one_row(monkeypatch, block_
     for rows in (1, 2, 3, 49, 300):
         for groups in range(40):
             sizes = [block.stop - block.start for block in rat._blocks(groups, rows)]
+            if not groups:  # an empty part runs no block
+                assert sizes == [] and block_groups(groups, rows) == 0
+                continue
             assert sum(sizes) == groups
             assert max(sizes) == block_groups(groups, rows)
             assert max(sizes) - min(sizes) <= 1
