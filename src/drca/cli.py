@@ -54,16 +54,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_seed(seed: int, source: str) -> int:
+    """Refuse a negative seed, naming its source: numpy seeds take none."""
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return seed
+
+
 def _default_seed(explicit: int | None) -> int:
     if explicit is not None:
-        return explicit
-    env = os.environ.get("DRCA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"DRCA_SEED must be an integer, got {env!r}") from None
-    return 0
+        return _check_seed(explicit, "--seed")
+    env = os.environ.get("DRCA_SEED", "0")
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ConfigError(f"DRCA_SEED must be an integer, got {env!r}") from None
+    return _check_seed(seed, "DRCA_SEED")
 
 
 def _fmt(value) -> str:
@@ -91,6 +97,7 @@ class RunConfig:
     perturb: PerturbConfig | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed, "seed")
         if self.mode not in ("infer", "train"):
             raise ConfigError(f"mode must be infer or train, got {self.mode!r}")
         object.__setattr__(self, "perturb", PerturbConfig(
@@ -260,8 +267,8 @@ def cmd_rank(args) -> int:
     cfg = PerturbConfig(sigma=args.sigma, n_samples=args.n_samples, seed=seed)
     _echo_flags(args, seed)
     scores = tensor_io.read_tnsr(args.scores)
-    if scores.ndim != 1:
-        raise ShapeError(f"{args.scores}: scores must be rank 1, got rank {scores.ndim}")
+    if scores.ndim != 1 or not scores.size:
+        raise ShapeError(f"{args.scores}: scores must be a non-empty vector, got {scores.shape}")
     _check_sizes(frames=scores.shape[0], n_samples=cfg.n_samples)
     perm = hard_rank(scores)
     print("order:", " ".join(str(i) for i in perm.order))

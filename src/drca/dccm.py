@@ -87,7 +87,9 @@ class DccmParams:
 class MultiResSequence:
     """A video split into a full-resolution saliency part and a coarser
     non-saliency part, each in rank order, with the original time index of
-    every frame.  The two parts always partition 0..T-1."""
+    every frame.  The two parts always partition 0..T-1.  Both parts are
+    C-contiguous: the transformer layers update them in place through
+    reshaped views, which a strided part would turn into copies."""
 
     saliency: np.ndarray      # [K, M, N, C]
     non_saliency: np.ndarray  # [T-K, M/h, N/h, C]
@@ -115,6 +117,8 @@ class MultiResSequence:
         all_times = np.concatenate([self.times.saliency, self.times.non_saliency])
         if not np.array_equal(np.sort(all_times), np.arange(k + r)):
             raise ShapeError("time indices must form a partition of 0..T-1")
+        if not (sal.flags.c_contiguous and non.flags.c_contiguous):
+            raise ShapeError("sequence parts must be C-contiguous")
 
     @property
     def frame_count(self) -> int:
@@ -138,7 +142,8 @@ class MultiResSequence:
 
 
 def full_res_sequence(tokens: np.ndarray) -> MultiResSequence:
-    """Wrap an unsplit video as an all-saliency sequence (h=1, K=T)."""
+    """Wrap an unsplit video as an all-saliency sequence (h=1, K=T) that
+    holds float32 `tokens` themselves, so the layers update them."""
     tokens = np.asarray(tokens, dtype=F32)
     if tokens.ndim != 4:
         raise ShapeError(f"tokens must be [T, M, N, C], got {tokens.shape}")
@@ -243,8 +248,9 @@ def compress(saliency: np.ndarray, non_saliency: np.ndarray,
         raise ShapeError(
             f"part grids differ: {saliency.shape[1:]} vs {non_saliency.shape[1:]}"
         )
-    if non_saliency.shape[0] == 0:  # no queries: build no keys or values
-        return numerics.avgpool_downsample(non_saliency, h)
+    if non_saliency.shape[0] == 0:  # no queries: run no kernel at all
+        return np.empty((0, *numerics.pooled_grid(non_saliency.shape, h),
+                         non_saliency.shape[-1]), F32)
     q = numerics.avgpool_downsample(numerics.linear(non_saliency, p.w_a), h)
     keys = numerics.avgpool_downsample(numerics.linear(saliency, p.w_b), h)
     vals = numerics.avgpool_downsample(numerics.linear(saliency, p.w_c), h)

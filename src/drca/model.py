@@ -303,7 +303,7 @@ def _stage1(video: np.ndarray, params: DrcaParams, config: ModelConfig):
     all-saliency sequence updated in place by every layer."""
     seq = full_res_sequence(patch_embed(video, params, config))
     for layer in params.stage1:
-        seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
+        rat_layer_forward(seq, layer, config.head_count)
     return seq
 
 
@@ -318,7 +318,7 @@ def forward(video: np.ndarray, params: DrcaParams, config: ModelConfig) -> Model
                           config.saliency_count, config.compression_factor)
     seq = result.sequence
     for layer in params.rat:
-        seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
+        rat_layer_forward(seq, layer, config.head_count)
     return ModelOutput(
         output=_head(seq, params, config),
         scores=result.scores,
@@ -334,7 +334,7 @@ def baseline_forward(video: np.ndarray, params: DrcaParams,
     seq = _stage1(video, params, config)
     scores = score_net_forward(seq.saliency, params.dccm.score).scores
     for layer in params.rat:
-        seq = rat_layer_forward(seq, layer, config.head_count, out=seq)
+        rat_layer_forward(seq, layer, config.head_count)
     order = hard_rank(scores).order
     return ModelOutput(
         output=_head(seq, params, config),

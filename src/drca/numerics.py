@@ -330,18 +330,24 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray
     return out
 
 
+def pooled_grid(shape: tuple[int, ...], h: int) -> tuple[int, int]:
+    """The (M/h, N/h) grid that h x h pooling makes of [..., M, N, C]."""
+    if len(shape) < 3:
+        raise ShapeError(f"avgpool needs [..., M, N, C], got {shape}")
+    if h < 1:
+        raise ShapeError(f"pool factor must be >= 1, got {h}")
+    m, n = shape[-3:-1]
+    if m % h or n % h:
+        raise ShapeError(f"pool factor {h} does not divide grid {m}x{n}")
+    return m // h, n // h
+
+
 def avgpool_downsample(t: np.ndarray, h: int) -> np.ndarray:
     """Mean over non-overlapping h x h spatial blocks (axes -3, -2)."""
     t = np.asarray(t, dtype=F32)
-    if t.ndim < 3:
-        raise ShapeError(f"avgpool needs [..., M, N, C], got {t.shape}")
     h = int(h)
-    if h < 1:
-        raise ShapeError(f"pool factor must be >= 1, got {h}")
-    m, n, c = t.shape[-3:]
-    if m % h or n % h:
-        raise ShapeError(f"pool factor {h} does not divide grid {m}x{n}")
-    return mean_pool(t.reshape(*t.shape[:-3], m // h, h, n // h, h, c), axes=(-4, -2))
+    ml, nl = pooled_grid(t.shape, h)
+    return mean_pool(t.reshape(*t.shape[:-3], ml, h, nl, h, t.shape[-1]), axes=(-4, -2))
 
 
 def mean_pool(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:

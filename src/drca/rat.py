@@ -7,22 +7,22 @@ each part's native resolution, and a shared feed-forward sublayer.  All
 three are pre-norm residual blocks; the temporal residual reaching the
 saliency part is added to every cell of its h x h block.
 
-Each sublayer streams: it runs its whole chain (norm, projections,
-attention or MLP, out-projection, residual) over blocks of independent
-groups -- grid rows for temporal attention, frames for spatial
-attention, token rows for the feed-forward sublayer -- so no transient
-is larger than a block's (``_BLOCK_ROWS``).  A block reads only its own
-rows (temporal attention copies its block's grid rows into time order
-first) and adds its residual into those rows of ``out``, a sequence
-shaped like the input, in numpy's idiom.  The model passes the residual
-stream itself as ``out``, so a forward updates one stream in place;
-without ``out`` a sublayer writes a fresh sequence and leaves its input
-as it was.  Every kernel computes a token row, and an attention group,
-on its own, and no block is a single row, so the blocked output is
-bitwise that of one call on the whole.  Blocks change neither the flops
-nor which kernels are called, and an empty part runs no block.  Within
-a block each temporary is freed once its last reader has run, so the
-block's working set peaks at its projections and attention scores.
+Each sublayer updates the sequence it is given in place and returns it,
+so a forward updates one residual stream; a caller that needs its input
+afterwards passes a copy.  Each sublayer streams: it runs its whole
+chain (norm, projections, attention or MLP, out-projection, residual)
+over blocks of independent groups -- grid rows for temporal attention,
+frames for spatial attention, token rows for the feed-forward sublayer
+-- so no transient is larger than a block's (``_BLOCK_ROWS``).  A block
+reads only its own rows (temporal attention copies its block's grid rows
+into time order first), then adds its residual into them through views
+of the parts, which ``MultiResSequence`` keeps C-contiguous.  Every
+kernel computes a token row, and an attention group, on its own, and no
+block is a single row, so the blocked output is bitwise that of one call
+on the whole.  Blocks change neither the flops nor which kernels are
+called, and an empty part runs no block.  Within a block each temporary
+is freed once its last reader has run, so the block's working set peaks
+at its projections and attention scores.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import F32, RandomStream, ShapeError
+from .numerics import F32, RandomStream
 from .dccm import MultiResSequence
 
 
@@ -131,27 +131,11 @@ def _blocks(groups: int, rows: int, most_rows: int | None = None) -> list[slice]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def _residual(x: np.ndarray, fn, out: np.ndarray) -> np.ndarray:
-    """x + fn(x) into ``out`` (which may be ``x``) over blocks of the
-    leading axis of `x`, an axis of independent groups of token rows
-    [G, ..., C]."""
+def _residual(x: np.ndarray, fn) -> None:
+    """x += fn(x) over blocks of the leading axis of `x`, an axis of
+    independent groups of token rows [G, ..., C]."""
     for block in _blocks(len(x), math.prod(x.shape[1:-1])):
-        np.add(x[block], fn(x[block]), out=out[block])
-    return out
-
-
-def _target(seq: MultiResSequence, out: MultiResSequence | None) -> MultiResSequence:
-    """Where a sublayer writes its result: ``out`` (numpy's idiom: C-contiguous
-    parts of seq's shapes, and seq's times), or a fresh sequence like seq."""
-    if out is None:
-        return MultiResSequence(np.empty_like(seq.saliency), np.empty_like(seq.non_saliency),
-                                seq.times, seq.h)
-    if out.h != seq.h or any(
-            o.shape != a.shape or not o.flags.c_contiguous
-            for o, a in ((out.saliency, seq.saliency), (out.non_saliency, seq.non_saliency))
-    ) or any(not np.array_equal(o, a) for o, a in zip(out.times, seq.times)):
-        raise ShapeError("out must be a C-contiguous sequence with the input's shapes and times")
-    return out
+        x[block] += fn(x[block])
 
 
 def _multihead(x: np.ndarray, p: AttentionParams, heads: int) -> np.ndarray:
@@ -173,8 +157,8 @@ def _multihead(x: np.ndarray, p: AttentionParams, heads: int) -> np.ndarray:
     return numerics.linear(att, p.wo)
 
 
-def temporal_attention(seq: MultiResSequence, p: AttentionParams, heads: int,
-                       out: MultiResSequence | None = None) -> MultiResSequence:
+def temporal_attention(seq: MultiResSequence, p: AttentionParams,
+                       heads: int) -> MultiResSequence:
     """Attention along time on the aligned coarse grid.
 
     Saliency frames are mean-pooled to the non-saliency grid, every frame
@@ -188,45 +172,38 @@ def temporal_attention(seq: MultiResSequence, p: AttentionParams, heads: int,
     c = seq.channels
 
     low_sal = numerics.avgpool_downsample(sal, h) if h > 1 else sal
-    out = _target(seq, out)
 
     def merged(rows: slice) -> np.ndarray:
         # the block's grid rows, location-major with time the attention
-        # axis [rows, nl, T, C]: a copy, made before out (which may be
-        # seq) is written in these rows
+        # axis [rows, nl, T, C]: a copy, made before these rows are updated
         block = np.empty((rows.stop - rows.start, nl, k + r, c), F32)
         block[:, :, times.saliency] = low_sal[:, rows].transpose(1, 2, 0, 3)
         block[:, :, times.non_saliency] = non[:, rows].transpose(1, 2, 0, 3)
         return block
 
-    # [K, ml, h, nl, h, C] views: one coarse cell's h x h block of cells
-    sal6, out6 = (a.reshape(k, ml, h, nl, h, c) for a in (sal, out.saliency))
+    # a [K, ml, h, nl, h, C] view: one coarse cell's h x h block of cells
+    sal6 = sal.reshape(k, ml, h, nl, h, c)
     for rows in _blocks(ml, nl * (k + r)):
         # _multihead holds the merged block's only reference, and no
         # block's result outlives its residual adds
         att = _multihead(merged(rows), p, heads)
-        np.add(sal6[:, rows], att[:, :, times.saliency].transpose(2, 0, 1, 3)[:, :, None, :, None],
-               out=out6[:, rows])
-        np.add(non[:, rows], att[:, :, times.non_saliency].transpose(2, 0, 1, 3),
-               out=out.non_saliency[:, rows])
+        sal6[:, rows] += att[:, :, times.saliency].transpose(2, 0, 1, 3)[:, :, None, :, None]
+        non[:, rows] += att[:, :, times.non_saliency].transpose(2, 0, 1, 3)
         del att
-    return out
+    return seq
 
 
-def spatial_attention(seq: MultiResSequence, p: AttentionParams, heads: int,
-                      out: MultiResSequence | None = None) -> MultiResSequence:
+def spatial_attention(seq: MultiResSequence, p: AttentionParams,
+                      heads: int) -> MultiResSequence:
     """Per-frame self-attention, each part at its native resolution; runs
     over blocks of frames."""
-    out = _target(seq, out)
-    for part, dest in ((seq.saliency, out.saliency), (seq.non_saliency, out.non_saliency)):
+    for part in (seq.saliency, seq.non_saliency):
         f, m, n, c = part.shape
-        _residual(part.reshape(f, m * n, c), lambda xb: _multihead(xb, p, heads),
-                  dest.reshape(f, m * n, c))
-    return out
+        _residual(part.reshape(f, m * n, c), lambda xb: _multihead(xb, p, heads))
+    return seq
 
 
-def feed_forward(seq: MultiResSequence, p: FeedForwardParams,
-                 out: MultiResSequence | None = None) -> MultiResSequence:
+def feed_forward(seq: MultiResSequence, p: FeedForwardParams) -> MultiResSequence:
     """Token-wise two-layer GELU block applied to both parts; runs over
     blocks of token rows."""
 
@@ -235,18 +212,16 @@ def feed_forward(seq: MultiResSequence, p: FeedForwardParams,
         hidden = numerics.linear(numerics.layer_norm(x, p.ln_gain, p.ln_shift), p.w1, p.b1)
         return numerics.linear(numerics.gelu(hidden, out=hidden), p.w2, p.b2)
 
-    out = _target(seq, out)
-    for part, dest in ((seq.saliency, out.saliency), (seq.non_saliency, out.non_saliency)):
-        c = part.shape[-1]
-        _residual(part.reshape(-1, c), mlp, dest.reshape(-1, c))
-    return out
+    for part in (seq.saliency, seq.non_saliency):
+        _residual(part.reshape(-1, part.shape[-1]), mlp)
+    return seq
 
 
-def rat_layer_forward(seq: MultiResSequence, p: RatLayerParams, heads: int,
-                      out: MultiResSequence | None = None) -> MultiResSequence:
+def rat_layer_forward(seq: MultiResSequence, p: RatLayerParams,
+                      heads: int) -> MultiResSequence:
     """One full layer with `heads` attention heads: temporal, then
-    spatial, then feed-forward, each writing into ``out`` (which may be
-    ``seq``) or, without one, into one fresh sequence."""
-    out = temporal_attention(seq, p.temporal, heads, out=out)
-    out = spatial_attention(out, p.spatial, heads, out=out)
-    return feed_forward(out, p.ffn, out=out)
+    spatial, then feed-forward, each updating `seq` in place; returns
+    `seq`."""
+    temporal_attention(seq, p.temporal, heads)
+    spatial_attention(seq, p.spatial, heads)
+    return feed_forward(seq, p.ffn)

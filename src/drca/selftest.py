@@ -145,18 +145,18 @@ def _rat() -> int:
     stream = numerics.RandomStream(31)
     layer = rat.RatLayerParams.init(16, stream)
     tokens = stream.gaussian((5, 4, 4, 16))
-    seq = dccm.full_res_sequence(tokens)
-    out = rat.rat_layer_forward(seq, layer, heads=4)
-    s.check("full-res layer keeps extents", out.saliency.shape == tokens.shape)
-    s.check("outputs stay finite", bool(np.all(np.isfinite(out.saliency))))
-
     perm = np.array([3, 0, 4, 1, 2])
+    # the layer updates a sequence in place, so each gets its own tokens
+    seq = dccm.full_res_sequence(tokens.copy())
     seq_p = dccm.MultiResSequence(
         saliency=tokens[perm],
         non_saliency=np.zeros((0, 4, 4, 16), F32),
         times=ranking.TimeIndexMap(perm.astype(np.int64), np.zeros(0, np.int64)),
         h=1,
     )
+    out = rat.rat_layer_forward(seq, layer, heads=4)
+    s.check("full-res layer keeps extents", out.saliency.shape == tokens.shape)
+    s.check("outputs stay finite", bool(np.all(np.isfinite(out.saliency))))
     out_p = rat.rat_layer_forward(seq_p, layer, heads=4)
     s.check("storage order does not change the math",
             bool(np.array_equal(out_p.saliency, out.saliency[perm])))

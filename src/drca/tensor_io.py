@@ -3,10 +3,11 @@
 File layout (all little-endian): magic ``TNSR``, uint32 rank, one uint32
 extent per axis, then float32 values in row-major order.  A directory of
 tensors carries a ``manifest.tsv`` with one ``name<TAB>dim0xdim1x...``
-line per tensor, in write order.  A name must stay inside its directory:
-empty, absolute, ``..`` and path-separator names are refused on write
-and on read.  Every tensor file is written atomically: a temporary file
-beside the target is renamed into place.
+line per tensor, in write order.  Only finite values are written or
+read.  A name must stay inside its directory: empty, absolute, ``..``
+and path-separator names are refused on write and on read.  Every
+tensor file is written atomically: a temporary file beside the target
+is renamed into place.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def read_tnsr(path: str | os.PathLike) -> np.ndarray:
             f"expected {4 * count} for extents {extents}"
         )
     values = np.frombuffer(raw, dtype="<f4", offset=header_end, count=count)
+    if not np.all(np.isfinite(values)):
+        raise TensorFileError(f"{path}: payload holds non-finite values")
     return np.ascontiguousarray(values.astype(F32).reshape(extents))
 
 

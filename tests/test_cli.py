@@ -5,6 +5,7 @@ import ast
 import inspect
 import io
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -66,6 +67,17 @@ def test_rank_rejects_matrix_scores(tmp_path, capsys):
     code = main(["rank", str(scores_path), str(tmp_path / "out.tnsr")])
     assert code == EXIT_BAD_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [[0.5, np.nan], [np.inf], []])
+def test_rank_refuses_non_finite_or_empty_scores_naming_the_file(tmp_path, capsys, payload):
+    scores_path = tmp_path / "scores.tnsr"
+    values = np.array(payload, "<f4")
+    scores_path.write_bytes(b"TNSR" + struct.pack("<2I", 1, values.size) + values.tobytes())
+    code = main(["rank", str(scores_path), str(tmp_path / "out.tnsr")])
+    assert code == EXIT_BAD_INPUT
+    _one_line_error(capsys, str(scores_path), "non-finite" if payload else "non-empty")
+    assert not (tmp_path / "out.tnsr").exists()
 
 
 def test_rank_missing_input_file(tmp_path, capsys):
@@ -174,6 +186,29 @@ def test_forward_rejects_wrong_video_shape(tmp_path, capsys):
     assert "video shape" in capsys.readouterr().err
 
 
+def _poison(path, index: int = 0) -> None:
+    """Overwrite one float32 value of a tensor file with a NaN, which
+    write_tnsr would refuse to write."""
+    raw = bytearray(path.read_bytes())
+    rank = struct.unpack_from("<I", raw, 4)[0]
+    struct.pack_into("<f", raw, 8 + 4 * rank + 4 * index, np.nan)
+    path.write_bytes(bytes(raw))
+
+
+def test_forward_refuses_a_non_finite_video_or_parameter_naming_the_file(tmp_path, capsys):
+    video_path = tmp_path / "video.tnsr"
+    write_tnsr(video_path, RandomStream(4).gaussian((8, 64, 64, 3)))
+    _poison(video_path, index=5)
+    assert main(["forward", "toy", "--video", str(video_path)]) == EXIT_BAD_INPUT
+    _one_line_error(capsys, str(video_path), "non-finite")
+
+    params_dir = tmp_path / "weights"
+    save_tensor_dir(params_dir, named_params(init_params(ModelConfig.toy(), seed=5)))
+    _poison(params_dir / "rat.1.ffn.w2.tnsr")
+    assert main(["forward", "toy", "--params", str(params_dir)]) == EXIT_BAD_INPUT
+    _one_line_error(capsys, str(params_dir / "rat.1.ffn.w2.tnsr"), "non-finite")
+
+
 def test_forward_rejects_a_multi_column_score_head(tmp_path, capsys):
     named = named_params(init_params(ModelConfig.toy(), seed=5))
     hidden = named["score.w2"].shape[0]
@@ -253,11 +288,21 @@ def _one_line_error(capsys, *names: str) -> None:
       "--steps", "3"], ["diverged at step 1"]),
     # a config file that is not text names its path
     (["forward", "BINARY_CONF"], ["BINARY_CONF", "UTF-8"]),
+    # a negative seed names the flag or key that gave it
+    (["rank", "SCORES", "OUT", "--seed", "-1"], ["--seed", "-1"]),
+    (["grad-check", "--seed", "-1"], ["--seed", "-1"]),
+    (["toy-train", "--seed", "-3"], ["--seed", "-3"]),
+    (["forward", "toy", "--seed", "-5"], ["--seed", "-5"]),
+    (["forward", "toy", "--set", "seed=-1"], ["seed", "-1"]),
+    (["flops", "toy", "--instrument", "--set", "seed=-1"], ["seed", "-1"]),
 ])
 def test_bad_values_exit_2_with_one_line_error(tmp_path, capsys, argv, names):
     binary = tmp_path / "binary.conf"
     binary.write_bytes(b"\x80variant = toy\n")
-    argv = [arg.replace("BINARY_CONF", str(binary)) for arg in argv]
+    write_tnsr(tmp_path / "s.tnsr", np.array([0.3, -0.1, 0.2], F32))
+    paths = {"BINARY_CONF": str(binary), "SCORES": str(tmp_path / "s.tnsr"),
+             "OUT": str(tmp_path / "out.tnsr")}
+    argv = [paths.get(arg, arg) for arg in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == EXIT_BAD_INPUT
@@ -571,6 +616,18 @@ def test_env_seed_must_be_an_integer(tmp_path, capsys, monkeypatch):
     code = main(["rank", str(scores_path), str(tmp_path / "out.tnsr")])
     assert code == EXIT_BAD_INPUT
     assert "DRCA_SEED" in capsys.readouterr().err
+
+
+def test_negative_env_seed_exits_2_before_any_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DRCA_SEED", "-2")
+    scores_path = tmp_path / "scores.tnsr"
+    write_tnsr(scores_path, np.array([1.0, 2.0], F32))
+    code = main(["rank", str(scores_path), str(tmp_path / "out.tnsr")])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().out == ""  # no echo, no order line
+    assert not (tmp_path / "out.tnsr").exists()
+    assert main(["grad-check"]) == EXIT_BAD_INPUT
+    _one_line_error(capsys, "DRCA_SEED", "-2")
 
 
 def test_explicit_seed_beats_env_seed(capsys, monkeypatch):

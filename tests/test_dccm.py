@@ -250,7 +250,11 @@ def test_compress_empty_non_saliency_part():
     sal = RandomStream(17).gaussian((3, 4, 4, 5))
     p = CompressorParams.init(5, RandomStream(18))
     out = compress(sal, np.zeros((0, 4, 4, 5), F32), p, h=2)
-    assert out.shape == (0, 2, 2, 5)
+    assert out.shape == (0, 2, 2, 5) and out.dtype == F32
+    # no frame is pooled, but the factor must still divide the grid
+    for h, message in ((3, "does not divide"), (0, ">= 1")):
+        with pytest.raises(ShapeError, match=message):
+            compress(sal, np.zeros((0, 4, 4, 5), F32), p, h=h)
 
 
 def test_compress_validation():

@@ -363,13 +363,14 @@ def test_walk_sizes_the_attention_scores_exactly(monkeypatch, config):
     ModelConfig.toy(dccm_insert_after=0),
     ModelConfig.toy(saliency_count=8, compression_factor=1),
     ModelConfig.small(depth=2, dccm_insert_after=1),
+    ModelConfig.toy(saliency_count=8),
 ])
 @pytest.mark.parametrize("twin", [False, True])
 def test_no_kernel_gets_a_zero_row_operand(monkeypatch, config, twin):
-    # an all-saliency sequence's empty non-saliency part (stage 1, and
-    # every layer of the baseline pass) runs no block, and the counted
-    # flops still match the walk exactly.  K = T at h > 1 is left out:
-    # the compressor's no-query path still pools its zero frames
+    # an all-saliency sequence's empty non-saliency part (stage 1, every
+    # layer of the baseline pass, and K = T at h > 1, where the compressor
+    # has no queries) runs no block, and the counted flops still match
+    # the walk exactly
     empty = []
 
     def checking(name, fn):

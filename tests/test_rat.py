@@ -36,6 +36,11 @@ def _sequence(seed: int, k=2, r=3, m=4, n=4, c=6, h=2) -> MultiResSequence:
     )
 
 
+def _copy(seq: MultiResSequence) -> MultiResSequence:
+    """A sequence with its own parts: the layers update their input in place."""
+    return MultiResSequence(seq.saliency.copy(), seq.non_saliency.copy(), seq.times, seq.h)
+
+
 def _layer(c: int, seed: int) -> RatLayerParams:
     return RatLayerParams.init(c, RandomStream(seed), scale=0.3)
 
@@ -86,7 +91,7 @@ def test_layer_preserves_structure():
 def test_layer_is_deterministic():
     seq = _sequence(2)
     p = _layer(6, 3)
-    a, b = rat_layer_forward(seq, p, heads=3), rat_layer_forward(seq, p, heads=3)
+    a, b = (rat_layer_forward(_copy(seq), p, heads=3) for _ in range(2))
     assert np.array_equal(a.saliency, b.saliency)
     assert np.array_equal(a.non_saliency, b.non_saliency)
 
@@ -113,7 +118,7 @@ def test_empty_non_saliency_part_is_preserved():
 def test_spatial_attention_matches_per_head_loop(heads):
     seq = _sequence(6, k=2, r=2, m=4, n=4, c=6)
     p = AttentionParams.init(6, RandomStream(7), scale=0.3)
-    out = spatial_attention(seq, p, heads)
+    out = spatial_attention(_copy(seq), p, heads)
     for part, ref in ((out.saliency, seq.saliency),
                       (out.non_saliency, seq.non_saliency)):
         for f in range(ref.shape[0]):
@@ -126,7 +131,7 @@ def test_spatial_attention_matches_per_head_loop(heads):
 def test_temporal_attention_matches_loop_oracle_h1():
     seq = _sequence(8, k=2, r=3, m=2, n=2, c=6, h=1)
     p = AttentionParams.init(6, RandomStream(9), scale=0.3)
-    out = temporal_attention(seq, p, heads=2)
+    out = temporal_attention(_copy(seq), p, heads=2)
 
     merged = np.zeros((5, 2, 2, 6))
     merged[seq.times.saliency] = np.float64(seq.saliency)
@@ -145,7 +150,7 @@ def test_temporal_attention_matches_loop_oracle_h1():
 def test_temporal_attention_matches_loop_oracle_h2():
     seq = _sequence(10, k=2, r=3, m=4, n=4, c=6, h=2)
     p = AttentionParams.init(6, RandomStream(11), scale=0.3)
-    out = temporal_attention(seq, p, heads=3)
+    out = temporal_attention(_copy(seq), p, heads=3)
 
     sal64 = np.float64(seq.saliency)
     low_sal = sal64.reshape(2, 2, 2, 2, 2, 6).mean(axis=(2, 4))
@@ -166,7 +171,7 @@ def test_temporal_attention_matches_loop_oracle_h2():
 def test_feed_forward_matches_float64_oracle():
     seq = _sequence(12, m=2, n=2, h=1)
     p = FeedForwardParams.init(6, RandomStream(13), scale=0.3)
-    out = feed_forward(seq, p)
+    out = feed_forward(_copy(seq), p)
     x64 = np.float64(seq.saliency)
     mu = x64.mean(-1, keepdims=True)
     var = ((x64 - mu) ** 2).mean(-1, keepdims=True)
@@ -182,12 +187,12 @@ def test_feed_forward_matches_float64_oracle():
 def test_spatial_attention_is_frame_local():
     seq = _sequence(14)
     p = AttentionParams.init(6, RandomStream(15), scale=0.3)
-    base = spatial_attention(seq, p, heads=2)
+    base = spatial_attention(_copy(seq), p, heads=2)
 
     bumped_non = seq.non_saliency.copy()
     bumped_non[1] += F32(1)
     bumped = spatial_attention(
-        MultiResSequence(seq.saliency, bumped_non, seq.times, seq.h), p, heads=2)
+        MultiResSequence(seq.saliency.copy(), bumped_non, seq.times, seq.h), p, heads=2)
     assert np.array_equal(bumped.saliency, base.saliency)
     assert np.array_equal(bumped.non_saliency[[0, 2]], base.non_saliency[[0, 2]])
     assert not np.array_equal(bumped.non_saliency[1], base.non_saliency[1])
@@ -195,7 +200,7 @@ def test_spatial_attention_is_frame_local():
     bumped_sal = seq.saliency.copy()
     bumped_sal[0] += F32(1)
     bumped = spatial_attention(
-        MultiResSequence(bumped_sal, seq.non_saliency, seq.times, seq.h), p, heads=2)
+        MultiResSequence(bumped_sal, seq.non_saliency.copy(), seq.times, seq.h), p, heads=2)
     assert np.array_equal(bumped.non_saliency, base.non_saliency)
     assert np.array_equal(bumped.saliency[1], base.saliency[1])
 
@@ -203,12 +208,12 @@ def test_spatial_attention_is_frame_local():
 def test_temporal_attention_is_site_local_at_h1():
     seq = _sequence(16, k=2, r=3, m=2, n=2, c=6, h=1)
     p = AttentionParams.init(6, RandomStream(17), scale=0.3)
-    base = temporal_attention(seq, p, heads=2)
+    base = temporal_attention(_copy(seq), p, heads=2)
 
     bumped_non = seq.non_saliency.copy()
     bumped_non[0, 0, 1] += F32(1)
     bumped = temporal_attention(
-        MultiResSequence(seq.saliency, bumped_non, seq.times, seq.h), p, heads=2)
+        MultiResSequence(seq.saliency.copy(), bumped_non, seq.times, seq.h), p, heads=2)
     # every other grid site is untouched in every frame of both parts
     for i in range(2):
         for j in range(2):
@@ -224,11 +229,11 @@ def test_temporal_attention_is_site_local_at_h1():
 def test_feed_forward_is_token_local():
     seq = _sequence(18)
     p = FeedForwardParams.init(6, RandomStream(19), scale=0.3)
-    base = feed_forward(seq, p)
+    base = feed_forward(_copy(seq), p)
     bumped_non = seq.non_saliency.copy()
     bumped_non[2, 1, 0] += F32(1)
     bumped = feed_forward(
-        MultiResSequence(seq.saliency, bumped_non, seq.times, seq.h), p)
+        MultiResSequence(seq.saliency.copy(), bumped_non, seq.times, seq.h), p)
     assert np.array_equal(bumped.saliency, base.saliency)
     delta = (bumped.non_saliency != base.non_saliency).any(axis=-1)
     expected = np.zeros_like(delta)
@@ -241,7 +246,7 @@ def test_zero_parameter_layer_is_the_identity():
     # so the input tokens must come back bit for bit (h=1 and h=2 paths)
     for h in (1, 2):
         seq = _sequence(20 + h, h=h)
-        out = rat_layer_forward(seq, _zero_layer(6), heads=2)
+        out = rat_layer_forward(_copy(seq), _zero_layer(6), heads=2)
         assert np.array_equal(out.saliency, seq.saliency)
         assert np.array_equal(out.non_saliency, seq.non_saliency)
 
@@ -267,54 +272,35 @@ def test_blocks_cover_the_groups_evenly_and_never_as_one_row(monkeypatch, block_
             assert max(sizes) <= max(block_rows // rows, 1 if rows > 1 else 3)
 
 
-# --- out= ---------------------------------------------------------------
-
-def _copy(seq: MultiResSequence) -> MultiResSequence:
-    return MultiResSequence(seq.saliency.copy(), seq.non_saliency.copy(), seq.times, seq.h)
-
+# --- in place -----------------------------------------------------------
 
 _SUBLAYERS = {
-    "temporal": lambda seq, p, out=None: temporal_attention(seq, p.temporal, 2, out=out),
-    "spatial": lambda seq, p, out=None: spatial_attention(seq, p.spatial, 2, out=out),
-    "ffn": lambda seq, p, out=None: feed_forward(seq, p.ffn, out=out),
-    "layer": lambda seq, p, out=None: rat_layer_forward(seq, p, 2, out=out),
+    "temporal": lambda seq, p: temporal_attention(seq, p.temporal, 2),
+    "spatial": lambda seq, p: spatial_attention(seq, p.spatial, 2),
+    "ffn": lambda seq, p: feed_forward(seq, p.ffn),
+    "layer": lambda seq, p: rat_layer_forward(seq, p, 2),
 }
 
 
 @pytest.mark.parametrize("h", [1, 2])
 @pytest.mark.parametrize("name", sorted(_SUBLAYERS))
-def test_out_is_bitwise_a_fresh_result_and_without_it_the_input_stays(name, h):
+def test_sublayers_update_the_sequence_they_are_given(name, h):
     # k=3, r=5 at 8x8 runs every sublayer over several blocks
     fn, p = _SUBLAYERS[name], _layer(6, 31)
     seq = _sequence(30 + h, k=3, r=5, m=8, n=8, h=h)
+    sal, non = seq.saliency, seq.non_saliency
     before = _copy(seq)
-    fresh = fn(seq, p)
-    for got, want in ((seq.saliency, before.saliency), (seq.non_saliency, before.non_saliency)):
-        assert got.tobytes() == want.tobytes()
-    assert fresh.saliency is not seq.saliency and fresh.non_saliency is not seq.non_saliency
-
-    in_place = _copy(seq)
-    noise = _sequence(40, k=3, r=5, m=8, n=8, h=h)  # any contents: overwritten
-    other = MultiResSequence(noise.saliency, noise.non_saliency, seq.times, h)
-    for out, source in ((in_place, in_place), (other, seq)):
-        got = fn(source, p, out=out)
-        assert got is out
-        assert got.saliency.tobytes() == fresh.saliency.tobytes()
-        assert got.non_saliency.tobytes() == fresh.non_saliency.tobytes()
-
-
-def test_out_must_be_a_contiguous_sequence_with_the_inputs_shapes_and_times():
-    seq, p = _sequence(50), _layer(6, 51)
-    for wrong in (_sequence(52, k=3, r=2), _sequence(53, h=1, m=2, n=2),
-                  MultiResSequence(seq.saliency, seq.non_saliency,
-                                   TimeIndexMap(seq.times.saliency[::-1], seq.times.non_saliency),
-                                   seq.h)):
-        with pytest.raises(ShapeError, match="out must be"):
-            feed_forward(seq, p.ffn, out=wrong)
-    strided = MultiResSequence(np.zeros((2, 4, 8, 6), F32)[:, :, ::2], seq.non_saliency.copy(),
-                               seq.times, seq.h)
-    with pytest.raises(ShapeError, match="out must be"):
-        spatial_attention(seq, p.spatial, 2, out=strided)
+    assert fn(seq, p) is seq
+    assert seq.saliency is sal and seq.non_saliency is non
+    assert sal.tobytes() != before.saliency.tobytes()
+    assert non.tobytes() != before.non_saliency.tobytes()
+    # the same call on a copy of the input gives the same bits
+    on_copy = fn(before, p)
+    assert sal.tobytes() == on_copy.saliency.tobytes()
+    assert non.tobytes() == on_copy.non_saliency.tobytes()
+    # a strided part would reshape into a copy, so it is refused at once
+    with pytest.raises(ShapeError, match="C-contiguous"):
+        MultiResSequence(np.zeros((3, 8, 16, 6), F32)[:, :, ::2], non, seq.times, h)
 
 
 def test_ffn_and_attention_overwrite_their_own_hidden_and_scores(monkeypatch):

@@ -56,6 +56,13 @@ def test_non_finite_values_are_refused(tmp_path):
     with pytest.raises(TensorFileError):
         write_tnsr(path, np.array([np.inf], F32))
     assert not path.exists() or path.read_bytes() == b""
+    # nor read: a file written by other means names itself
+    for value in (np.nan, np.inf, -np.inf):
+        header = b"TNSR" + struct.pack("<2I", 1, 2)  # rank 1, extent 2
+        path.write_bytes(header + np.array([1.0, value], "<f4").tobytes())
+        with pytest.raises(TensorFileError, match="non-finite") as err:
+            read_tnsr(path)
+        assert str(path) in str(err.value)
 
 
 def test_failed_write_leaves_the_old_file_and_no_stray_file(tmp_path, monkeypatch):
