@@ -181,6 +181,8 @@ def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = 
     variant = raw.pop("variant", "toy")
     try:
         model = ModelConfig.from_name(variant)
+    except ShapeError:
+        raise  # a name that parses but gives a bad model, such as K0
     except ValueError:
         raise ConfigError(
             f"unknown variant {variant!r} (want S, B, toy, or DRCA-<B|S>-K<n>)"
@@ -264,6 +266,7 @@ _RANK_SIGMA = (np.finfo(np.float64).smallest_subnormal, np.finfo(F32).max)
 def cmd_rank(args) -> int:
     seed = _default_seed(args.seed)
     _check_sigma(args.sigma, *_RANK_SIGMA)
+    _require_counts(args, n_samples=1)
     cfg = PerturbConfig(sigma=args.sigma, n_samples=args.n_samples, seed=seed)
     _echo_flags(args, seed)
     scores = tensor_io.read_tnsr(args.scores)
@@ -391,7 +394,9 @@ def cmd_flops(args) -> int:
 def cmd_toy_train(args) -> int:
     seed = _default_seed(args.seed)
     _echo_flags(args, seed)
-    _require_counts(args, videos=1, holdout=1, steps=0, frames=2, salient=1)
+    _require_counts(args, videos=1, holdout=1, steps=0, frames=2, salient=1, n_samples=1)
+    if args.salient >= args.frames:
+        raise ConfigError(f"--salient must be < --frames ({args.frames}), got {args.salient}")
     f32 = np.finfo(F32)
     for flag in ("lr", "init_scale"):
         value = getattr(args, flag)

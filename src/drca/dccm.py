@@ -166,15 +166,6 @@ class ScoreNetPass(NamedTuple):
     hidden: np.ndarray  # [(B,) T, C_hidden] relu output
 
 
-def _video_linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # in numpy's matrix-vector path (one row or one column) a row's result
-    # depends on its place in the call, so there a stack is one stacked
-    # product, which gives each video its own call's bits; elsewhere one
-    # flattened product gives every row its own bits
-    stacked = x.ndim > 2 and (x.shape[-2] == 1 or w.shape[1] == 1)
-    return numerics.linear(x, w, b, stacked=stacked)
-
-
 def score_net_forward(tokens: np.ndarray, p: ScoreNetParams) -> ScoreNetPass:
     """Per-frame saliency scores from a [T, M, N, C] token video, or
     [B, T] scores from a stack [B, T, M, N, C] of videos; each video of
@@ -190,8 +181,8 @@ def score_net_forward(tokens: np.ndarray, p: ScoreNetParams) -> ScoreNetPass:
         )
     conv_out = numerics.conv3d(tokens, p.conv_kernel)          # [(B,) T, M, N, C_mid]
     pooled = numerics.mean_pool(conv_out, axes=(-3, -2))       # [(B,) T, C_mid]
-    hidden = numerics.relu(_video_linear(pooled, p.w1, p.b1))
-    scores = _video_linear(hidden, p.w2, p.b2)                 # [(B,) T, 1]
+    hidden = numerics.relu(numerics.linear(pooled, p.w1, p.b1))
+    scores = numerics.linear(hidden, p.w2, p.b2)              # [(B,) T, 1]
     return ScoreNetPass(scores[..., 0], tokens, pooled, hidden)
 
 

@@ -55,8 +55,9 @@ class ModelConfig:
                     "width", "compression_factor", "num_classes"):
             if getattr(self, key) < 1:
                 raise ShapeError(f"{key} must be positive, got {getattr(self, key)}")
-        if self.embed_out < 0:
-            raise ShapeError(f"embed_out must be >= 0, got {self.embed_out}")
+        for key in ("depth", "embed_out"):
+            if getattr(self, key) < 0:
+                raise ShapeError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.height % self.patch_size or self.width % self.patch_size:
             raise ShapeError(
                 f"patch size {self.patch_size} must divide {self.height}x{self.width}"

@@ -20,13 +20,13 @@ only on that token's row, so slices of two or more rows match the full
 batch bitwise (the transformer layers rely on this to run in blocks)
 wherever both products take the same BLAS kernel.  A single row, or a
 weight with a single column, takes numpy's matrix-vector path, where a
-row's last bits depend on its place in the call; ``linear(...,
-stacked=True)`` gives each matrix of a stack its own call's bits there.
-A smaller product can also take another BLAS kernel (OpenBLAS has a
-small-matrix path) that sums a long inner axis in another order: 16-row
-slices of a [128, 768] @ [768, 16] product differ from it in the last
-bits, so the patch projection runs over blocks of up to 512 rows, not
-frame by frame.
+row's last bits depend on its place in the call; ``_product``, behind
+``linear`` and each ``conv3d`` tap, gives each matrix of such a stack
+its own call's bits there with one stacked product.  A smaller product
+can also take another BLAS kernel (OpenBLAS has a small-matrix path)
+that sums a long inner axis in another order: 16-row slices of a
+[128, 768] @ [768, 16] product differ from it in the last bits, so the
+patch projection runs over blocks of up to 512 rows, not frame by frame.
 
 ``gelu`` and ``softmax_lastdim`` write into ``out`` if one is given
 (C-contiguous float32 of the input's shape), which may be the input
@@ -65,9 +65,9 @@ is one product over the tap's window, built straight from the unpadded
 input into one contiguous input-sized buffer that every tap reuses: the
 shifted input, and zeros in the border strips that the shift uncovers.
 No padded copy and no im2col of all taps is made, and each window holds
-the bytes of the padded copy's window.  ``conv3d`` makes one GEMM over
-every video's rows (one per video where numpy would take its
-matrix-vector path), the gradient one window^T @ d_out per video.
+the bytes of the padded copy's window.  ``conv3d`` makes each tap's
+product with ``_product`` over the stack of videos' rows, the gradient
+one window^T @ d_out per video.
 ``tree_map`` is the single walk over the parameter dataclass trees: it
 names, rebuilds and updates them field by field.
 """
@@ -224,23 +224,28 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
-           stacked: bool = False) -> np.ndarray:
-    """Affine map along the channel (last) axis: x @ weight + bias.
+def _product(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Uncounted x @ weight over x's last axis: one product over every
+    row, or one stacked product where a stack's matrices would take
+    numpy's matrix-vector path (see the module docstring)."""
+    if x.ndim > 2 and (x.shape[-2] == 1 or weight.shape[1] == 1):
+        return np.matmul(x, weight)
+    return np.matmul(x.reshape(-1, weight.shape[0]), weight).reshape(
+        x.shape[:-1] + weight.shape[1:])
 
-    One product over every token row, or with ``stacked`` one stacked
-    product over the leading axes of a [..., rows, C] input, each matrix
-    getting the bits its own call would (see the module docstring).
-    """
+
+def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Affine map along the channel (last) axis: x @ weight + bias, made
+    by ``_product``."""
     x = np.asarray(x, dtype=F32)
     weight = np.asarray(weight, dtype=F32)
     if weight.ndim != 2:
         raise ShapeError(f"linear weight must be 2-D, got {weight.shape}")
-    if x.ndim < (2 if stacked else 1) or x.shape[-1] != weight.shape[0]:
+    if x.ndim < 1 or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear input channels {x.shape} do not match weight {weight.shape}")
     c_in, c_out = weight.shape
     tokens = x.size // c_in if c_in else 0
-    out = np.matmul(x if stacked else x.reshape(-1, c_in), weight)
+    out = _product(x, weight)
     flops = MACS_TO_FLOPS * tokens * c_in * c_out
     if bias is not None:
         bias = np.asarray(bias, dtype=F32)
@@ -249,7 +254,7 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
         out += bias
         flops += tokens * c_out
     _count(flops)
-    return out.reshape(x.shape[:-1] + (c_out,))
+    return out
 
 
 def _out_like(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -419,27 +424,19 @@ def conv3d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     x: [T, M, N, C_in] or a stack [B, T, M, N, C_in] of videos, kernel:
     [kt, kh, kw, C_in, C_out] with odd spatial/temporal extents.  Returns
     [(B,) T, M, N, C_out]; each video of a stack is bitwise its own call.
-    Each tap is one product of its window (see ``_tap_windows``) with the
-    tap's [C_in, C_out] matrix, added into the output in tap order.
+    Each tap is one ``_product`` of its window (see ``_tap_windows``) with
+    the tap's [C_in, C_out] matrix, added into the output in tap order.
     """
     x = np.asarray(x, dtype=F32)
     kernel = np.asarray(kernel, dtype=F32)
     _check_conv(x, kernel.shape)
     c_in, c_out = kernel.shape[-2:]
-    out = np.zeros(x.shape[:-1] + (c_out,), dtype=F32)
-    # one GEMM over every video's rows; where that product would take
-    # numpy's matrix-vector path (one row per video, or one output
-    # channel) one stacked product gives each video its own, as the
-    # score-net's linear layers do
-    rows = math.prod(x.shape[-4:-1])
-    lead = (math.prod(x.shape[:-1]),)
-    if x.ndim == 5 and (rows == 1 or c_out == 1):
-        lead = (x.shape[0], rows)
-    flat = out.reshape(lead + (c_out,))
+    lead, rows = x.shape[:-4], math.prod(x.shape[-4:-1])
+    out = np.zeros(lead + (rows, c_out), dtype=F32)
     for tap, window in _tap_windows(x, kernel.shape[:3]):
-        flat += window.reshape(lead + (c_in,)) @ kernel[tap]
+        out += _product(window.reshape(lead + (rows, c_in)), kernel[tap])
     _count(MACS_TO_FLOPS * out.size * math.prod(kernel.shape[:3]) * c_in)
-    return out
+    return out.reshape(x.shape[:-1] + (c_out,))
 
 
 def conv3d_kernel_grad(x: np.ndarray, d_out: np.ndarray,

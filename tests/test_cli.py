@@ -295,6 +295,15 @@ def _one_line_error(capsys, *names: str) -> None:
     (["forward", "toy", "--seed", "-5"], ["--seed", "-5"]),
     (["forward", "toy", "--set", "seed=-1"], ["seed", "-1"]),
     (["flops", "toy", "--instrument", "--set", "seed=-1"], ["seed", "-1"]),
+    # a bad value names the key or flag that gave it
+    (["forward", "toy", "--set", "depth=-1"], ["depth"]),
+    (["flops", "toy", "--set", "depth=-1"], ["depth"]),
+    # a preset name that parses gives the model's own reason
+    (["flops", "DRCA-S-K0"], ["saliency_count", "got 0"]),
+    (["flops", "DRCA-S-K99"], ["saliency_count", "got 99"]),
+    (["toy-train", "--salient", "8", "--frames", "8"], ["--salient"]),
+    (["toy-train", "--n-samples", "0"], ["--n-samples"]),
+    (["rank", "SCORES", "OUT", "--n-samples", "0"], ["--n-samples"]),
 ])
 def test_bad_values_exit_2_with_one_line_error(tmp_path, capsys, argv, names):
     binary = tmp_path / "binary.conf"

@@ -340,6 +340,9 @@ _SMALL_2 = ModelConfig.small(depth=2, dccm_insert_after=1)
     # 1568 and 784 rows: fixed 261-row blocks would leave tails of 2 rows
     # and of 1 row; the split is even instead
     (_SMALL_2, 100), (_SMALL_2, 261),
+    # a one-patch-wide grid: its [..., M, 1, C] token stacks take the
+    # stacked matrix-vector product
+    *((ModelConfig.toy(width=16, compression_factor=1), rows) for rows in (1, 3)),
 ])
 def test_blocked_sublayers_are_bitwise_one_block(monkeypatch, config, block_rows):
     params = init_params(config, seed=3)
