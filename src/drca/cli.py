@@ -236,7 +236,8 @@ _NOT_ECHOED = ("command", "func", "scores", "out")
 
 
 def _echo_flags(args, seed: int) -> None:
-    """Echo a command's flags, with the seed as resolved."""
+    """Echo a command's flags, with the seed as resolved: once every check
+    that needs no work has passed, so a refused run prints nothing."""
     pairs = {key: value for key, value in vars(args).items() if key not in _NOT_ECHOED}
     _echo({**pairs, "seed": seed})
 
@@ -268,11 +269,11 @@ def cmd_rank(args) -> int:
     _check_sigma(args.sigma, *_RANK_SIGMA)
     _require_counts(args, n_samples=1)
     cfg = PerturbConfig(sigma=args.sigma, n_samples=args.n_samples, seed=seed)
-    _echo_flags(args, seed)
     scores = tensor_io.read_tnsr(args.scores)
     if scores.ndim != 1 or not scores.size:
         raise ShapeError(f"{args.scores}: scores must be a non-empty vector, got {scores.shape}")
     _check_sizes(frames=scores.shape[0], n_samples=cfg.n_samples)
+    _echo_flags(args, seed)
     perm = hard_rank(scores)
     print("order:", " ".join(str(i) for i in perm.order))
     soft = perturbed_rank(scores, cfg)
@@ -293,7 +294,6 @@ def _print_check(report: gradcheck.CheckReport, unit: str) -> None:
 
 def cmd_grad_check(args) -> int:
     seed = _default_seed(args.seed)
-    _echo_flags(args, seed)
     _require_counts(args, frames=2, trials=1)
     # the smallest score gap (sigma / 10) and the finite-difference step
     # (sigma / 5) stay normal float32s, and the float32 scores, within
@@ -309,6 +309,7 @@ def cmd_grad_check(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INSUFFICIENT
+    _echo_flags(args, seed)
     closed = gradcheck.run_t2_check(
         sigma=args.sigma, n_samples=args.n_samples, seed=seed, trials=args.trials
     )
@@ -326,7 +327,6 @@ def cmd_forward(args) -> int:
     run = load_run_config(args.config, args.set, args.seed)
     if run.perturb is not None:
         _check_sigma(run.sigma, *_RANK_SIGMA, name="sigma")
-    _echo(run.echo_pairs())
     config = run.model
     _check_sizes(config.baseline() if args.baseline else config, config.frames,
                  run.perturb.n_samples if run.perturb else 0)
@@ -346,6 +346,7 @@ def cmd_forward(args) -> int:
             (config.frames, config.height, config.width, 3)
         )
 
+    _echo(run.echo_pairs())
     if args.baseline:
         out = baseline_forward(video, params, config)
     else:
@@ -393,7 +394,6 @@ def cmd_flops(args) -> int:
 
 def cmd_toy_train(args) -> int:
     seed = _default_seed(args.seed)
-    _echo_flags(args, seed)
     _require_counts(args, videos=1, holdout=1, steps=0, frames=2, salient=1, n_samples=1)
     if args.salient >= args.frames:
         raise ConfigError(f"--salient must be < --frames ({args.frames}), got {args.salient}")
@@ -409,6 +409,7 @@ def cmd_toy_train(args) -> int:
         raise ConfigError(f"--videos must be < {MAX_TRAIN_VIDEOS}, got {args.videos}")
     _check_sizes(frames=args.frames, n_samples=args.n_samples,
                  dataset_bytes=toy_train_bytes(args.videos, args.holdout, args.frames))
+    _echo_flags(args, seed)
     videos = make_planted_dataset(
         args.videos + args.holdout, frames=args.frames,
         salient_count=args.salient, seed=seed,

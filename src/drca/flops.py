@@ -21,13 +21,14 @@ deep, so its cost does not grow with depth.  The same walk sizes the
 arrays: each report also carries the bytes of the largest array of each
 kind that a forward pass and its seeded set-up make and the exact
 float32 weight total.  The transformer layers run over blocks of
-independent groups (see ``rat.block_groups``), so their attention scores
-and feed-forward hidden activation are sized from the largest block;
-the compressor's scores, from all of its groups at once; the
-score-net's tap window, input-sized; a seeded draw, the larger of its
-float32 output and the float64 chunk of at most ``numerics._CHUNK``
-values it is drawn through.  The command line refuses a model
-on these figures before it allocates anything.
+independent groups, with attention over tiles of half a block, so their
+feed-forward hidden activation is sized from the largest block (see
+``rat.block_groups``) and their attention scores from the largest tile
+(``rat.tile_groups``); the compressor's scores, from all of its groups
+at once; the score-net's tap window, input-sized; a seeded draw, the
+larger of its float32 output and the float64 chunk of at most
+``numerics._CHUNK`` values it is drawn through.  The command line
+refuses a model on these figures before it allocates anything.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .numerics import (
     RandomStream,
 )
 from .model import ModelConfig, forward, init_params
-from .rat import block_groups
+from .rat import block_groups, tile_groups
 
 
 @dataclass(frozen=True)
@@ -167,15 +168,15 @@ class _Walk:
             self.array(draw, _draw_bytes(size))
 
     def attention(self, stage: str, groups: int, queries: int, keys: int, c: int,
-                  heads: int, times: int = 1, block: int | None = None) -> None:
+                  heads: int, times: int = 1, tile: int | None = None) -> None:
         """`times` runs of ``numerics.attention`` over `groups`
         independent groups, each of `queries` queries and `keys` keys of
-        width c split into `heads` heads, at most `block` groups (all by
+        width c split into `heads` heads, at most `tile` groups (all by
         default) in one call."""
         scores = groups * queries * keys
         self.cost(stage, "attention-scores", times * (2 * scores * c + SOFTMAX * heads * scores))
         self.cost(stage, "attention-apply", times * 2 * scores * c)
-        largest = groups if block is None else block
+        largest = groups if tile is None else tile
         self.array(_SCORES, _F32_BYTES * heads * largest * queries * keys)
 
 
@@ -203,16 +204,17 @@ def _layer_entries(walk: _Walk, stage: str, layers: int, k: int, r: int,
     if h > 1:
         walk.cost(f"{stage}.temporal", "pooling", layers * POOL * k * full * c)
     # temporal attention on the aligned coarse grid, over blocks of grid
-    # rows; then spatial attention over blocks of frames, with each part at
-    # native resolution; each is a pre-norm block
-    for part, groups, tokens, block in (
-            ("temporal", low, t, nl * block_groups(ml, nl * t)),
-            ("spatial.saliency", k, full, block_groups(k, full)),
-            ("spatial.non_saliency", r, low, block_groups(r, low))):
+    # rows of nl sites each; then spatial attention over blocks of frames,
+    # with each part at native resolution; each is a pre-norm block, its
+    # attention run over tiles of a block's groups
+    for part, groups, tokens, tile in (
+            ("temporal", low, t, tile_groups(ml, t, nl)),
+            ("spatial.saliency", k, full, tile_groups(k, full)),
+            ("spatial.non_saliency", r, low, tile_groups(r, low))):
         total = groups * tokens
         walk.cost(f"{stage}.{part}", "projection",
                   layers * (NORM * total * c + 2 * 4 * total * c * c))  # ln + qkv + out
-        walk.attention(f"{stage}.{part}", groups, tokens, tokens, c, heads, layers, block)
+        walk.attention(f"{stage}.{part}", groups, tokens, tokens, c, heads, layers, tile)
 
     walk.cost(f"{stage}.ffn", "feed-forward", layers * _ffn(k * full + r * low, c))
     # each part runs its own MLP over blocks of token rows

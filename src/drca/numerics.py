@@ -34,6 +34,10 @@ itself: the layers hand them their own fresh linear output and attention
 scores, so neither allocates a second array of that size.  GELU keeps
 four ``_CHUNK``-sized scratch vectors and reads each input chunk only
 before writing the output chunk, so in place is bitwise out of place.
+``layer_norm`` squares its centred rows a ``_CHUNK`` at a time into one
+reused scratch buffer, so it holds no full-size square beside its
+output; each row's variance is that row's own float32 mean, so this is
+bitwise the full square's.
 
 ``RandomStream.gaussian`` draws its float64 stream in chunks of
 ``_CHUNK`` values and casts each into the float32 output, and scales in
@@ -165,8 +169,9 @@ def tree_map(fn, kind: type, *trees, aliases: dict[str, str] | None = None,
 
 
 # values per piece of every chunked loop (RandomStream.gaussian, gelu,
-# the ranking sampler's T-wide rows): 256 KiB of float64 at most, so a
-# loop's few working arrays stay in a core's 2 MiB L2 cache
+# layer_norm's squares, the ranking sampler's T-wide rows): 256 KiB of
+# float64 at most, so a loop's few working arrays stay in a core's 2 MiB
+# L2 cache
 _CHUNK = 1 << 15
 
 
@@ -316,7 +321,9 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nda
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per-token normalisation over the channel axis (population variance)."""
+    """Per-token normalisation over the channel axis (population variance),
+    holding one ``_CHUNK``-sized buffer of squares (at least one row)
+    beside its output."""
     x = np.asarray(x, dtype=F32)
     gain = np.asarray(gain, dtype=F32)
     shift = np.asarray(shift, dtype=F32)
@@ -327,8 +334,16 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray
         raise ShapeError(f"layer_norm gain/shift must have shape ({c},)")
     mu = x.mean(axis=-1, keepdims=True, dtype=F32)
     out = np.subtract(x, mu)
-    var = np.mean(np.multiply(out, out), axis=-1, keepdims=True, dtype=F32)
-    out /= np.sqrt(var + F32(1e-6))
+    # the variance of a chunk of rows at a time (see the module docstring)
+    rows = out.reshape(math.prod(x.shape[:-1]), c)
+    var = np.empty((len(rows), 1), F32)
+    step = max(_CHUNK // max(c, 1), 1)
+    square = np.empty((min(step, len(rows)), c), F32)
+    for lo in range(0, len(rows), step):
+        part = rows[lo:lo + step]
+        np.mean(np.multiply(part, part, out=square[:len(part)]), axis=-1, keepdims=True,
+                dtype=F32, out=var[lo:lo + step])
+    out /= np.sqrt(var.reshape(mu.shape) + F32(1e-6))
     out *= gain
     out += shift
     _count(NORM_FLOPS_PER_ELEMENT * x.size)

@@ -13,16 +13,20 @@ afterwards passes a copy.  Each sublayer streams: it runs its whole
 chain (norm, projections, attention or MLP, out-projection, residual)
 over blocks of independent groups -- grid rows for temporal attention,
 frames for spatial attention, token rows for the feed-forward sublayer
--- so no transient is larger than a block's (``_BLOCK_ROWS``).  A block
-reads only its own rows (temporal attention copies its block's grid rows
-into time order first), then adds its residual into them through views
-of the parts, which ``MultiResSequence`` keeps C-contiguous.  Every
-kernel computes a token row, and an attention group, on its own, and no
-block is a single row, so the blocked output is bitwise that of one call
-on the whole.  Blocks change neither the flops nor which kernels are
+-- so no transient is larger than a block's (``_BLOCK_ROWS``).  Inside
+a block, attention runs over tiles of whole groups of at most half a
+block's rows, and each tile's result overwrites the query rows it read,
+so the projections see a whole block's rows while the quadratic scores
+stay those of half a block.  A block reads only its own rows (temporal
+attention copies its block's grid rows into time order first), then
+adds its residual into them through views of the parts, which
+``MultiResSequence`` keeps C-contiguous.  Every kernel computes a token
+row, and an attention group, on its own, and no block is a single row,
+so the blocked and tiled output is bitwise that of one call on the
+whole.  Blocks and tiles change neither the flops nor which kernels are
 called, and an empty part runs no block.  Within a block each temporary
 is freed once its last reader has run, so the block's working set peaks
-at its projections and attention scores.
+at its q, k, v and one tile's scores, or at its hidden activation.
 """
 
 from __future__ import annotations
@@ -94,14 +98,14 @@ class RatLayerParams:
         )
 
 
-# the most token rows in a block of a sublayer.  On DRCA-S-K4 (196-token
-# frames, 1568 token rows at full resolution) it gives spatial blocks of
-# two frames and feed-forward blocks of 392 rows, whose transients, a few
-# MB, malloc keeps mapped from one block to the next.  Measured there:
-# blocks of 784 rows ran 17% slower, re-faulting ~97k freed pages per
-# forward, and one-frame spatial blocks 10% slower, their projections
-# being narrow GEMMs
-_BLOCK_ROWS = 512
+# the most token rows in a block of a sublayer, and twice the most
+# query rows in one attention call.  On DRCA-S-K4 (196-token frames,
+# 1568 token rows at full resolution) it gives blocks of four frames or
+# 784 rows, whose q, k, v, o and feed-forward products run near the
+# GEMM peak of a 2-vCPU Xeon with OpenBLAS (392-row products ran at two
+# thirds of it), and attention tiles of two frames, whose [2, 6, 196,
+# 196] scores are those of 512-row blocks
+_BLOCK_ROWS = 1024
 
 
 def _block_count(groups: int, rows: int, most_rows: int | None = None) -> int:
@@ -116,10 +120,22 @@ def _block_count(groups: int, rows: int, most_rows: int | None = None) -> int:
     return max(min(-(-groups // per_block), most), 1)
 
 
-def block_groups(groups: int, rows: int) -> int:
+def block_groups(groups: int, rows: int, most_rows: int | None = None) -> int:
     """Groups in the largest block that a sublayer runs over `groups`
-    groups of `rows` token rows; the flop model sizes arrays by it."""
-    return -(-groups // _block_count(groups, rows))
+    groups of `rows` token rows (see ``_block_count``); the flop model
+    sizes the feed-forward hidden activation by it."""
+    return -(-groups // _block_count(groups, rows, most_rows))
+
+
+def tile_groups(groups: int, tokens: int, per_group: int = 1) -> int:
+    """Attention groups in the largest tile of an attention sublayer that
+    runs over blocks of `groups` groups, each `per_group` attention
+    groups of `tokens` token rows; the flop model sizes the attention
+    scores by it.  Blocks differ by at most one group, and the smaller
+    one can hold the larger tile, so both are sized."""
+    count = _block_count(groups, per_group * tokens)
+    return max(block_groups(per_group * size, tokens, _BLOCK_ROWS // 2)
+               for size in (groups // count, -(-groups // count)))
 
 
 def _blocks(groups: int, rows: int, most_rows: int | None = None) -> list[slice]:
@@ -143,18 +159,20 @@ def _multihead(x: np.ndarray, p: AttentionParams, heads: int) -> np.ndarray:
 
     x: [..., tokens, C]; returns the out-projected attention result
     (residual is added by the caller).  A caller that hands over its only
-    reference to x has it freed once it is normalised.
+    reference to x has it freed once it is normalised.  Attention runs
+    over tiles of whole groups of at most ``_BLOCK_ROWS // 2`` query
+    rows, each tile's result written over the query rows it read.
     """
-    ln = numerics.layer_norm(x, p.ln_gain, p.ln_shift)
+    shape = x.shape
+    # [groups, tokens, C] views of fresh, C-contiguous arrays
+    ln = numerics.layer_norm(x, p.ln_gain, p.ln_shift).reshape(-1, *shape[-2:])
     del x
-    # the projections are made in the call, and the name ln is rebound to
-    # the last of them, v: the norm output is freed before attention runs,
-    # and attention holds the only references to q and k, freeing them
-    # once its scores are made
-    att = numerics.attention(numerics.linear(ln, p.wq), numerics.linear(ln, p.wk),
-                             ln := numerics.linear(ln, p.wv), heads)
+    q, k, v = (numerics.linear(ln, w) for w in (p.wq, p.wk, p.wv))
     del ln
-    return numerics.linear(att, p.wo)
+    for tile in _blocks(len(q), shape[-2], _BLOCK_ROWS // 2):
+        q[tile] = numerics.attention(q[tile], k[tile], v[tile], heads)
+    del k, v
+    return numerics.linear(q, p.wo).reshape(shape)
 
 
 def temporal_attention(seq: MultiResSequence, p: AttentionParams,

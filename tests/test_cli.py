@@ -242,10 +242,13 @@ def test_forward_refuses_a_mis_shaped_parameter_before_drawing_a_video(
 
 # --- exit-code contract ----------------------------------------------------
 
-def _one_line_error(capsys, *names: str) -> None:
-    err = capsys.readouterr().err.splitlines()
+def _one_line_error(capsys, *names: str) -> str:
+    """Check stderr is one `error:` line naming `names`; return stdout."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert all(name in err[0] for name in names), err
+    return captured.out
 
 
 @pytest.mark.parametrize("argv,names", [
@@ -315,7 +318,10 @@ def test_bad_values_exit_2_with_one_line_error(tmp_path, capsys, argv, names):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == EXIT_BAD_INPUT
-    _one_line_error(capsys, *(name.replace("BINARY_CONF", str(binary)) for name in names))
+    out = _one_line_error(capsys, *(name.replace("BINARY_CONF", str(binary)) for name in names))
+    # a refused run prints nothing to stdout; a run that diverges has
+    # echoed its flags before training
+    assert (out == "") != any("diverged" in name for name in names), out
 
 
 @pytest.mark.parametrize("argv", [
@@ -446,9 +452,9 @@ def test_oversized_frame_count_exits_2_before_drawing(tmp_path, capsys, argv):
     write_tnsr(scores, RandomStream(3).gaussian(12000))
     assert main([arg.format(scores=scores, out=out) for arg in argv]) == EXIT_BAD_INPUT
     stdout, err = capsys.readouterr()
-    # only the echoed configuration: no order, no check report, no file
-    assert stdout.startswith("# resolved configuration") and "order:" not in stdout
-    assert "closed-form" not in stdout and not out.exists()
+    # refused before any output: no echoed configuration, no order, no
+    # check report, no file
+    assert stdout == "" and not out.exists()
     assert err.startswith("error: too many frames: a 12000x12000") and err.count("\n") == 1
 
 
@@ -504,11 +510,16 @@ def test_weight_total_limit_is_inclusive():
 
 
 def test_forward_checks_the_model_it_runs(capsys):
-    # no full-resolution layer: only the uncompressed twin attends in time
-    # on the full 4x4 grid, in blocks of [4 locations, 4 heads, 5000, 5000]
-    # scores; the model's own blocks are [2, 4, 5000, 5000]
-    over = dict(dccm_insert_after=0, frames=5000, saliency_count=2500)
+    # attention runs over tiles of at most 512 query rows, so only a head
+    # count in the thousands makes one tile too large.  With one saliency
+    # frame of 256 tokens the model's largest tile is one frame, [1, 3072,
+    # 256, 256] scores (768 MiB), but its uncompressed twin, every frame
+    # at full resolution, attends over tiles of two frames (1.5 GiB)
+    over = dict(patch_size=4, embed_dim=3072, head_count=3072, saliency_count=1, depth=1,
+                dccm_insert_after=0)
     _check_sizes(ModelConfig.toy(**over))
+    with pytest.raises(ConfigError, match="attention-score"):
+        _check_sizes(ModelConfig.toy(**over).baseline())
     sets = [arg for key, value in over.items() for arg in ("--set", f"{key}={value}")]
     assert main(["forward", "toy", *sets, "--baseline"]) == EXIT_BAD_INPUT
     _one_line_error(capsys, "model too large: an attention-score tensor would take")

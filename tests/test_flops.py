@@ -309,8 +309,12 @@ def test_walk_sizes_every_array_the_forward_pass_makes(monkeypatch, config, twin
     assert all(nbytes <= largest for nbytes, _, _ in seen), (max(seen), arrays)
 
 
-# the last two are large enough for their sublayers to run in blocks
-_BLOCKED = [ModelConfig.toy(patch_size=4), ModelConfig.small(depth=2, dccm_insert_after=1)]
+# the last three are large enough for their sublayers to run in blocks;
+# the last has nine 128-token frames, run in blocks of 4 and 5 frames,
+# and the block of 4 holds the largest attention tile (4 frames, where
+# the block of 5 splits into 2 and 3)
+_BLOCKED = [ModelConfig.toy(patch_size=4), ModelConfig.small(depth=2, dccm_insert_after=1),
+            ModelConfig.toy(frames=9, saliency_count=9, height=128, width=256)]
 _EXACT_SIZES = [
     ModelConfig.toy(dccm_insert_after=0),
     ModelConfig.toy(compression_factor=4, saliency_count=1, dccm_insert_after=0),

@@ -355,19 +355,60 @@ def test_blocked_sublayers_are_bitwise_one_block(monkeypatch, config, block_rows
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("fwd", [forward, baseline_forward])
+def test_sublayer_products_see_a_block_and_attention_half_a_block(monkeypatch, fwd):
+    # DRCA-S runs its q, k, v, o and feed-forward products over blocks of
+    # 784 token rows, and attention over tiles of two frames (392 rows)
+    config = _SMALL_2
+    params = init_params(config, seed=0)
+    video = RandomStream(1).gaussian((config.frames, config.height, config.width, 3))
+    linear_rows, query_rows, inside = [], [], []
+    linear, attention = rat.numerics.linear, rat.numerics.attention
+
+    def rows(x):
+        return x.size // x.shape[-1]
+
+    def counting_linear(x, *rest):
+        if inside:
+            linear_rows.append(rows(x))
+        return linear(x, *rest)
+
+    def counting_attention(q, *rest, **kwargs):
+        query_rows.append(rows(q))
+        return attention(q, *rest, **kwargs)
+
+    def sublayer(fn):
+        def run(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(rat.numerics, "linear", counting_linear)
+    monkeypatch.setattr(rat.numerics, "attention", counting_attention)
+    for name in ("temporal_attention", "spatial_attention", "feed_forward"):
+        monkeypatch.setattr(rat, name, sublayer(getattr(rat, name)))
+    fwd(video, params, config)
+    assert max(linear_rows) <= rat._BLOCK_ROWS and max(linear_rows) == 784
+    assert max(query_rows) <= rat._BLOCK_ROWS // 2 and max(query_rows) == 392
+
+
 def test_forward_holds_block_sized_activations():
-    # above its inputs, a forward holds a few token tensors and the
-    # transients of one block: a full [8, 6, 196, 196] score tensor and its
-    # softmax (7.4 MB each), or the full [1568, 1536] hidden activation
-    # and its gelu (9.6 MB each), would not fit
+    # above its inputs, a forward holds its stream, one more token tensor
+    # and the transients of one block: the hidden activation of a block and
+    # the scores of one attention tile.  A full [8, 6, 196, 196] score
+    # tensor (7.4 MB), or the full [1568, 1536] hidden activation (9.6 MB),
+    # would not fit
     config = _SMALL_2
     params = init_params(config, seed=0)
     video = RandomStream(1).gaussian((config.frames, config.height, config.width, 3))
     m, n = config.grid
     token_bytes = 4 * config.frames * m * n * config.embed_dim
     arrays = dict(count_flops(config).arrays)
-    block = max(arrays["an attention-score tensor"], arrays["the feed-forward hidden activation"])
-    budget = 6 * token_bytes + 2 * block
+    budget = (2 * token_bytes + arrays["the feed-forward hidden activation"]
+              + arrays["an attention-score tensor"])
     tracemalloc.start()
     try:
         forward(video, params, config)
@@ -400,17 +441,23 @@ def test_forward_leaves_the_video_and_params_unchanged(config, fwd):
 def test_sublayers_hold_one_stream_and_one_blocks_transients(monkeypatch, fwd):
     # measured from the start of the pass, with the video and the weights
     # made before it: while a stage runs, what is traced is the residual
-    # stream it reads or writes plus an allowance of block arrays, the
-    # block array being the largest [392, 1536] hidden activation.  Here a
-    # token tensor is just as large (asserted below), so any video-sized
-    # temporary takes at least one more:
-    # - a sublayer: two.  A second stream, or a merged temporal grid built
-    #   whole, takes more; a stage-1 stream kept past the split adds one
-    #   to the 5/8 of a token tensor the later sublayers update.
-    # - patch_embed, whose stream is its output: one, for one block of
-    #   frames' patches and their projection.  A copy of every patch is two.
-    # - score_net_forward: one and a quarter, for its one tap window (a
-    #   token tensor) and its small conv output.  A zero-padded input is 1.6.
+    # stream it reads or writes plus an allowance of transients.  Here a
+    # block's [784, 1536] hidden activation is two token tensors, one
+    # tile's [2, 6, 196, 196] attention scores about three quarters of
+    # one, and the score-net's tap window one (asserted below), so any
+    # video-sized temporary takes at least one more token tensor:
+    # - a sublayer: the walk's hidden activation plus one tile's scores.
+    #   Its peak is the hidden activation beside the norm output or the
+    #   second product's output, or a block's q, k and v beside one tile's
+    #   scores and output.  A second stream, a merged temporal grid built
+    #   whole, or scores of a whole block take more; a stage-1 stream kept
+    #   past the split adds one to the 5/8 of a token tensor the later
+    #   sublayers update.
+    # - patch_embed, whose stream is its output: one token tensor, for one
+    #   block of frames' patches and their projection.  A copy of every
+    #   patch is two.
+    # - score_net_forward: one and a quarter, for its one tap window and
+    #   its small conv output.  A zero-padded input is 1.6.
     # - compress, whose stream is its two parts: one and a half, for the
     #   projected parts.  A stage-1 stream kept past the split adds one.
     config = _SMALL_2
@@ -419,15 +466,17 @@ def test_sublayers_hold_one_stream_and_one_blocks_transients(monkeypatch, fwd):
     m, n = config.grid
     token_bytes = 4 * config.frames * m * n * config.embed_dim
     arrays = dict(count_flops(config).arrays)
-    block = max(arrays["an attention-score tensor"], arrays["the feed-forward hidden activation"])
-    assert block == token_bytes == arrays["the score-net's tap window"]
+    hidden, scores = arrays["the feed-forward hidden activation"], arrays["an attention-score tensor"]
+    assert hidden == 2 * token_bytes == 2 * arrays["the score-net's tap window"]
+    assert scores == 4 * 2 * 6 * 196 * 196
+    sublayer = hidden + scores
     peaks = []
 
     def traced(fn, allowance, stream_of):
         def run(*args, **kwargs):
             tracemalloc.reset_peak()
             out = fn(*args, **kwargs)
-            budget = stream_of(args, out) + int(allowance * block)
+            budget = stream_of(args, out) + int(allowance)
             peaks.append((fn.__name__, tracemalloc.get_traced_memory()[1], budget))
             return out
         return run
@@ -436,14 +485,14 @@ def test_sublayers_hold_one_stream_and_one_blocks_transients(monkeypatch, fwd):
         return args[0].saliency.nbytes + args[0].non_saliency.nbytes
 
     for name in ("temporal_attention", "spatial_attention", "feed_forward"):
-        monkeypatch.setattr(rat, name, traced(getattr(rat, name), 2, seq_stream))
+        monkeypatch.setattr(rat, name, traced(getattr(rat, name), sublayer, seq_stream))
     monkeypatch.setattr(model_module, "patch_embed", traced(
-        model_module.patch_embed, 1, lambda _, out: out.nbytes))
-    score_net = traced(dccm.score_net_forward, 1.25, lambda args, _: args[0].nbytes)
+        model_module.patch_embed, token_bytes, lambda _, out: out.nbytes))
+    score_net = traced(dccm.score_net_forward, 1.25 * token_bytes, lambda args, _: args[0].nbytes)
     monkeypatch.setattr(dccm, "score_net_forward", score_net)
     monkeypatch.setattr(model_module, "score_net_forward", score_net)
     monkeypatch.setattr(dccm, "compress", traced(
-        dccm.compress, 1.5, lambda args, _: args[0].nbytes + args[1].nbytes))
+        dccm.compress, 1.5 * token_bytes, lambda args, _: args[0].nbytes + args[1].nbytes))
     tracemalloc.start()
     try:
         fwd(video, params, config)
@@ -453,5 +502,5 @@ def test_sublayers_hold_one_stream_and_one_blocks_transients(monkeypatch, fwd):
     assert names.count("patch_embed") == names.count("score_net_forward") == 1
     assert names.count("compress") == (fwd is forward)
     assert len(names) == 3 * config.depth + 2 + (fwd is forward)
-    assert peaks[1][0] == "temporal_attention" and peaks[1][2] == token_bytes + 2 * block
+    assert peaks[1][0] == "temporal_attention" and peaks[1][2] == token_bytes + sublayer
     assert all(peak <= budget for _, peak, budget in peaks), peaks

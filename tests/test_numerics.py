@@ -241,6 +241,53 @@ def test_layer_norm_output_moments():
     np.testing.assert_allclose((out * out).mean(axis=-1), 1.0, atol=1e-3)
 
 
+def _layer_norm_full_square(x, gain, shift):
+    # the kernel's former variance: one full-size square of the centred input
+    mu = x.mean(axis=-1, keepdims=True, dtype=F32)
+    out = np.subtract(x, mu)
+    var = np.mean(np.multiply(out, out), axis=-1, keepdims=True, dtype=F32)
+    out /= np.sqrt(var + F32(1e-6))
+    out *= gain
+    out += shift
+    return out
+
+
+# rows per chunk of squares: 85 at C = 384, 10922 at C = 3, 32768 at C = 1,
+# one row at C > _CHUNK
+@pytest.mark.parametrize("shape", [
+    (384,), (84, 384), (85, 384), (86, 384), (2, 85, 384), (3, 57, 384),
+    (10922, 3), (10923, 3), (32769, 1), (3, numerics._CHUNK + 5), (0, 8), (4, 0, 8),
+])
+def test_layer_norm_in_chunks_is_bitwise_the_full_square(shape):
+    s = _stream(9)
+    x = s.gaussian(shape) * F32(3) + F32(0.5)
+    gain, shift = s.gaussian(shape[-1]), s.gaussian(shape[-1])
+    got = layer_norm(x, gain, shift)
+    assert got.shape == x.shape
+    assert got.tobytes() == _layer_norm_full_square(x, gain, shift).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1568, 384), (784, 1536), (9, numerics._CHUNK + 5)])
+def test_layer_norm_holds_its_output_and_one_chunk(shape):
+    # beside its output: one chunk of squares (one row where a row is
+    # longer), four [rows, 1] columns (the mean, the variance and the two
+    # steps of its root) and numpy's reduction buffer.  A full-size
+    # square would not fit
+    x = _stream(10).gaussian(shape)
+    gain, shift = np.ones(shape[-1], F32), np.zeros(shape[-1], F32)
+    rows = shape[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = layer_norm(x, gain, shift)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    budget = (out.nbytes + 4 * max(numerics._CHUNK, shape[-1]) + 4 * 4 * rows
+              + 4 * np.getbufsize())
+    assert peak <= budget, (peak, budget)
+
+
 def test_layer_norm_rejects_bad_shape():
     x = np.zeros((2, 4), F32)
     with pytest.raises(ShapeError):

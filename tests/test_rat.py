@@ -272,6 +272,32 @@ def test_blocks_cover_the_groups_evenly_and_never_as_one_row(monkeypatch, block_
             assert max(sizes) <= max(block_rows // rows, 1 if rows > 1 else 3)
 
 
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("lead,tokens,block_rows,want", [
+    # 7 groups of 5 rows in tiles of at most 11 rows
+    ((7,), 5, 22, [1, 2, 2, 2]),
+    # 3 x 5 groups of 4 rows in tiles of at most 12 rows, crossing the
+    # leading axis
+    ((3, 5), 4, 24, [3] * 5),
+    # 9 one-row groups: tiles of 2 rows, save that none is a single row
+    ((9,), 1, 4, [2, 2, 2, 3]),
+])
+def test_tiled_multihead_is_bitwise_the_untiled_call(monkeypatch, heads, lead, tokens,
+                                                      block_rows, want):
+    p = _layer(6, 70 + heads).spatial
+    x = RandomStream(71).gaussian(lead + (tokens, 6))
+    monkeypatch.setattr(rat, "_BLOCK_ROWS", 1 << 40)
+    whole = rat._multihead(x, p, heads)
+    tiles = []
+    attention = numerics.attention
+    monkeypatch.setattr(numerics, "attention",
+                        lambda q, *rest: tiles.append(len(q)) or attention(q, *rest))
+    monkeypatch.setattr(rat, "_BLOCK_ROWS", block_rows)
+    tiled = rat._multihead(x, p, heads)
+    assert tiles == want
+    assert tiled.shape == whole.shape and tiled.tobytes() == whole.tobytes()
+
+
 # --- in place -----------------------------------------------------------
 
 _SUBLAYERS = {
