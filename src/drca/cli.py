@@ -54,34 +54,83 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_seed(seed: int, source: str) -> int:
-    """Refuse a negative seed, naming its source: numpy seeds take none."""
-    if seed < 0:
-        raise ConfigError(f"{source} must be >= 0, got {seed}")
-    return seed
+class _Parser(argparse.ArgumentParser):
+    """argparse, raising a bad command line as a ConfigError: exit 2, no usage block."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        raise ConfigError(message)
+
+
+@dataclass(frozen=True)
+class _Ranged:
+    """A value's rule, an argparse ``type=``: a ``kind`` in [low, high]; NaN fails it."""
+
+    kind: type
+    low: int | float
+    high: int | float = np.inf
+    why: str = field(kw_only=True)
+
+    @property
+    def bounds(self) -> str:
+        low, high = (f"{bound:.6g}" for bound in (self.low, self.high))
+        return f">= {low}" if self.high == np.inf else f"in [{low}, {high}]"
+
+    def __call__(self, text: str):
+        try:
+            value = self.kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {self.kind.__name__}: {text!r}") from None
+        if not self.low <= value <= self.high:
+            raise argparse.ArgumentTypeError(f"must be {self.bounds}, got {value}")
+        return value
+
+
+def _out_path(path: str) -> str:
+    """The rule of an output file: a file name, in a directory that exists."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.basename(path):
+        raise argparse.ArgumentTypeError(f"{path!r} names a directory, not a file")
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"{path}: directory {parent} does not exist")
+    return path
+
+
+# every single-value range of a flag, run key or DRCA_SEED, as one rule; float
+# bounds are Python floats, so a value is compared as given, not as a float32
+_F32 = np.finfo(F32)
+_SEED = _Ranged(int, 0, why="numpy takes no negative seed")
+_SAMPLES = _Ranged(int, 1, why="an estimate needs a sample")
+_FRAMES = _Ranged(int, 2, why="one frame has nothing to rank")
+_RANK_SIGMA = _Ranged(float, float(np.finfo(np.float64).smallest_subnormal), float(_F32.max),
+                      why="the float64 perturbed scores stay finite")
+# grad-check's smallest score gap (sigma / 10) and finite-difference step (sigma / 5)
+# stay normal float32s, and its scores, within (|z| + 3) sigma, finite for |z| < 29
+_CHECK_SIGMA = _Ranged(float, float(10 * _F32.tiny), float(_F32.max / 32),
+                       why="score gaps and steps stay normal float32s, scores finite")
+_TRIALS = _Ranged(int, 1, why="the T=2 check needs a score pair")
+_VIDEOS = _Ranged(int, 1, MAX_TRAIN_VIDEOS - 1, why="video seeds derive from their index")
+_HOLDOUT = _Ranged(int, 1, why="accuracy is measured on held-out videos")
+_SALIENT = _Ranged(int, 1, why="the top-k split keeps at least one frame")
+_STEPS = _Ranged(int, 0, why="0 steps reports the initial score-net")
+_TRAIN_SIGMA = _Ranged(float, float(_F32.tiny), float(_F32.max),
+                       why="sigma is a normal float32 and 1 / sigma finite")
+_FINITE_F32 = _Ranged(float, float(-_F32.max), float(_F32.max), why="a float32 holds it")
 
 
 def _default_seed(explicit: int | None) -> int:
+    """--seed as parsed, else DRCA_SEED under the same rule, else 0."""
     if explicit is not None:
-        return _check_seed(explicit, "--seed")
-    env = os.environ.get("DRCA_SEED", "0")
+        return explicit
     try:
-        seed = int(env)
-    except ValueError:
-        raise ConfigError(f"DRCA_SEED must be an integer, got {env!r}") from None
-    return _check_seed(seed, "DRCA_SEED")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+        return _SEED(os.environ.get("DRCA_SEED", "0"))
+    except argparse.ArgumentTypeError as err:
+        raise ConfigError(f"DRCA_SEED: {err}") from None
 
 
 def _echo(pairs: dict[str, object]) -> None:
     print("# resolved configuration")
-    for key in sorted(pairs):
-        print(f"{key} = {_fmt(pairs[key])}")
+    for key, value in sorted(pairs.items()):
+        print(f"{key} = {value:.6f}" if isinstance(value, float) else f"{key} = {value}")
 
 
 # --- run configuration files -------------------------------------------
@@ -97,7 +146,6 @@ class RunConfig:
     perturb: PerturbConfig | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed, "seed")
         if self.mode not in ("infer", "train"):
             raise ConfigError(f"mode must be infer or train, got {self.mode!r}")
         object.__setattr__(self, "perturb", PerturbConfig(
@@ -113,14 +161,11 @@ class RunConfig:
         return pairs
 
 
-def _settable(kind: type, skip: str) -> dict[str, type]:
-    hints = typing.get_type_hints(kind)
-    return {f.name: hints[f.name] for f in fields(kind) if f.init and f.name != skip}
-
-
-# keys a config file or --set may give; the variant picks the base model
-_MODEL_KEYS = _settable(ModelConfig, "variant")
-_RUN_KEYS = _settable(RunConfig, "model")
+# keys a config file or --set may give, each with its kind or rule; the
+# variant picks the base model
+_MODEL_KEYS = {key: kind for key, kind in typing.get_type_hints(ModelConfig).items()
+               if key != "variant"}
+_RUN_KEYS = {"sigma": _RANK_SIGMA, "n_samples": _SAMPLES, "seed": _SEED, "mode": str}
 # the smoothing settings, read only by the train-mode forward
 _TRAIN_ONLY_KEYS = ("sigma", "n_samples")
 
@@ -172,6 +217,8 @@ def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = 
             return kind(value)
         except ValueError:
             raise ConfigError(f"key {key!r} needs a {kind.__name__}, got {value!r}") from None
+        except argparse.ArgumentTypeError as err:
+            raise ConfigError(f"key {key!r}: {err}") from None
 
     unread = sorted(key for key in _RUN_KEYS if key in raw and (
         key not in run_keys or key in _TRAIN_ONLY_KEYS and raw.get("mode") != "train"))
@@ -242,32 +289,8 @@ def _echo_flags(args, seed: int) -> None:
     _echo({**pairs, "seed": seed})
 
 
-def _require_counts(args, **minimums: int) -> None:
-    for flag, low in minimums.items():
-        value = getattr(args, flag)
-        if value < low:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be >= {low}, got {value}")
-
-
-def _check_sigma(sigma: float, low: float, high: float, name: str = "--sigma") -> None:
-    """Refuse a sigma (flag or key ``name``) outside [low, high], the
-    range in which the command's float32 scores, steps and float64
-    perturbed keys neither round away nor overflow; NaN is outside every
-    range."""
-    low, high = float(low), float(high)  # not float32: sigma would round
-    if not low <= sigma <= high:
-        raise ConfigError(f"{name} must be in [{low:.6g}, {high:.6g}], got {sigma}")
-
-
-# a smoothed ranking's sigma: its float64 keys s + sigma z stay finite
-# for float32 scores
-_RANK_SIGMA = (np.finfo(np.float64).smallest_subnormal, np.finfo(F32).max)
-
-
 def cmd_rank(args) -> int:
     seed = _default_seed(args.seed)
-    _check_sigma(args.sigma, *_RANK_SIGMA)
-    _require_counts(args, n_samples=1)
     cfg = PerturbConfig(sigma=args.sigma, n_samples=args.n_samples, seed=seed)
     scores = tensor_io.read_tnsr(args.scores)
     if scores.ndim != 1 or not scores.size:
@@ -294,29 +317,18 @@ def _print_check(report: gradcheck.CheckReport, unit: str) -> None:
 
 def cmd_grad_check(args) -> int:
     seed = _default_seed(args.seed)
-    _require_counts(args, frames=2, trials=1)
-    # the smallest score gap (sigma / 10) and the finite-difference step
-    # (sigma / 5) stay normal float32s, and the float32 scores, within
-    # (|z| + 3) sigma, stay finite for any |z| below 29
-    f32 = np.finfo(F32)
-    _check_sigma(args.sigma, 10 * f32.tiny, f32.max / 32)
     _check_sizes(frames=args.frames, n_samples=args.n_samples)
     if args.n_samples < MIN_SAMPLES_FOR_CHECKS:
-        print(
-            f"insufficient statistical power: n_samples={args.n_samples} < "
-            f"{MIN_SAMPLES_FOR_CHECKS}; the Monte Carlo standard error would "
-            "dominate the tolerance",
-            file=sys.stderr,
-        )
+        print(f"insufficient statistical power: n_samples={args.n_samples} < "
+              f"{MIN_SAMPLES_FOR_CHECKS}; the Monte Carlo standard error would "
+              "dominate the tolerance", file=sys.stderr)
         return EXIT_INSUFFICIENT
     _echo_flags(args, seed)
-    closed = gradcheck.run_t2_check(
-        sigma=args.sigma, n_samples=args.n_samples, seed=seed, trials=args.trials
-    )
+    closed = gradcheck.run_t2_check(sigma=args.sigma, n_samples=args.n_samples, seed=seed,
+                                    trials=args.trials)
     _print_check(closed, "rel_err")
-    fd = gradcheck.run_fd_check(
-        frames=args.frames, sigma=args.sigma, n_samples=args.n_samples, seed=seed
-    )
+    fd = gradcheck.run_fd_check(frames=args.frames, sigma=args.sigma, n_samples=args.n_samples,
+                                seed=seed)
     _print_check(fd, "se_units")
     ok = closed.passed and fd.passed
     print(f"grad-check: {'PASS' if ok else 'FAIL'}")
@@ -325,8 +337,6 @@ def cmd_grad_check(args) -> int:
 
 def cmd_forward(args) -> int:
     run = load_run_config(args.config, args.set, args.seed)
-    if run.perturb is not None:
-        _check_sigma(run.sigma, *_RANK_SIGMA, name="sigma")
     config = run.model
     _check_sizes(config.baseline() if args.baseline else config, config.frames,
                  run.perturb.n_samples if run.perturb else 0)
@@ -394,19 +404,8 @@ def cmd_flops(args) -> int:
 
 def cmd_toy_train(args) -> int:
     seed = _default_seed(args.seed)
-    _require_counts(args, videos=1, holdout=1, steps=0, frames=2, salient=1, n_samples=1)
     if args.salient >= args.frames:
         raise ConfigError(f"--salient must be < --frames ({args.frames}), got {args.salient}")
-    f32 = np.finfo(F32)
-    for flag in ("lr", "init_scale"):
-        value = getattr(args, flag)
-        if not abs(value) <= float(f32.max):  # so F32(value) is finite
-            raise ConfigError(f"--{flag.replace('_', '-')} must be a finite float32 "
-                              f"(|value| <= {float(f32.max):.6g}), got {value}")
-    # sigma and the 1 / sigma of the float32 gradient stay normal float32s
-    _check_sigma(args.sigma, f32.tiny, f32.max)
-    if args.videos >= MAX_TRAIN_VIDEOS:
-        raise ConfigError(f"--videos must be < {MAX_TRAIN_VIDEOS}, got {args.videos}")
     _check_sizes(frames=args.frames, n_samples=args.n_samples,
                  dataset_bytes=toy_train_bytes(args.videos, args.holdout, args.frames))
     _echo_flags(args, seed)
@@ -451,26 +450,27 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="drca",
-        description="saliency-compressed video transformer toolkit",
-    )
+    parser = _Parser(prog="drca", description="saliency-compressed video transformer toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def ranged(p, flag: str, rule: _Ranged, default, what: str = "") -> None:
+        p.add_argument(flag, type=rule, default=default, help=f"{what}{rule.bounds}: {rule.why}")
 
     p = sub.add_parser("rank", help="rank a score vector and write its smoothed matrix")
     p.add_argument("scores", help="input score vector (.tnsr)")
-    p.add_argument("out", help="output path for the smoothed matrix (.tnsr)")
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--n-samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("out", type=_out_path, help="output path for the smoothed matrix (.tnsr)")
+    ranged(p, "--sigma", _RANK_SIGMA, 0.05)
+    ranged(p, "--n-samples", _SAMPLES, 500)
+    ranged(p, "--seed", _SEED, None)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("grad-check", help="verify the ranking gradient estimator")
-    p.add_argument("--frames", type=int, default=4, help="T for the finite-difference check")
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--n-samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=10, help="score pairs for the T=2 check")
+    ranged(p, "--frames", _FRAMES, 4, "T for the finite-difference check; ")
+    ranged(p, "--sigma", _CHECK_SIGMA, 0.05)
+    p.add_argument("--n-samples", type=int, default=100_000,
+                   help=f"below {MIN_SAMPLES_FOR_CHECKS}: exit 3, too few samples to judge")
+    ranged(p, "--seed", _SEED, None)
+    ranged(p, "--trials", _TRIALS, 10, "score pairs for the T=2 check; ")
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("forward", help="run the model on a video tensor")
@@ -479,10 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override a configuration key")
     p.add_argument("--video", help="input video .tnsr [T, H, W, 3]; omitted: seeded noise")
     p.add_argument("--params", help="parameter directory (see tensor_io); omitted: seeded init")
-    p.add_argument("--out", help="write the output tensor here")
+    p.add_argument("--out", type=_out_path, help="write the output tensor here")
     p.add_argument("--baseline", action="store_true",
                    help="run the uncompressed pipeline instead")
-    p.add_argument("--seed", type=int, default=None)
+    ranged(p, "--seed", _SEED, None)
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("flops", help="analytic cost report, optionally vs a reference")
@@ -496,17 +496,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("toy-train", help="train the score-net on planted saliency")
-    p.add_argument("--videos", type=int, default=200)
-    p.add_argument("--holdout", type=int, default=50)
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--salient", type=int, default=2)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--init-scale", type=float, default=0.1)
-    p.add_argument("--n-samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="write the step,loss,accuracy trace CSV here")
+    ranged(p, "--videos", _VIDEOS, 200)
+    ranged(p, "--holdout", _HOLDOUT, 50)
+    ranged(p, "--frames", _FRAMES, 8)
+    ranged(p, "--salient", _SALIENT, 2, "less than --frames; ")
+    ranged(p, "--steps", _STEPS, 300)
+    ranged(p, "--lr", _FINITE_F32, 0.01)
+    ranged(p, "--sigma", _TRAIN_SIGMA, 0.2)
+    ranged(p, "--init-scale", _FINITE_F32, 0.1)
+    ranged(p, "--n-samples", _SAMPLES, 500)
+    ranged(p, "--seed", _SEED, None)
+    p.add_argument("--out", type=_out_path, help="write the step,loss,accuracy trace CSV here")
     p.set_defaults(func=cmd_toy_train)
 
     p = sub.add_parser("selftest", help="run the per-module sanity battery")
@@ -516,9 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ShapeError, tensor_io.TensorFileError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,15 +1,18 @@
 """Command-line surface: exit codes, echoed configuration, output
 formats, and byte-stable stdout."""
 
+import argparse
 import ast
 import inspect
 import io
 import os
+import pathlib
 import struct
 import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,11 @@ import drca
 from drca import cli, numerics, ranking
 from drca.cli import (
     _MODEL_KEYS,
+    _RUN_KEYS,
+    _SEED,
+    _Ranged,
+    _out_path,
+    build_parser,
     MAX_ARRAY_BYTES,
     MAX_TOTAL_BYTES,
     ConfigError,
@@ -307,6 +315,12 @@ def _one_line_error(capsys, *names: str) -> str:
     (["toy-train", "--salient", "8", "--frames", "8"], ["--salient"]),
     (["toy-train", "--n-samples", "0"], ["--n-samples"]),
     (["rank", "SCORES", "OUT", "--n-samples", "0"], ["--n-samples"]),
+    # argparse's own refusals keep the same contract: no usage block
+    (["grad-check", "--frames", "abc"], ["--frames", "abc"]),
+    (["toy-train", "--lr", "fast"], ["--lr", "fast"]),
+    (["toy-train", "--zzz"], ["--zzz"]),
+    (["rank"], ["scores", "out"]),
+    (["nosuch"], ["nosuch"]),
 ])
 def test_bad_values_exit_2_with_one_line_error(tmp_path, capsys, argv, names):
     binary = tmp_path / "binary.conf"
@@ -366,10 +380,154 @@ def test_grad_check_judges_alike_at_either_end_of_its_sigma_range(capsys):
 
 
 def test_writing_over_a_directory_exits_2(tmp_path, capsys):
-    target = tmp_path / "taken"
-    target.mkdir()
-    assert main(["forward", "toy", "--out", str(target)]) == EXIT_BAD_INPUT
-    _one_line_error(capsys, str(target))
+    # every output path is checked as it is parsed: a directory, a path that
+    # names no file, or a file in a directory that does not exist, is refused
+    # before the run
+    write_tnsr(tmp_path / "s.tnsr", np.array([0.3, -0.1, 0.2], F32))
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for target in (str(taken), str(tmp_path / "absent" / "out"), f"{tmp_path}/new/", ""):
+        for argv in (["rank", str(tmp_path / "s.tnsr"), target],
+                     ["forward", "toy", "--out", target],
+                     ["toy-train", "--out", target]):
+            assert main(argv) == EXIT_BAD_INPUT
+            assert _one_line_error(capsys, target) == ""
+    assert not (tmp_path / "absent").exists() and not (tmp_path / "new").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["toy-train", "--help"])
+    assert raised.value.code == 0
+    assert "usage: drca toy-train" in capsys.readouterr().out
+
+
+# --- one rule per flag ---------------------------------------------------------
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _arguments():
+    """(command, name, action) for every argument of every subcommand."""
+    return [(command, (action.option_strings or [action.dest])[-1], action)
+            for command, parser in _subcommands().items() for action in parser._actions]
+
+
+_RANGED = [(command, name, action) for command, name, action in _arguments()
+           if isinstance(action.type, _Ranged)]
+
+
+def test_every_numeric_flag_has_a_rule():
+    # grad-check's --n-samples alone takes any integer: below 1000 the
+    # check refuses to run with exit 3, not 2
+    unchecked = [(command, name) for command, name, action in _arguments()
+                 if action.type in (int, float)]
+    assert unchecked == [("grad-check", "--n-samples")]
+    for command, name, action in _RANGED:
+        if action.default is not None:
+            assert action.type(str(action.default)) == action.default, (command, name)
+
+
+def test_help_states_each_range():
+    for command, name, action in _RANGED:
+        text = " ".join(_subcommands()[command].format_help().split())
+        assert f"{action.type.bounds}: {action.type.why}" in action.help, (command, name)
+        assert f"{name} {action.dest.upper()} {' '.join(action.help.split())}" in text
+
+
+def _readme_flag_table() -> list[tuple[list[str], list[str], str]]:
+    """(names, commands, range) for each row of README's flag table."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| flag or key | commands | range | reason |\n|---|---|---|---|\n")[1]
+    rows = []
+    for line in table.split("\n\n")[0].splitlines():
+        names, commands, bounds, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((names.replace("`", "").split(", "), commands.split(", "), bounds.strip("`")))
+    return rows
+
+
+def test_readme_flag_table_matches_the_rules():
+    rows = _readme_flag_table()
+    listed = {(name, command): bounds for names, commands, bounds in rows
+              for name in names for command in commands}
+    for command, name, action in _RANGED:
+        assert listed.get((name, command)) == action.type.bounds, (command, name)
+    keys = {key: rule for key, rule in _RUN_KEYS.items() if isinstance(rule, _Ranged)}
+    assert set(keys) == {"sigma", "n_samples", "seed"}
+    for key, rule in {**keys, "DRCA_SEED": _SEED}.items():
+        assert listed.get((key, "forward")) == rule.bounds, key
+    paths = {(name, command) for command, name, action in _arguments()
+             if action.type is _out_path}
+    assert paths == {("out", "rank"), ("--out", "forward"), ("--out", "toy-train")}
+    assert paths <= set(listed)
+    # and the table lists no flag that the parser leaves unchecked
+    checked = paths | {(name, command) for command, name, _ in _RANGED}
+    for names, commands, _ in rows:
+        for name in names:
+            assert name.isupper() or name in keys or any(
+                (name, command) in checked for command in commands), name
+
+
+def _refused_edges(rule: _Ranged) -> list[str]:
+    """The refused values at and far past each bound of ``rule``: its outer
+    neighbour, NaN, infinities, a negative and an integer past int64."""
+    def outer(bound, way: int) -> str:
+        if rule.kind is int:
+            return str(bound + way)
+        return repr(float(np.nextafter(bound, way * np.inf)))
+    edges = [outer(rule.low, -1), "nan", "inf", "-inf", "-1e400"]
+    if rule.low >= 0:
+        edges.append("-1")
+    if rule.high < np.inf:
+        edges += [outer(rule.high, 1), str(max(2 ** 63, 2 * int(rule.high) + 1))]
+    return edges
+
+
+def _refused_values(rule: _Ranged):
+    """Any value below ``rule``'s low bound or above its high one."""
+    if rule.kind is int:
+        below = st.integers(max_value=rule.low - 1)
+        above = st.integers(min_value=rule.high + 1) if rule.high < np.inf else st.nothing()
+    else:
+        below = st.floats(max_value=float(np.nextafter(rule.low, -np.inf)))
+        above = st.floats(min_value=float(np.nextafter(rule.high, np.inf)))
+    return st.one_of(below, above).map(repr)
+
+
+def _refusal_targets():
+    """(id, argv with {} for the value, environment variable, name, rule)
+    for every ranged flag, every ranged run key and DRCA_SEED."""
+    positionals = {"rank": ["s.tnsr", "o.tnsr"], "forward": ["toy"]}
+    targets = [(f"{command} {name}", [command, *positionals.get(command, []), name + "={}"],
+                None, name, action.type) for command, name, action in _RANGED]
+    targets += [(f"key {key}", ["forward", "toy", "--set", "mode=train", "--set", key + "={}"],
+                 None, key, rule) for key, rule in _RUN_KEYS.items() if isinstance(rule, _Ranged)]
+    return targets + [("DRCA_SEED", ["grad-check"], "DRCA_SEED", "DRCA_SEED", _SEED)]
+
+
+@pytest.mark.parametrize("target", _refusal_targets(), ids=lambda target: target[0])
+def test_refused_values_exit_2_naming_the_flag_or_key(target):
+    _, argv, env, name, rule = target
+
+    def refused(value: str) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.dict(os.environ, {env: value} if env else {}), \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([arg.format(value) for arg in argv])
+        lines = err.getvalue().splitlines()
+        assert code == EXIT_BAD_INPUT, (value, lines)
+        assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], lines
+        assert out.getvalue() == "", value
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], value
+
+    for value in _refused_edges(rule):
+        refused(value)
+    # every refusal happens as the value is parsed, so each example is cheap
+    settings(max_examples=10, deadline=None)(given(_refused_values(rule))(refused))()
 
 
 _INT_MODEL_KEYS = sorted(k for k, kind in _MODEL_KEYS.items() if kind is int)
