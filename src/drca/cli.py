@@ -86,12 +86,17 @@ class _Ranged:
 
 
 def _out_path(path: str) -> str:
-    """The rule of an output file: a file name, in a directory that exists."""
+    """The rule of an output file: a file name, in a directory that exists
+    and takes a new file (probed: os.access passes root where writes fail)."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path) or not os.path.basename(path):
         raise argparse.ArgumentTypeError(f"{path!r} names a directory, not a file")
     if not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(f"{path}: directory {parent} does not exist")
+    try:
+        tempfile.TemporaryFile(dir=parent).close()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"{path}: cannot write in {parent}: {exc.strerror}")
     return path
 
 

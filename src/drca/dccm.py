@@ -129,10 +129,6 @@ class MultiResSequence:
         return self.saliency.shape[-1]
 
     @property
-    def full_grid(self) -> tuple[int, int]:
-        return self.saliency.shape[1], self.saliency.shape[2]
-
-    @property
     def low_grid(self) -> tuple[int, int]:
         return self.saliency.shape[1] // self.h, self.saliency.shape[2] // self.h
 

@@ -78,12 +78,6 @@ class FlopsReport:
         return sum(e.count for e in self.entries
                    if e.stage == stage and e.op_class == op_class)
 
-    def stage_total(self, prefix: str) -> int:
-        return sum(e.count for e in self.entries if e.stage.startswith(prefix))
-
-    def class_total(self, op_class: str) -> int:
-        return sum(e.count for e in self.entries if e.op_class == op_class)
-
     def render(self) -> str:
         lines = [f"flop report: {self.config_name}"]
         width = max(len(e.stage) for e in self.entries)

@@ -23,11 +23,12 @@ order; numpy releases the GIL in the draws, the ranking and the gathers.
 The finite-difference check queues each vector's gradient ahead of its
 endpoints.  Each estimate keeps its own seed, so the rows are bitwise
 those of a serial loop.  An estimate in flight holds a few sampler
-blocks: a gradient streams its centred sums and second moments
-(``ranking._objective_sums``) and keeps no draw, and a finite-difference
-endpoint keeps its [n] per-sample products.  Both standard errors are
-closed forms over those sums or products, so no estimate walks its
-samples twice or builds an [n, T] array.
+blocks and O(T) sums: each is one pass of ``ranking._objective_sums``,
+which streams the value's and, for a gradient, the gradient's centred
+second moments and keeps no draw and no per-sample product.  Both
+standard errors are one closed form (``ranking._standard_error``) over
+those moments, so no estimate walks its samples twice or builds an
+array whose size grows with ``n_samples``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import ranking
 from .numerics import F32, RandomStream
-from .ranking import PerturbConfig, _check_objective, _objective_products
+from .ranking import PerturbConfig, _check_objective, _standard_error
 
 # pass thresholds: relative error against the closed form, and the
 # finite-difference disagreement in combined standard errors
@@ -119,28 +120,20 @@ def vjp_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     With d = dots - mean(dots), the per-sample gradients d_j z_j / sigma
     average to the gradient g, so their squared spread about it is
     sum_j d_j^2 z_ji^2 / sigma^2 - n g_i^2, from the second moments that
-    the gradient's own streaming pass adds up.  No [n] or [n, T] array
-    is built."""
+    the gradient's own streaming pass adds up."""
     s64, g = _check_objective(s, grad_matrix)
-    _, centred, squares = ranking._objective_sums(s64, cfg, g, spread=True)
-    grad = ranking._score_gradient(centred, cfg)
-    n = cfg.n_samples
-    sq = squares / cfg.sigma ** 2 - n * grad * grad
-    # rounding can take a spread of zero below it
-    return grad, np.sqrt(np.maximum(sq, 0.0) / (n - 1)) / np.sqrt(n)
+    sums = ranking._objective_sums(s64, cfg, g, spread=True)
+    grad = ranking._score_gradient(sums.centred, cfg)
+    moment = sums.grad_moment / cfg.sigma ** 2 - cfg.n_samples * grad * grad
+    return grad, _standard_error(moment, cfg)
 
 
 def objective_with_se(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
-    """MC value of <G, smoothed rank(s)> and its standard error.  Keeps
-    the [n] per-sample products, not the draws."""
+    """MC value of <G, smoothed rank(s)> and its standard error, from the
+    same streaming pass as the gradient's."""
     s64, g = _check_objective(s, grad_matrix)
-    dots = _objective_products(s64, cfg, g)
-    mean = dots.mean()
-    dots -= mean
-    # not dots @ dots: OpenBLAS threads its ddot at this n, and from the
-    # pool's threads that nearly doubled run_fd_check's time
-    sq = np.square(dots, out=dots).sum()
-    return float(mean), float(np.sqrt(sq / (cfg.n_samples - 1)) / np.sqrt(cfg.n_samples))
+    sums = ranking._objective_sums(s64, cfg, g)
+    return float(sums.mean), float(_standard_error(sums.value_moment, cfg))
 
 
 def run_t2_check(sigma: float = 0.05, n_samples: int = 100_000, seed: int = 0,

@@ -23,16 +23,16 @@ holds nothing whose size grows with ``n_samples``.
 ``_objective_blocks`` forms each product as one gather of a ranking's
 cells and numpy's own sum over them, so it is bitwise a per-draw
 ``sum`` whichever way the ranking was found.
-Every estimate is one streaming pass that holds a few blocks and O(T)
-sums: ``_objective_sums`` adds up each block's products and draws about
-the first block's mean product, which gives the gradient's centred sum
-(and its standard error's second moments) without keeping any draw, and
-``_objective_products`` keeps the [n] products of an estimate that
-needs no gradient.  No [n, T] array is built.  Successive blocks
+Every objective estimate is one streaming pass, ``_objective_sums``,
+that holds a few blocks and O(T) sums: it adds up each block's products
+and draws about the first block's mean product, which gives the mean,
+the gradient's centred sum and the second moments that
+``_standard_error`` turns into either standard error, and keeps no draw
+or product.  Successive blocks
 continue one random stream, so the draws, the products and the
-smoothed ranking are bitwise those of a single [n, T] draw; the mean
-and the gradient are too where n fits one block, and past that differ
-from a one-shot reduction by rounding alone.
+smoothed ranking are bitwise those of a single [n, T] draw; the mean,
+the gradient and the moments are too where n fits one block, and past
+that differ from a one-shot reduction by rounding alone.
 ``_check_objective`` validates the scores and G once, for one score
 vector or, in ``perturbed_objective``, a stack of them, a vector being
 a stack of one; each video makes its own walk with its own seed and
@@ -243,32 +243,27 @@ def _objective_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray):
     return _sample_blocks(s64, cfg, lambda cells: np.take(flat_gt, cells).sum(axis=1))
 
 
-def _objective_products(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray) -> np.ndarray:
-    """The per-sample products <G, Y(s + sigma z_j)> [n] for one checked
-    score vector and its G."""
-    dots = np.empty(cfg.n_samples)
-    lo = 0
-    for _, block in _objective_blocks(s64, cfg, g):
-        dots[lo:lo + block.shape[0]] = block
-        lo += block.shape[0]
-    return dots
+class ObjectiveSums(NamedTuple):
+    """One streamed estimate over d_j = <G, Y(s + sigma z_j)>."""
+
+    mean: float                     # mean(d)
+    value_moment: float             # sum_j (d_j - mean(d))^2
+    centred: np.ndarray             # sum_j (d_j - mean(d)) z_j [T]
+    grad_moment: np.ndarray | None  # sum_j (d_j - mean(d))^2 z_j^2 [T], if spread
 
 
 def _objective_sums(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
-                    spread: bool = False):
-    """One streaming pass over the walk for one checked score vector and
-    its G that holds its sampler blocks and O(T) sums, nothing of size n.
-    Returns the mean product mean(d) over d_j = <G, Y(s + sigma z_j)>;
-    the centred sum sum_j (d_j - mean(d)) z_j [T] that
-    ``_score_gradient`` scales; and, if ``spread``, the centred second
-    moments sum_j (d_j - mean(d))^2 z_j^2 [T] that the gradient's
-    standard error needs, else None.
+                    spread: bool = False) -> ObjectiveSums:
+    """The one Monte Carlo estimate: a streaming pass over the walk for one
+    checked score vector and its G that holds its sampler blocks and O(T)
+    sums, nothing of size n; the gradient's moment only if ``spread``.
 
     Each block adds its sums about m0, the first block's mean product:
-    sum d and sum (d - m0) z, with sum (d - m0)^2 z^2 for the spread.
-    Where the walk has more blocks than one it also adds sum z (and
-    sum (d - m0) z^2 and sum z^2), and with delta = mean(d) - m0
+    sum d, sum (d - m0)^2 and sum (d - m0) z, with sum (d - m0)^2 z^2 for
+    the spread.  Where the walk has more blocks than one it also adds
+    sum z (and sum (d - m0) z^2 and sum z^2), and with delta = mean(d) - m0
 
+        sum (d - mean)^2 = sum (d - m0)^2 - n delta^2,
         sum (d - mean) z = sum (d - m0) z - delta sum z,
         sum (d - mean)^2 z^2 = sum (d - m0)^2 z^2
                                - 2 delta sum (d - m0) z^2 + delta^2 sum z^2.
@@ -286,24 +281,38 @@ def _objective_sums(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
             if dots.shape[0] < cfg.n_samples:
                 ones = np.ones(dots.shape[0])
         dots -= m0
+        # not dots @ dots: OpenBLAS threads its ddot at this size, and from
+        # grad-check's pool threads that nearly doubled run_fd_check's time
+        squares = np.square(dots)
         # each sum is named by its terms; past "d" (sum d), d is d - m0
-        block = {"d": total, "dz": dots @ z}
+        block = {"d": total, "dd": squares.sum(), "dz": dots @ z}
         if spread:
             z2 = np.square(z)
-            block["ddzz"] = np.square(dots) @ z2
+            block["ddzz"] = squares @ z2
         if ones is not None:
             block["z"] = ones[:z.shape[0]] @ z
             if spread:
                 block["dzz"], block["zz"] = dots @ z2, ones[:z.shape[0]] @ z2
         sums = block if sums is None else {k: sums[k] + v for k, v in block.items()}
     mean = sums["d"] / cfg.n_samples
-    centred, squares = sums["dz"], sums.get("ddzz")
+    value_moment, centred, squares = sums["dd"], sums["dz"], sums.get("ddzz")
     if ones is not None:
         delta = mean - m0
+        value_moment = value_moment - cfg.n_samples * delta * delta
         centred = centred - delta * sums["z"]
         if spread:
             squares = squares - 2 * delta * sums["dzz"] + delta * delta * sums["zz"]
-    return mean, centred, squares
+    return ObjectiveSums(mean, value_moment, centred, squares)
+
+
+def _standard_error(moment, cfg: PerturbConfig):
+    """The standard error of a mean of ``cfg.n_samples`` terms whose
+    squared spread about it is ``moment``: sqrt(moment / (n - 1)) / sqrt(n),
+    a spread that rounding took below zero counting as zero."""
+    n = cfg.n_samples
+    if n < 2:
+        raise ValueError(f"a standard error needs n_samples >= 2, got {n}")
+    return np.sqrt(np.maximum(moment, 0.0) / (n - 1)) / np.sqrt(n)
 
 
 def _score_gradient(centred: np.ndarray, cfg: PerturbConfig) -> np.ndarray:
@@ -346,6 +355,6 @@ def perturbed_objective(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     values, grads = np.empty(stack.shape[0]), np.empty(stack.shape, F32)
     for i, (video, g_video) in enumerate(zip(stack, g.reshape(-1, t, t))):
         video_cfg = replace(cfg, seed=cfg.seed + i)
-        values[i], centred, _ = _objective_sums(video, video_cfg, g_video)
-        grads[i] = _score_gradient(centred, video_cfg)
+        sums = _objective_sums(video, video_cfg, g_video)
+        values[i], grads[i] = sums.mean, _score_gradient(sums.centred, video_cfg)
     return (float(values[0]), grads[0]) if s64.ndim == 1 else (values, grads)

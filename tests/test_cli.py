@@ -381,12 +381,15 @@ def test_grad_check_judges_alike_at_either_end_of_its_sigma_range(capsys):
 
 def test_writing_over_a_directory_exits_2(tmp_path, capsys):
     # every output path is checked as it is parsed: a directory, a path that
-    # names no file, or a file in a directory that does not exist, is refused
-    # before the run
+    # names no file, or a file in a directory that does not exist or takes
+    # no new file (procfs, even for root), is refused before the run
     write_tnsr(tmp_path / "s.tnsr", np.array([0.3, -0.1, 0.2], F32))
     taken = tmp_path / "taken"
     taken.mkdir()
-    for target in (str(taken), str(tmp_path / "absent" / "out"), f"{tmp_path}/new/", ""):
+    targets = [str(taken), str(tmp_path / "absent" / "out"), f"{tmp_path}/new/", ""]
+    if os.path.isdir("/proc"):
+        targets.append("/proc/x.tnsr")
+    for target in targets:
         for argv in (["rank", str(tmp_path / "s.tnsr"), target],
                      ["forward", "toy", "--out", target],
                      ["toy-train", "--out", target]):

@@ -331,7 +331,7 @@ def test_full_res_sequence_wraps_whole_video():
     assert np.array_equal(seq.times.saliency, np.arange(5))
     assert seq.frame_count == 5
     assert seq.channels == 3
-    assert seq.full_grid == (4, 4) and seq.low_grid == (4, 4)
+    assert seq.saliency.shape[1:3] == (4, 4) and seq.low_grid == (4, 4)
     assert seq.token_count == 5 * 16
 
 

@@ -139,12 +139,12 @@ def test_vjp_matches_production_estimator():
     g = RandomStream(3).gaussian64((5, 5))
     cfg = PerturbConfig(0.05, 600, seed=9)
     grad, _ = vjp_with_se(s, cfg, g)
-    _, centred, _ = ranking._objective_sums(s.astype(np.float64), cfg, g)
+    centred = ranking._objective_sums(s.astype(np.float64), cfg, g).centred
     assert grad.dtype == np.float64
     assert grad.tobytes() == ranking._score_gradient(centred, cfg).tobytes()
     _, ds = perturbed_objective(s, cfg, g)
     assert grad.astype(F32).tobytes() == ds.tobytes()
-    dots = ranking._objective_products(s.astype(np.float64), cfg, g)
+    (_, dots), = ranking._objective_blocks(s.astype(np.float64), cfg, g)  # one block
     z = RandomStream(cfg.seed).gaussian64((cfg.n_samples, 5))
     assert grad.tobytes() == ((dots - dots.mean()) @ z / (600 * 0.05)).tobytes()
 
@@ -174,7 +174,7 @@ def test_planted_gradient_defect_fails_both_checks(monkeypatch, defect):
     s = RandomStream(6).gaussian(4)
     g = RandomStream(7).gaussian64((4, 4))
     cfg = PerturbConfig(0.05, 300, seed=8)
-    _, centred, _ = ranking._objective_sums(s.astype(np.float64), cfg, g)
+    centred = ranking._objective_sums(s.astype(np.float64), cfg, g).centred
     assert perturbed_objective(s, cfg, g)[1].tobytes() == faulty(centred, cfg).astype(F32).tobytes()
     # ... and both oracles catch it
     assert not run_t2_check(**_PLANTED_AT).passed
@@ -314,9 +314,8 @@ def test_estimators_memory_stays_within_their_outputs_and_a_few_blocks():
         _, vjp_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the value needs the [n] products, not the draws
-    assert objective_peak <= dots_bytes + blocks
-    # the gradient streams: neither the products nor the draws
+    # both stream: neither the products nor the draws
+    assert objective_peak <= blocks
     assert vjp_peak <= blocks
 
 
@@ -336,15 +335,19 @@ def test_gradient_holds_a_few_blocks_and_no_draws(t):
         tracemalloc.stop()
     assert peak <= 8 * numerics._CHUNK * 8 < n * 8
     assert grad.tobytes() == ranking._score_gradient(
-        ranking._objective_sums(s.astype(np.float64), cfg, g)[1], cfg).tobytes()
+        ranking._objective_sums(s.astype(np.float64), cfg, g).centred, cfg).tobytes()
 
 
 def test_objective_matches_production_estimator_exactly():
-    s = RandomStream(2).gaussian(5)
-    g = RandomStream(3).gaussian64((5, 5))
-    cfg = PerturbConfig(0.05, 600, seed=9)
-    value, _ = objective_with_se(s, cfg, g)
-    assert value == perturbed_objective(s, cfg, g)[0]
+    # one estimate: bitwise within one block and, one draw either side of
+    # T's sampler block, across two
+    inputs = [(5, 600)] + [(t, numerics._CHUNK // t + edge) for t in (2, 4, 8) for edge in (-1, 1)]
+    for t, n in inputs:
+        s = RandomStream(2).gaussian(t)
+        g = RandomStream(3).gaussian64((t, t))
+        cfg = PerturbConfig(0.05, n, seed=9)
+        value, _ = objective_with_se(s, cfg, g)
+        assert value == perturbed_objective(s, cfg, g)[0], (t, n)
 
 
 @pytest.mark.parametrize("estimator", [vjp_with_se, objective_with_se])
@@ -361,6 +364,11 @@ def test_estimators_validate_scores_and_gradient_matrix(estimator):
         estimator(np.array([0.1, np.inf, 0.0], F32), cfg, np.ones((3, 3)))
     with pytest.raises(ShapeError, match="non-empty"):
         estimator(np.zeros(0, F32), cfg, np.ones((0, 0)))
+    # one sample has no spread to take a standard error from
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="n_samples"):
+            estimator(s, replace(cfg, n_samples=1), np.ones((3, 3)))
 
 
 def test_checks_refuse_empty_reports():

@@ -18,7 +18,6 @@ from drca.ranking import (
     PerturbConfig,
     _every_ranking,
     _objective_blocks,
-    _objective_products,
     _objective_sums,
     _ranking_codes,
     hard_rank,
@@ -331,17 +330,19 @@ def _check_sampler_against_one_shot(n, t, seed, sigma, quantise):
     dots, z = _walk(s, cfg, g)
     assert dots.tobytes() == want_dots.tobytes()
     assert z.tobytes() == want_z.tobytes()
-    assert _objective_products(s.astype(np.float64), cfg, g).tobytes() == want_dots.tobytes()
     assert perturbed_rank(s, cfg).tobytes() == want_matrix.tobytes()
-    # the streamed estimate against the one-shot mean and gemv
+    # the streamed estimate against the one-shot mean, moment and gemv
     mean = want_dots.mean()
+    want_moment = np.square(want_dots - mean).sum()
     want_centred = (want_dots - mean) @ want_z
-    value, centred, _ = _objective_sums(s.astype(np.float64), cfg, g)
+    value, moment, centred, _ = _objective_sums(s.astype(np.float64), cfg, g)
     if n <= _block(t):  # one block: bitwise
         assert value == mean
+        assert moment == want_moment
         assert centred.tobytes() == want_centred.tobytes()
     else:
         assert abs(value - mean) <= _STREAMED_RTOL * np.abs(want_dots).mean()
+        assert abs(moment - want_moment) <= _STREAMED_RTOL * np.square(want_dots).sum()
         assert np.all(np.abs(centred - want_centred)
                       <= _STREAMED_RTOL * (np.abs(want_dots) @ np.abs(want_z)))
     # perturbed_objective returns that estimate
@@ -448,15 +449,10 @@ def test_sampler_memory_stays_within_a_few_blocks():
         perturbed_rank(s, cfg)
         _, rank_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        dots = _objective_products(s, cfg, g)
-        _, products_peak = tracemalloc.get_traced_memory()
-        del dots
-        tracemalloc.reset_peak()
         _objective_sums(s, cfg, g, spread=True)
         _, sums_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rank_peak < bound
-    assert products_peak <= n * 8 + bound
-    # the streamed gradient and its second moments hold nothing of size n
+    # the streamed value, gradient and moments hold nothing of size n
     assert sums_peak < bound
