@@ -195,9 +195,9 @@ def _parse_config_text(text: str, source: str) -> dict[str, str]:
 def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = None,
                     run_keys: typing.Collection[str] = tuple(_RUN_KEYS)) -> RunConfig:
     """Build a RunConfig from a config file path or a bare model name,
-    then apply key=value overrides.  Unknown keys are rejected, and so
-    are run keys outside ``run_keys``, the ones the command reads, and
-    ``sigma`` and ``n_samples`` unless ``mode = train``."""
+    then apply key=value overrides.  Unknown keys are rejected, and so are
+    run keys outside ``run_keys``, the ones the command reads, ``sigma`` and
+    ``n_samples`` unless ``mode = train``, and ``num_classes`` under retrieval."""
     if os.path.exists(token):
         try:
             with open(token, encoding="utf-8") as f:
@@ -227,6 +227,9 @@ def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = 
 
     unread = sorted(key for key in _RUN_KEYS if key in raw and (
         key not in run_keys or key in _TRAIN_ONLY_KEYS and raw.get("mode") != "train"))
+    # no preset sets head_mode, so the raw value is the resolved one
+    if raw.get("head_mode") == "retrieval" and "num_classes" in raw:
+        unread.append("num_classes")
     if unread:
         raise ConfigError(f"configuration keys {unread} have no effect on this command")
     run_values = {key: take(key, kind) for key, kind in _RUN_KEYS.items() if key in raw}

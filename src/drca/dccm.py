@@ -292,25 +292,23 @@ class TraceRow(NamedTuple):
     accuracy: float
 
 
-# the planted videos' default token grid side and width
-_PLANTED_GRID, _PLANTED_CHANNELS = 2, 8
+# planted videos' default grid side and width, and planted/background energy
+_PLANTED_GRID, _PLANTED_CHANNELS, _PLANTED_ENERGY_RATIO = 2, 8, 3.0
 
 
 def make_planted_dataset(count: int, frames: int = 8, salient_count: int = 2,
                          grid: int = _PLANTED_GRID, channels: int = _PLANTED_CHANNELS,
-                         energy_ratio: float = 3.0, seed: int = 0) -> list[PlantedVideo]:
+                         seed: int = 0) -> list[PlantedVideo]:
     """Random token videos where `salient_count` frames carry a fixed
-    direction offset giving them `energy_ratio` times the background
-    per-token energy.  The target order lists the planted frames in time
-    order, then the background frames in time order."""
+    direction offset giving them `_PLANTED_ENERGY_RATIO` times the
+    background per-token energy.  The target order lists the planted
+    frames in time order, then the background frames in time order."""
     if not (1 <= salient_count < frames):
         raise ValueError(f"salient_count must be in [1, {frames}), got {salient_count}")
-    if energy_ratio <= 1:
-        raise ValueError("energy_ratio must exceed 1")
     stream = RandomStream(seed)
     direction = stream.gaussian(channels)
     direction = direction / np.sqrt(np.sum(direction * direction))
-    amplitude = F32(np.sqrt((energy_ratio - 1.0) * channels))
+    amplitude = F32(np.sqrt((_PLANTED_ENERGY_RATIO - 1.0) * channels))
 
     videos = []
     for _ in range(count):

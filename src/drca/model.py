@@ -46,18 +46,16 @@ class ModelConfig:
     saliency_count: int = 4
     compression_factor: int = 2
     dccm_insert_after: int = 3
-    head_mode: str = "classification"
-    num_classes: int = 400
-    embed_out: int = 0  # retrieval output width; 0 means embed_dim
+    head_mode: str = "classification"  # or "retrieval": a unit-norm embed_dim-wide embedding
+    num_classes: int = 400  # the classification head's width; retrieval reads none
 
     def __post_init__(self) -> None:
         for key in ("embed_dim", "head_count", "patch_size", "frames", "height",
                     "width", "compression_factor", "num_classes"):
             if getattr(self, key) < 1:
                 raise ShapeError(f"{key} must be positive, got {getattr(self, key)}")
-        for key in ("depth", "embed_out"):
-            if getattr(self, key) < 0:
-                raise ShapeError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.depth < 0:
+            raise ShapeError(f"depth must be >= 0, got {self.depth}")
         if self.height % self.patch_size or self.width % self.patch_size:
             raise ShapeError(
                 f"patch size {self.patch_size} must divide {self.height}x{self.width}"
@@ -90,7 +88,7 @@ class ModelConfig:
     @property
     def out_dim(self) -> int:
         if self.head_mode == "retrieval":
-            return self.embed_out or self.embed_dim
+            return self.embed_dim
         return self.num_classes
 
     # score-net widths: narrow enough that scoring every frame stays a
@@ -160,7 +158,7 @@ class DrcaParams:
 
 @dataclass(frozen=True)
 class ModelOutput:
-    output: np.ndarray          # [num_classes] logits or unit-norm embedding
+    output: np.ndarray          # [num_classes] logits or [C] unit-norm embedding
     scores: np.ndarray          # [T] frame saliency scores
     selected_times: np.ndarray  # int64 [K], time indices kept at full resolution
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -40,7 +41,7 @@ from drca.cli import (
 )
 from drca.flops import compare, count_flops
 from drca.model import ModelConfig, init_params, named_params
-from drca.numerics import F32, RandomStream
+from drca.numerics import F32, RandomStream, ShapeError
 from drca.tensor_io import read_tnsr, save_tensor_dir, write_tnsr
 
 
@@ -321,6 +322,12 @@ def _one_line_error(capsys, *names: str) -> str:
     (["toy-train", "--zzz"], ["--zzz"]),
     (["rank"], ["scores", "out"]),
     (["nosuch"], ["nosuch"]),
+    # the retrieval head is embed_dim wide and reads no num_classes
+    (["forward", "toy", "--set", "head_mode=retrieval", "--set", "num_classes=9"],
+     ["num_classes"]),
+    (["flops", "toy", "--set", "head_mode=retrieval", "--set", "num_classes=9"],
+     ["num_classes"]),
+    (["forward", "toy", "--set", "embed_out=7"], ["embed_out"]),
 ])
 def test_bad_values_exit_2_with_one_line_error(tmp_path, capsys, argv, names):
     binary = tmp_path / "binary.conf"
@@ -635,7 +642,6 @@ def test_model_size_limit_admits_the_presets(name):
     (dict(patch_size=3072, height=3072, width=3072, compression_factor=1),
      "the patch projection draw"),
     (dict(num_classes=2_000_000_000), "the head weight draw"),
-    (dict(head_mode="retrieval", embed_out=2_000_000_000), "the head weight draw"),
     (dict(patch_size=128, height=128, width=128, head_count=1, compression_factor=1,
           frames=6000), "the input video draw"),
 ])
@@ -729,6 +735,50 @@ def test_every_model_field_but_the_variant_is_a_config_key():
     assert set(_MODEL_KEYS) == set(vars(ModelConfig())) - {"variant"}
     assert all(_MODEL_KEYS[key] is type(value)
                for key, value in vars(ModelConfig()).items() if key != "variant")
+
+
+def _other_valid_value(config: ModelConfig, key: str):
+    """A value of ``key`` that ``config`` does not have and ModelConfig
+    accepts: the other head, or the first valid integer near the current."""
+    if key == "head_mode":
+        return {"classification": "retrieval", "retrieval": "classification"}[config.head_mode]
+    value = getattr(config, key)
+    for candidate in (value + 1, 2 * value, value - 1, value // 2):
+        try:
+            replace(config, **{key: candidate})
+        except ShapeError:
+            continue
+        return candidate
+    raise AssertionError(f"no valid value of {key} near {value}")
+
+
+@pytest.mark.parametrize("head_mode", ["classification", "retrieval"])
+def test_every_model_key_changes_the_run_or_is_refused(tmp_path, capsys, head_mode):
+    # a key the model accepts but does not read would echo a setting
+    # that changed nothing
+    base = ["forward", "toy", "--set", f"head_mode={head_mode}"]
+    config = ModelConfig.toy(head_mode=head_mode)
+
+    def run(sets: list[str]):
+        out = tmp_path / "out.tnsr"
+        code = main(base + sets + ["--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        if code == EXIT_BAD_INPUT:
+            return None
+        assert code == EXIT_OK
+        return (read_tnsr(out).tobytes(),
+                [line for line in lines if line.startswith(("scores:", "selected_times:"))])
+
+    reference = run([])
+    idle = []
+    for key in _MODEL_KEYS:
+        value = _other_valid_value(config, key)
+        result = run(["--set", f"{key}={value}"])
+        changed = replace(config, **{key: value})
+        if result == reference and (count_flops(changed).machine_lines()
+                                    == count_flops(config).machine_lines()):
+            idle.append(f"{key}={value}")
+    assert not idle, f"accepted without effect under {head_mode}: {idle}"
 
 
 # --- configuration resolution ----------------------------------------------

@@ -381,8 +381,7 @@ def test_planted_dataset_marks_salient_frames():
 
 
 def test_planted_dataset_energy_ratio():
-    videos = make_planted_dataset(200, frames=8, salient_count=2,
-                                  energy_ratio=3.0, seed=10)
+    videos = make_planted_dataset(200, frames=8, salient_count=2, seed=10)
     sal_energy, bg_energy = [], []
     for v in videos:
         per_frame = np.mean(np.float64(v.tokens) ** 2, axis=(1, 2, 3))
@@ -399,8 +398,6 @@ def test_planted_dataset_validation():
         make_planted_dataset(1, frames=4, salient_count=0)
     with pytest.raises(ValueError, match="salient_count"):
         make_planted_dataset(1, frames=4, salient_count=4)
-    with pytest.raises(ValueError, match="energy_ratio"):
-        make_planted_dataset(1, frames=4, salient_count=1, energy_ratio=1.0)
 
 
 def test_selection_accuracy_hand_case():

@@ -236,7 +236,7 @@ def test_weight_total_equals_the_parameter_set(c, heads, depth, after, p, h, fra
         embed_dim=c, head_count=heads, depth=depth, dccm_insert_after=min(after, depth),
         patch_size=p, height=2 * p, width=2 * p, compression_factor=h, frames=frames,
         saliency_count=min(k, frames), head_mode="retrieval" if retrieval else "classification",
-        num_classes=out, embed_out=out))
+        num_classes=out))
 
 
 # every public kernel that returns an array the forward pass makes
@@ -286,7 +286,7 @@ def _recorded_arrays(monkeypatch) -> list:
     ModelConfig.toy(compression_factor=1),
     ModelConfig.toy(compression_factor=4, saliency_count=1, dccm_insert_after=0),
     ModelConfig.toy(head_count=1),
-    ModelConfig.toy(head_mode="retrieval", embed_out=40),
+    ModelConfig.toy(head_mode="retrieval"),
     # the largest array of these two is the score-net kernel draw
     ModelConfig.toy(embed_dim=128, patch_size=2, height=8, width=8, frames=10,
                     saliency_count=8, depth=0, dccm_insert_after=0),

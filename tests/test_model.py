@@ -118,14 +118,8 @@ def test_config_rejects_non_positive_sizes(key, value):
         ModelConfig.toy(**{key: value})
 
 
-def test_config_rejects_negative_embed_out():
-    with pytest.raises(ShapeError, match="embed_out"):
-        ModelConfig.toy(head_mode="retrieval", embed_out=-1)
-
-
 def test_retrieval_out_dim():
     assert ModelConfig.toy(head_mode="retrieval").out_dim == 16
-    assert ModelConfig.toy(head_mode="retrieval", embed_out=6).out_dim == 6
     assert ModelConfig.toy().out_dim == 5
 
 
@@ -191,7 +185,7 @@ def test_named_params_round_trip_through_files(tmp_path):
     ModelConfig.toy(),
     ModelConfig.toy(depth=0, dccm_insert_after=0),
     ModelConfig.toy(depth=5, dccm_insert_after=0, head_count=2),
-    ModelConfig.toy(head_mode="retrieval", embed_out=6, compression_factor=4),
+    ModelConfig.toy(head_mode="retrieval", compression_factor=4),
     ModelConfig.toy(embed_dim=24, frames=5, saliency_count=5, compression_factor=1),
     # the presets at two layers, one per stage: every layer has one set of shapes
     ModelConfig.from_name("DRCA-S-K4", depth=2, dccm_insert_after=1),
@@ -288,10 +282,10 @@ def test_forward_is_deterministic():
 
 
 def test_retrieval_head_is_unit_norm():
-    cfg = ModelConfig.toy(head_mode="retrieval", embed_out=6)
+    cfg = ModelConfig.toy(head_mode="retrieval")
     params = init_params(cfg, seed=17)
     out = forward(_toy_video(18, cfg), params, cfg)
-    assert out.output.shape == (6,)
+    assert out.output.shape == (cfg.embed_dim,)
     assert np.linalg.norm(out.output) == pytest.approx(1.0, abs=1e-5)
 
 
