@@ -24,7 +24,7 @@ import os
 import sys
 import tempfile
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -158,8 +158,10 @@ class RunConfig:
             if self.mode == "train" else None)
 
     def echo_pairs(self) -> dict[str, object]:
+        # a retrieval model has no class count to echo
         pairs: dict[str, object] = {
             f.name: getattr(self.model, f.name) for f in fields(ModelConfig)
+            if getattr(self.model, f.name) is not None
         }
         pairs.update((key, getattr(self, key)) for key in _RUN_KEYS
                      if self.mode == "train" or key not in _TRAIN_ONLY_KEYS)
@@ -167,9 +169,10 @@ class RunConfig:
 
 
 # keys a config file or --set may give, each with its kind or rule; the
-# variant picks the base model
-_MODEL_KEYS = {key: kind for key, kind in typing.get_type_hints(ModelConfig).items()
-               if key != "variant"}
+# variant picks the base model, and an optional key (num_classes) takes
+# its value's kind
+_MODEL_KEYS = {key: next(k for k in typing.get_args(kind) or (kind,) if k is not type(None))
+               for key, kind in typing.get_type_hints(ModelConfig).items() if key != "variant"}
 _RUN_KEYS = {"sigma": _RANK_SIGMA, "n_samples": _SAMPLES, "seed": _SEED, "mode": str}
 # the smoothing settings, read only by the train-mode forward
 _TRAIN_ONLY_KEYS = ("sigma", "n_samples")
@@ -196,8 +199,9 @@ def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = 
                     run_keys: typing.Collection[str] = tuple(_RUN_KEYS)) -> RunConfig:
     """Build a RunConfig from a config file path or a bare model name,
     then apply key=value overrides.  Unknown keys are rejected, and so are
-    run keys outside ``run_keys``, the ones the command reads, ``sigma`` and
-    ``n_samples`` unless ``mode = train``, and ``num_classes`` under retrieval."""
+    run keys outside ``run_keys``, the ones the command reads, and ``sigma``
+    and ``n_samples`` unless ``mode = train``; ModelConfig refuses the model
+    keys it would not read, such as ``num_classes`` under retrieval."""
     if os.path.exists(token):
         try:
             with open(token, encoding="utf-8") as f:
@@ -227,27 +231,23 @@ def load_run_config(token: str, sets: list[str] | None, seed_flag: int | None = 
 
     unread = sorted(key for key in _RUN_KEYS if key in raw and (
         key not in run_keys or key in _TRAIN_ONLY_KEYS and raw.get("mode") != "train"))
-    # no preset sets head_mode, so the raw value is the resolved one
-    if raw.get("head_mode") == "retrieval" and "num_classes" in raw:
-        unread.append("num_classes")
     if unread:
         raise ConfigError(f"configuration keys {unread} have no effect on this command")
     run_values = {key: take(key, kind) for key, kind in _RUN_KEYS.items() if key in raw}
     variant = raw.pop("variant", "toy")
+    overrides = {key: take(key, kind) for key, kind in _MODEL_KEYS.items() if key in raw}
+    if raw:
+        raise ConfigError(f"unknown configuration keys: {sorted(raw)}")
+    # the preset builds the overridden model, so that the head mode picks
+    # whether the preset's class count applies
     try:
-        model = ModelConfig.from_name(variant)
+        model = ModelConfig.from_name(variant, **overrides)
     except ShapeError:
-        raise  # a name that parses but gives a bad model, such as K0
+        raise  # a model that the config describes but ModelConfig refuses, such as K0
     except ValueError:
         raise ConfigError(
             f"unknown variant {variant!r} (want S, B, toy, or DRCA-<B|S>-K<n>)"
         ) from None
-
-    overrides = {key: take(key, kind) for key, kind in _MODEL_KEYS.items() if key in raw}
-    if raw:
-        raise ConfigError(f"unknown configuration keys: {sorted(raw)}")
-    if overrides:
-        model = replace(model, **overrides)
     if "seed" not in run_values:
         run_values["seed"] = _default_seed(seed_flag)
     return RunConfig(model=model, **run_values)

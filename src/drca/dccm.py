@@ -31,6 +31,7 @@ from .numerics import F32, RandomStream, ShapeError
 from .ranking import (
     PerturbConfig,
     TimeIndexMap,
+    _check_scores,
     hard_rank,
     perturbed_objective,
     topk_split,
@@ -342,14 +343,20 @@ _VIDEO_BLOCK = 32
 
 def selection_accuracy(p: ScoreNetParams, videos: list[PlantedVideo], k: int) -> float:
     """Mean fraction of planted frames recovered by the hard top-k split.
-    The videos share one shape and are scored in blocks of stacked videos."""
+    The videos share one shape and one planted count, and are scored and
+    ranked in blocks of stacked videos: each block's rankings are one
+    stable sort of its float64 scores, row by row the order ``hard_rank``
+    gives each video, and each video's fraction is added in video order."""
     hits = 0.0
     for lo in range(0, len(videos), _VIDEO_BLOCK):
         block = videos[lo:lo + _VIDEO_BLOCK]
         scores = score_net_forward(np.stack([v.tokens for v in block]), p).scores
-        for v, s in zip(block, scores):
-            order = hard_rank(s).order
-            hits += int(np.count_nonzero(np.isin(order[:k], v.salient_times))) / k
+        top = np.argsort(-_check_scores(scores, stacked=True), axis=1, kind="stable")[:, :k]
+        salient = np.stack([v.salient_times for v in block])
+        # the top-k frames are distinct, so each matches at most one planted frame
+        counts = (top[:, :, None] == salient[:, None, :]).sum(axis=(1, 2))
+        for count in counts.tolist():
+            hits += count / k
     return hits / len(videos)
 
 

@@ -47,12 +47,13 @@ class ModelConfig:
     compression_factor: int = 2
     dccm_insert_after: int = 3
     head_mode: str = "classification"  # or "retrieval": a unit-norm embed_dim-wide embedding
-    num_classes: int = 400  # the classification head's width; retrieval reads none
+    # the classification head's width, which it needs; retrieval takes none
+    num_classes: int | None = None
 
     def __post_init__(self) -> None:
         for key in ("embed_dim", "head_count", "patch_size", "frames", "height",
                     "width", "compression_factor", "num_classes"):
-            if getattr(self, key) < 1:
+            if getattr(self, key) is not None and getattr(self, key) < 1:
                 raise ShapeError(f"{key} must be positive, got {getattr(self, key)}")
         if self.depth < 0:
             raise ShapeError(f"depth must be >= 0, got {self.depth}")
@@ -80,6 +81,11 @@ class ModelConfig:
             )
         if self.head_mode not in ("classification", "retrieval"):
             raise ShapeError(f"unknown head mode {self.head_mode!r}")
+        if self.head_mode == "classification" and self.num_classes is None:
+            raise ShapeError("the classification head needs num_classes")
+        if self.head_mode == "retrieval" and self.num_classes is not None:
+            raise ShapeError("num_classes has no effect under the retrieval head, "
+                             "which is embed_dim wide")
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -111,11 +117,13 @@ class ModelConfig:
 
     @classmethod
     def small(cls, **over) -> "ModelConfig":
-        return cls(**{"variant": "S", "embed_dim": 384, "head_count": 6, **over})
+        return cls(**{"variant": "S", "embed_dim": 384, "head_count": 6,
+                      **_with_classes(400, over)})
 
     @classmethod
     def base(cls, **over) -> "ModelConfig":
-        return cls(**{"variant": "B", "embed_dim": 768, "head_count": 12, **over})
+        return cls(**{"variant": "B", "embed_dim": 768, "head_count": 12,
+                      **_with_classes(400, over)})
 
     @classmethod
     def toy(cls, **over) -> "ModelConfig":
@@ -123,9 +131,9 @@ class ModelConfig:
         defaults = dict(
             variant="toy", embed_dim=16, depth=4, head_count=4, patch_size=16,
             frames=8, height=64, width=64, saliency_count=4,
-            compression_factor=2, dccm_insert_after=1, num_classes=5,
+            compression_factor=2, dccm_insert_after=1,
         )
-        return cls(**{**defaults, **over})
+        return cls(**{**defaults, **_with_classes(5, over)})
 
     @classmethod
     def from_name(cls, name: str, **over) -> "ModelConfig":
@@ -140,7 +148,15 @@ class ModelConfig:
             )
         variant, k = m.group(1), int(m.group(2))
         maker = cls.base if variant == "B" else cls.small
-        return maker(saliency_count=k, **over)
+        return maker(**{"saliency_count": k, **over})
+
+
+def _with_classes(count: int, over: dict) -> dict:
+    """A preset's overrides ``over`` with its class count ``count`` as the
+    default, where the head they give is a classifier."""
+    if over.get("head_mode", "classification") == "classification":
+        return {"num_classes": count, **over}
+    return over
 
 
 @dataclass(frozen=True)

@@ -10,33 +10,42 @@ same randomness.  The model's token path reads only the hard sort; the
 smoothed ranking serves training (``perturbed_objective``) and the
 command line, which computes it from the scores a forward returns.
 
-One walk, ``_sample_blocks``, makes every sample: it draws the noise,
-forms the perturbed scores and ranks them in blocks of ``_CHUNK // T``
-draws (see numerics), and each estimate reduces a block as soon as it
-is ranked.  While the T! rankings are no more than a block's draws (up
-to six frames), a draw's ranking is found by comparisons alone and
-named by its index among all T! rankings, so the estimate's
-per-ranking value (a <G, Y> product, or the ranking's cells) is formed
-once per ranking and looked up per draw; with more frames each block is
-sorted.  ``perturbed_rank`` adds the block's exact integer counts, so it
-holds nothing whose size grows with ``n_samples``.
-``_objective_blocks`` forms each product as one gather of a ranking's
-cells and numpy's own sum over them, so it is bitwise a per-draw
-``sum`` whichever way the ranking was found.
+One walk, ``_sample_blocks``, makes every sample, for a stack of score
+vectors at once, a vector being the stack of one.  Video i of a stack
+draws from its own stream, seeded ``cfg.seed + i``.  The walk forms the
+perturbed scores and ranks them in blocks of ``_CHUNK // T`` draws (see
+numerics): a block holds as many whole videos' samples as fit, or a run
+of one video's draws where its sample does not fit one block.  Each
+video keeps its own draws and its own seeded stream; everything else,
+the keys, the ranking, the gather of each video's G cells and the
+reductions, runs once per block over all its videos.  Up to eight
+frames a draw's ranking is found by comparisons alone and named by its
+index among all T! rankings; while those are no more than a video's
+draws in a block (up to six frames), the estimate's per-ranking value
+(a <G, Y> product, or the ranking's cells) is formed once per ranking
+and looked up per draw, and past that the index gives the ranking's
+cells from one shared table.  With more frames each block is sorted.
+``perturbed_rank`` adds the block's exact integer counts, so it holds
+nothing whose size grows with ``n_samples``.  ``_objective_blocks``
+forms each product as one gather of a ranking's cells and numpy's own
+sum over them, so it is bitwise a per-draw ``sum`` whichever way the
+ranking was found.
+
 Every objective estimate is one streaming pass, ``_objective_sums``,
-that holds a few blocks and O(T) sums: it adds up each block's products
-and draws about the first block's mean product, which gives the mean,
-the gradient's centred sum and the second moments that
-``_standard_error`` turns into either standard error, and keeps no draw
-or product.  Successive blocks
-continue one random stream, so the draws, the products and the
-smoothed ranking are bitwise those of a single [n, T] draw; the mean,
-the gradient and the moments are too where n fits one block, and past
-that differ from a one-shot reduction by rounding alone.
+that holds a few blocks and O(T) sums per video: it adds up each
+block's products and draws about the video's first block's mean
+product, which gives the mean, the gradient's centred sum and the
+second moments that ``_standard_error`` turns into either standard
+error, and keeps no draw or product.  A block's videos are reduced
+together, each by its own row sums and its own entry of a stacked gemv,
+so every video's estimate is bitwise that of its own walk: the stack's
+size, and where its videos fall in the blocks, change no bit.
+Successive blocks continue one random stream, so a video's draws,
+products and smoothed ranking are bitwise those of a single [n, T]
+draw; its mean, gradient and moments are too where n fits one block,
+and past that differ from a one-shot reduction by rounding alone.
 ``_check_objective`` validates the scores and G once, for one score
-vector or, in ``perturbed_objective``, a stack of them, a vector being
-a stack of one; each video makes its own walk with its own seed and
-holds only its own draws.
+vector or, in ``perturbed_objective``, a stack of them.
 
 Numeric note: scores and noise are combined and compared in float64
 here (outputs stay float32).  Ranking is decided purely by comparisons,
@@ -47,9 +56,10 @@ events below any realistic sample count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -133,16 +143,35 @@ def topk_split(tokens: np.ndarray, perm: SortPermutation, k: int):
     return tokens[times.saliency], tokens[times.non_saliency], times
 
 
-def _every_ranking(t: int) -> np.ndarray:
-    """The order [T!, T] of every ranking of T frames, indexed by
-    ``_ranking_codes``: row p is the ranking whose frame ranks, read as a
-    permutation, come p-th in lexicographic order."""
-    ranks = np.array(list(itertools.permutations(range(t))))
-    return np.argsort(ranks, axis=1)
+# the most frames whose rankings the walk finds by comparisons: uint16
+# codes index all 8! = 40320 rankings, and at eight frames a 4096-draw
+# block's 28 comparisons and table lookup took 157 us against 488 us for
+# its stable argsort
+_COMPARED_FRAMES = 8
+
+
+@functools.cache
+def _ranking_cells(t: int) -> np.ndarray:
+    """The cells [T!, T] of every ranking of T <= 8 frames, indexed by
+    ``_ranking_codes``: row p holds c T + o for the frame o that ranking p
+    puts c-th, ranking p being the one whose frame ranks, read as a
+    permutation, come p-th in lexicographic order.  Built once per T and
+    shared, read-only uint8 (322 KB at eight frames), by masked writes
+    that hold no index array: at eight frames an int64 table and its
+    argsort would take 5 MB, and fancy-indexed writes 1 MB more."""
+    count = math.factorial(t)
+    ranks = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(t))),
+                        np.uint8, count=count * t).reshape(count, t)
+    cells = np.empty_like(ranks)
+    for frame in range(t):
+        for rank in range(t):
+            cells[ranks[:, frame] == rank, rank] = rank * t + frame
+    cells.setflags(write=False)
+    return cells
 
 
 def _ranking_codes(columns: np.ndarray) -> np.ndarray:
-    """The row of ``_every_ranking`` that each draw takes in a stable
+    """The row of ``_ranking_cells`` that each draw takes in a stable
     ascending sort of its keys, for keys given frame by frame: columns
     [T, rows] (T <= 8) holds frame i's keys in row i.  From T (T - 1) / 2
     comparisons of those rows: the Lehmer code sum_i c_i (T - 1 - i)!,
@@ -161,62 +190,116 @@ def _ranking_codes(columns: np.ndarray) -> np.ndarray:
     return code
 
 
-def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, per_ranking):
-    """The one sampling walk behind every estimate.  For each block of at
-    most ``_CHUNK // T`` common-random-number draws z it yields the
-    block's draws z [rows, T] and, for each draw, the value that
-    ``per_ranking`` gives the hard ranking of s + sigma * z.
-    ``per_ranking`` maps the cells of rankings [P, T] to one value per
-    ranking, an array of first axis P: cells[p, c] = c * T + o for the
-    frame o that ranking p puts c-th, the flat index of entry (o, c) in
-    a T x T matrix stored transposed.
+def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, gt: np.ndarray | None = None):
+    """The one sampling walk behind every estimate, over a stack of score
+    vectors s [B, T], a vector [T] being the stack of one.  Video i takes
+    ``cfg.n_samples`` common-random-number draws z from its own stream,
+    seeded ``cfg.seed + i``, and each block holds at most ``_CHUNK // T``
+    draws: as many whole videos' samples as fit, or, where one video's
+    sample does not fit, a run of that video's draws.  For each block it
+    yields (videos, lo, z, values): the slice of the stack that the
+    block's m videos are, the index in each video's sample of the block's
+    first draw, the draws z [m, rows, T], and for each draw a value of
+    the hard ranking of s_i + sigma * z.  Without ``gt`` the values are
+    the ranking's cells [m, rows, T]: cells[j, r, c] = c T + o for the
+    frame o that the ranking puts c-th, the flat index of entry (o, c) of
+    a T x T matrix stored transposed.  With ``gt`` [B, T * T], each
+    video's G stored so, they are the products <G_i, Y> [m, rows]: each
+    video's gather of its cells from its own G, into one buffer, and
+    numpy's own sum over each ranking's T terms.
 
-    While the T! rankings are no more than the first block's draws (up
-    to six frames), ``per_ranking`` runs once, on every ranking, and a
-    block only finds each draw's ranking by comparisons
-    (``_ranking_codes``) and looks its value up.  Past that, where the
-    table would outgrow a block and the T (T - 1) / 2 comparisons cost
-    more than a sort, it runs on each block's sorted cells.  Either way a
-    draw's value is what ``per_ranking`` makes of its own ranking.
-    The yielded draws are the walk's own buffer, which the next block
-    overwrites.  Successive blocks continue one stream, so together they
-    are the one-shot [n_samples, T] draw."""
-    stream = RandomStream(cfg.seed)
-    t = s64.shape[0]
-    col_offsets = np.arange(t) * t
-    # a block's noise, key, cells and gathered <G, Y> terms are one chunk
-    # each; at T = 4, 16384 rows measured slower on grad-check, 4096 no faster
+    Up to eight frames (``_COMPARED_FRAMES``) a block finds each draw's
+    ranking by T (T - 1) / 2 comparisons over all its draws at once
+    (``_ranking_codes``), which name it by its index among the T!
+    rankings.  While those are no more than a video's draws in a block
+    (up to six frames), each video's value of every ranking is formed
+    once per block of videos and a draw's value is looked up in its
+    video's row of that [m, T!] table; past that, the codes index the one
+    table of every ranking's cells (``_ranking_cells``).  Past eight
+    frames each block's rankings are one stable sort of its keys.  Either
+    way a draw's value is that of its own ranking.  The yielded draws,
+    and the values a block looks up, are the walk's own buffers,
+    allocated once and overwritten by the next block.  Successive blocks
+    of a video continue its stream, so together they are its one-shot
+    [n_samples, T] draw."""
+    stack = s64.reshape(-1, s64.shape[-1])
+    count, t = stack.shape
+    n = cfg.n_samples
+    # a block's noise, keys (which then take its gathered <G, Y> terms) and
+    # cells are one chunk each; at T = 4, 16384 rows measured slower on
+    # grad-check, 4096 no faster
     block = max(_CHUNK // t, 1)
-    width = min(block, cfg.n_samples)
-    draws = np.empty((width, t))
-    if math.factorial(t) <= width:
-        by_code = per_ranking(_every_ranking(t) + col_offsets)
-        # the keys frame by frame [T, rows], as the comparisons read them;
-        # subtracting s a frame at a time runs along contiguous rows
-        keys, s_frames = np.empty((t, width)), s64[:, None]
+    width = min(block, n)
+    group = max(min(block // n, count), 1)  # videos per block
+    draws = np.empty((group, width, t))
+    rankings = math.factorial(t)
+    by_comparison = t <= _COMPARED_FRAMES  # each draw's ranking named by its code
+    by_code = rankings <= width  # and its value looked up by that code
+    if by_comparison:
+        every = _ranking_cells(t)
+        # the keys frame by frame [T, videos, rows], as the comparisons
+        # read them; subtracting s a frame at a time runs along contiguous rows
+        keys = np.empty((t, group, width))
     else:
-        by_code = None
-        # the scores and column offsets as full [rows, T] operands, built
-        # once: against a [T] vector numpy's add and subtract step row by row
-        keys, s_rows = np.empty((width, t)), np.empty((width, t))
-        s_rows[:] = s64
+        keys = np.empty((group, width, t))
+    if by_code:
+        code_offsets = np.arange(group)[:, None] * rankings
+        index, values = np.empty((group, width), np.intp), None
+    elif not by_comparison:
+        # the column offsets as a full [rows, T] operand, built once:
+        # against a [T] vector numpy's add steps row by row
         offsets = np.empty((width, t), np.intp)
-        offsets[:] = col_offsets
-    for lo in range(0, cfg.n_samples, block):
-        rows = min(block, cfg.n_samples - lo)
-        z = stream.gaussian64(out=draws[:rows])
-        # bitwise -(s + sigma * z): the stable ascending ranking is
-        # descending in s + sigma * z, ties toward the smaller frame index
-        if by_code is None:
-            key = np.multiply(z, -cfg.sigma, out=keys[:rows])
-            key -= s_rows[:rows]
-            cells = np.argsort(key, axis=1, kind="stable")
-            cells += offsets[:rows]
-            yield z, per_ranking(cells)
-        else:
-            key = np.multiply(z.T, -cfg.sigma, out=keys[:, :rows])
-            key -= s_frames
-            yield z, np.take(by_code, _ranking_codes(key), axis=0)
+        offsets[:] = np.arange(t) * t
+
+    def ranking_values(videos, cells):
+        # the values of the block's rankings, from their cells [m, P, T]
+        if gt is None:
+            return cells
+        # a block's keys are spent once it is ranked, and their buffer
+        # takes its gathered terms
+        gathered = keys.reshape(-1)[:cells.size].reshape(cells.shape)
+        for video_gt, video_cells, terms in zip(gt[videos], cells, gathered):
+            np.take(video_gt, video_cells, out=terms, mode="clip")
+        return gathered.sum(axis=-1)
+
+    for first in range(0, count, group):
+        videos = slice(first, min(first + group, count))
+        m = videos.stop - first
+        s = stack[videos]
+        streams = [RandomStream(cfg.seed + i) for i in range(first, videos.stop)]
+        if by_code:
+            table = ranking_values(videos, np.broadcast_to(every, (m,) + every.shape))
+            table = table.reshape(m * rankings, *table.shape[2:])
+            if values is None:
+                values = np.empty((group, width) + table.shape[1:], table.dtype)
+        for lo in range(0, n, block):
+            rows = min(block, n - lo)
+            z = draws[:m, :rows]
+            for stream, video_z in zip(streams, z):
+                stream.gaussian64(out=video_z)
+            # bitwise -(s + sigma * z): the stable ascending ranking is
+            # descending in s + sigma * z, ties toward the smaller frame index
+            if by_comparison:
+                key = np.multiply(z.transpose(2, 0, 1), -cfg.sigma, out=keys[:, :m, :rows])
+                key -= s.T[:, :, None]
+                codes = _ranking_codes(key.reshape(t, m * rows)).reshape(m, rows)
+                if by_code:
+                    # into the walk's own buffers; "clip" takes no
+                    # defensive copy, and every index is in range
+                    np.add(codes, code_offsets[:m], out=index[:m, :rows])
+                    yield videos, lo, z, np.take(table, index[:m, :rows], axis=0,
+                                                 out=values[:m, :rows], mode="clip")
+                    continue
+                cells = np.take(every, codes, axis=0)
+            else:
+                key = np.multiply(z, -cfg.sigma, out=keys[:m, :rows])
+                key -= s[:, None, :]
+                cells = np.argsort(key.reshape(-1, t), axis=1, kind="stable")
+                cells = cells.reshape(m, rows, t)
+                cells += offsets[:rows]  # a pass along each video's contiguous rows
+            block_values = ranking_values(videos, cells)
+            del cells  # the walk holds no cells while the caller reduces the block
+            yield videos, lo, z, block_values
 
 
 def _check_objective(s, grad_matrix: np.ndarray, stacked: bool = False):
@@ -234,34 +317,40 @@ def _check_objective(s, grad_matrix: np.ndarray, stacked: bool = False):
 
 
 def _objective_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray):
-    """An iterator over the sampling walk's blocks for one score vector
-    and its G, as ``_check_objective`` returns them, that yields
-    (z, dots): the block's draws [rows, T], as ``_sample_blocks`` yields
-    them, and its float64 Frobenius products <G, Y(s + sigma z_j)>
-    [rows], a fresh array the caller may overwrite."""
-    flat_gt = g.T.ravel()
-    return _sample_blocks(s64, cfg, lambda cells: np.take(flat_gt, cells).sum(axis=1))
+    """The sampling walk's blocks for scores [(B,) T] and their G
+    [(B,) T, T], as ``_check_objective`` returns them: (videos, lo, z,
+    dots), as ``_sample_blocks`` yields them, dots [m, rows] being the
+    float64 Frobenius products <G_i, Y(s_i + sigma z_j)>, which the
+    caller may overwrite and the next block may reuse."""
+    t = s64.shape[-1]
+    gt = np.ascontiguousarray(np.swapaxes(g.reshape(-1, t, t), 1, 2)).reshape(-1, t * t)
+    return _sample_blocks(s64, cfg, gt)
 
 
 class ObjectiveSums(NamedTuple):
-    """One streamed estimate over d_j = <G, Y(s + sigma z_j)>."""
+    """One streamed estimate over d_j = <G, Y(s + sigma z_j)> per video,
+    each field with the scores' leading axes."""
 
-    mean: float                     # mean(d)
-    value_moment: float             # sum_j (d_j - mean(d))^2
+    mean: np.ndarray                # mean(d)
+    value_moment: np.ndarray        # sum_j (d_j - mean(d))^2
     centred: np.ndarray             # sum_j (d_j - mean(d)) z_j [T]
     grad_moment: np.ndarray | None  # sum_j (d_j - mean(d))^2 z_j^2 [T], if spread
 
 
 def _objective_sums(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
                     spread: bool = False) -> ObjectiveSums:
-    """The one Monte Carlo estimate: a streaming pass over the walk for one
-    checked score vector and its G that holds its sampler blocks and O(T)
-    sums, nothing of size n; the gradient's moment only if ``spread``.
+    """The one Monte Carlo estimate: a streaming pass over the walk for
+    checked scores [(B,) T] and their G that holds its sampler blocks and
+    O(T) sums per video, nothing of size n; the gradient's moment only if
+    ``spread``.  A block's videos are reduced together, each by its own
+    row sums and its own entry of a stacked gemv, so each video's sums
+    are bitwise those of its own walk.
 
-    Each block adds its sums about m0, the first block's mean product:
-    sum d, sum (d - m0)^2 and sum (d - m0) z, with sum (d - m0)^2 z^2 for
-    the spread.  Where the walk has more blocks than one it also adds
-    sum z (and sum (d - m0) z^2 and sum z^2), and with delta = mean(d) - m0
+    Each block adds a video's sums about m0, the mean product of its
+    first block: sum d, sum (d - m0)^2 and sum (d - m0) z, with
+    sum (d - m0)^2 z^2 for the spread.  Where a video spans several
+    blocks (it is then a block's only video) they also add sum z
+    (and sum (d - m0) z^2 and sum z^2), and with delta = mean(d) - m0
 
         sum (d - mean)^2 = sum (d - m0)^2 - n delta^2,
         sum (d - mean) z = sum (d - m0) z - delta sum z,
@@ -272,37 +361,55 @@ def _objective_sums(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
     bitwise (d - mean(d)) @ z over the whole sample; past that it differs
     from that one gemv by rounding alone.  Column sums are gemvs with a
     vector of ones: numpy's own sum over the rows of a [rows, T] block
-    steps row by row, and took 14 to 34 times as long at T = 2 or 4."""
-    sums = ones = None
-    for z, dots in _objective_blocks(s64, cfg, g):
-        total = dots.sum()
-        if sums is None:
-            m0 = total / dots.shape[0]
-            if dots.shape[0] < cfg.n_samples:
-                ones = np.ones(dots.shape[0])
-        dots -= m0
+    steps row by row, and took 14 to 34 times as long at T = 2 or 4.
+    The squares and z^2 go into buffers the pass allocates once, which
+    cut a grad-check op's minor page faults about threefold."""
+    lead, t, n = s64.shape[:-1], s64.shape[-1], cfg.n_samples
+    count = s64.size // t
+    mean, value_moment, centred = np.empty(count), np.empty(count), np.empty((count, t))
+    grad_moment = np.empty((count, t)) if spread else None
+    squares_buf = None
+    for videos, lo, z, dots in _objective_blocks(s64, cfg, g):
+        m, rows = dots.shape
+        if squares_buf is None:  # the walk's first block is its largest
+            squares_buf = np.empty(dots.shape)
+            z2_buf = np.empty(z.shape) if spread else None
+        total = dots.sum(axis=1)
+        if lo == 0:
+            m0, sums = total / rows, None
+            if rows < n:
+                ones = np.ones(rows)
+        dots -= m0[:, None]
         # not dots @ dots: OpenBLAS threads its ddot at this size, and from
         # grad-check's pool threads that nearly doubled run_fd_check's time
-        squares = np.square(dots)
+        squares = np.square(dots, out=squares_buf[:m, :rows])
         # each sum is named by its terms; past "d" (sum d), d is d - m0
-        block = {"d": total, "dd": squares.sum(), "dz": dots @ z}
+        block = {"d": total, "dd": squares.sum(axis=1), "dz": (dots[:, None] @ z)[:, 0]}
         if spread:
-            z2 = np.square(z)
-            block["ddzz"] = squares @ z2
-        if ones is not None:
-            block["z"] = ones[:z.shape[0]] @ z
+            z2 = np.square(z, out=z2_buf[:m, :rows])
+            block["ddzz"] = (squares[:, None] @ z2)[:, 0]
+        if rows < n:
+            block["z"] = ones[:rows] @ z
             if spread:
-                block["dzz"], block["zz"] = dots @ z2, ones[:z.shape[0]] @ z2
+                block["dzz"], block["zz"] = (dots[:, None] @ z2)[:, 0], ones[:rows] @ z2
         sums = block if sums is None else {k: sums[k] + v for k, v in block.items()}
-    mean = sums["d"] / cfg.n_samples
-    value_moment, centred, squares = sums["dd"], sums["dz"], sums.get("ddzz")
-    if ones is not None:
-        delta = mean - m0
-        value_moment = value_moment - cfg.n_samples * delta * delta
-        centred = centred - delta * sums["z"]
+        if lo + rows < n:
+            continue  # the video's sample goes on in the next block
+        mean[videos] = sums["d"] / n
+        value_moment[videos], centred[videos] = sums["dd"], sums["dz"]
         if spread:
-            squares = squares - 2 * delta * sums["dzz"] + delta * delta * sums["zz"]
-    return ObjectiveSums(mean, value_moment, centred, squares)
+            grad_moment[videos] = sums["ddzz"]
+        if rows < n:
+            delta = mean[videos] - m0
+            value_moment[videos] -= n * delta * delta
+            delta = delta[:, None]
+            centred[videos] -= delta * sums["z"]
+            if spread:
+                grad_moment[videos] = (sums["ddzz"] - 2 * delta * sums["dzz"]
+                                       + delta * delta * sums["zz"])
+    return ObjectiveSums(mean.reshape(lead), value_moment.reshape(lead),
+                         centred.reshape(lead + (t,)),
+                         None if grad_moment is None else grad_moment.reshape(lead + (t,)))
 
 
 def _standard_error(moment, cfg: PerturbConfig):
@@ -332,7 +439,7 @@ def perturbed_rank(s, cfg: PerturbConfig) -> np.ndarray:
     s64 = _check_scores(s)
     t = s64.shape[0]
     counts = np.zeros(t * t, dtype=np.int64)  # transposed, as the cells index it
-    for _, cells in _sample_blocks(s64, cfg, lambda cells: cells):
+    for *_, cells in _sample_blocks(s64, cfg):
         counts += np.bincount(cells.ravel(), minlength=t * t)
     freq = counts.reshape(t, t).T.astype(np.float64) / cfg.n_samples
     return freq.astype(F32, order="C")
@@ -344,17 +451,13 @@ def perturbed_objective(s, cfg: PerturbConfig, grad_matrix: np.ndarray):
     float32 rounding of the matrix.
 
     Given a stack s [B, T] and G [B, T, T], returns the float64 values
-    [B] and the float32 gradients [B, T]: video i draws with seed
-    ``cfg.seed + i`` and holds only its own draws, so each row is
-    bitwise the call ``perturbed_objective(s[i], replace(cfg, seed=
-    cfg.seed + i), G[i])``.  The stack is validated once; a vector is
-    the stack of one video."""
+    [B] and the float32 gradients [B, T] from one walk over the stack:
+    video i draws with seed ``cfg.seed + i``, and a block holds whole
+    videos' draws where they fit, so the stack holds a block's draws at
+    a time, not its own.  Each row is bitwise the call
+    ``perturbed_objective(s[i], replace(cfg, seed=cfg.seed + i), G[i])``.
+    The stack is validated once; a vector is the stack of one video."""
     s64, g = _check_objective(s, grad_matrix, stacked=True)
-    t = s64.shape[-1]
-    stack = s64.reshape(-1, t)
-    values, grads = np.empty(stack.shape[0]), np.empty(stack.shape, F32)
-    for i, (video, g_video) in enumerate(zip(stack, g.reshape(-1, t, t))):
-        video_cfg = replace(cfg, seed=cfg.seed + i)
-        sums = _objective_sums(video, video_cfg, g_video)
-        values[i], grads[i] = sums.mean, _score_gradient(sums.centred, video_cfg)
-    return (float(values[0]), grads[0]) if s64.ndim == 1 else (values, grads)
+    sums = _objective_sums(s64, cfg, g)
+    grads = _score_gradient(sums.centred, cfg).astype(F32)
+    return (float(sums.mean), grads) if s64.ndim == 1 else (sums.mean, grads)

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -704,10 +704,15 @@ def test_flops_reports_a_deep_model():
     assert main(["flops", "toy", "--set", "depth=2000000", "--machine"]) == EXIT_OK
 
 
+def test_a_set_key_overrides_the_count_a_preset_name_carries(capsys):
+    assert main(["flops", "DRCA-S-K4", "--set", "saliency_count=2"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("flop report: DRCA-S-K2\n")
+
+
 def test_check_sizes_reads_no_model_shape():
     # every model shape comes from the flop model's walk
     shape_names = {name for name in dir(ModelConfig) if not name.startswith("_")}
-    shape_names |= set(vars(ModelConfig()))
+    shape_names |= {f.name for f in fields(ModelConfig)}
     tree = ast.parse(inspect.getsource(_check_sizes))
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not read & shape_names, read & shape_names
@@ -732,17 +737,20 @@ def test_toy_train_refuses_too_many_videos_before_building_them(monkeypatch, cap
 
 
 def test_every_model_field_but_the_variant_is_a_config_key():
-    assert set(_MODEL_KEYS) == set(vars(ModelConfig())) - {"variant"}
+    assert set(_MODEL_KEYS) == set(vars(ModelConfig.small())) - {"variant"}
     assert all(_MODEL_KEYS[key] is type(value)
-               for key, value in vars(ModelConfig()).items() if key != "variant")
+               for key, value in vars(ModelConfig.small()).items() if key != "variant")
 
 
 def _other_valid_value(config: ModelConfig, key: str):
     """A value of ``key`` that ``config`` does not have and ModelConfig
-    accepts: the other head, or the first valid integer near the current."""
+    accepts: the other head, or the first valid integer near the current;
+    under retrieval, which takes no class count, any class count."""
     if key == "head_mode":
         return {"classification": "retrieval", "retrieval": "classification"}[config.head_mode]
     value = getattr(config, key)
+    if value is None:
+        return 9
     for candidate in (value + 1, 2 * value, value - 1, value // 2):
         try:
             replace(config, **{key: candidate})
@@ -774,9 +782,10 @@ def test_every_model_key_changes_the_run_or_is_refused(tmp_path, capsys, head_mo
     for key in _MODEL_KEYS:
         value = _other_valid_value(config, key)
         result = run(["--set", f"{key}={value}"])
-        changed = replace(config, **{key: value})
-        if result == reference and (count_flops(changed).machine_lines()
-                                    == count_flops(config).machine_lines()):
+        # the preset as the CLI builds it, which a refused value never reaches
+        if result == reference and (
+                count_flops(ModelConfig.toy(**{"head_mode": head_mode, key: value})).machine_lines()
+                == count_flops(config).machine_lines()):
             idle.append(f"{key}={value}")
     assert not idle, f"accepted without effect under {head_mode}: {idle}"
 

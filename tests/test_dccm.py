@@ -418,6 +418,29 @@ def test_selection_accuracy_hand_case():
     assert selection_accuracy(p, videos, k=2) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_selection_accuracy_is_bitwise_a_per_video_hard_rank_loop(k):
+    # 70 videos span three score-net blocks, the last partial; quantised
+    # scores tie often, and ties go to the smaller frame index
+    videos = make_planted_dataset(70, frames=6, salient_count=2, grid=2, channels=3, seed=36)
+    p = _score_params(37)
+    want = 0.0
+    for v in videos:
+        scores = score_net_forward(v.tokens, p).scores
+        order = hard_rank(np.round(scores * 4) / 4).order
+        want += int(np.count_nonzero(np.isin(order[:k], v.salient_times))) / k
+    want /= len(videos)
+    real = dccm.score_net_forward
+
+    def quantised_scores(tokens, params):
+        out = real(tokens, params)
+        return out._replace(scores=np.round(out.scores * 4) / 4)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dccm, "score_net_forward", quantised_scores)
+        assert selection_accuracy(p, videos, k) == want
+
+
 def test_toy_train_runs_and_is_deterministic():
     videos = make_planted_dataset(9, frames=4, salient_count=1,
                                   grid=2, channels=4, seed=11)

@@ -236,7 +236,7 @@ def test_weight_total_equals_the_parameter_set(c, heads, depth, after, p, h, fra
         embed_dim=c, head_count=heads, depth=depth, dccm_insert_after=min(after, depth),
         patch_size=p, height=2 * p, width=2 * p, compression_factor=h, frames=frames,
         saliency_count=min(k, frames), head_mode="retrieval" if retrieval else "classification",
-        num_classes=out))
+        num_classes=None if retrieval else out))
 
 
 # every public kernel that returns an array the forward pass makes

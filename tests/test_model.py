@@ -2,7 +2,7 @@
 patch embedding, and the compressed vs uncompressed forward passes."""
 
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -77,6 +77,9 @@ def test_from_name_takes_the_preset_names():
     assert ModelConfig.from_name("B") == ModelConfig.base()
     assert ModelConfig.from_name("toy") == ModelConfig.toy()
     assert ModelConfig.from_name("toy", depth=2) == ModelConfig.toy(depth=2)
+    # an override beats the count a name carries, as the CLI's --set does
+    assert ModelConfig.from_name("DRCA-S-K4", saliency_count=2) == ModelConfig.small(
+        saliency_count=2)
 
 
 @pytest.mark.parametrize("bad", ["DRCA-X-K4", "drca-s-k4", "DRCA-S-K", "DRCA-S", ""])
@@ -121,6 +124,23 @@ def test_config_rejects_non_positive_sizes(key, value):
 def test_retrieval_out_dim():
     assert ModelConfig.toy(head_mode="retrieval").out_dim == 16
     assert ModelConfig.toy().out_dim == 5
+
+
+@pytest.mark.parametrize("preset,classes", [(ModelConfig.toy, 5), (ModelConfig.small, 400),
+                                            (ModelConfig.base, 400)])
+def test_class_count_is_read_only_by_the_classification_head(preset, classes):
+    # every preset gives a classifier its class count and a retrieval head none
+    assert preset().num_classes == classes
+    assert preset(num_classes=9).num_classes == 9
+    assert preset(head_mode="retrieval").num_classes is None
+    with pytest.raises(ShapeError, match="num_classes has no effect under the retrieval head"):
+        preset(head_mode="retrieval", num_classes=9)
+    with pytest.raises(ShapeError, match="classification head needs num_classes"):
+        preset(num_classes=None)
+    with pytest.raises(ShapeError, match="classification head needs num_classes"):
+        replace(preset(head_mode="retrieval"), head_mode="classification")
+    with pytest.raises(ShapeError, match="no effect under the retrieval head"):
+        replace(preset(), head_mode="retrieval")
 
 
 # --- parameter tree ------------------------------------------------------

@@ -16,7 +16,7 @@ from drca import numerics
 from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import (
     PerturbConfig,
-    _every_ranking,
+    _ranking_cells,
     _objective_blocks,
     _objective_sums,
     _ranking_codes,
@@ -211,15 +211,24 @@ def _block(t):
     return max(numerics._CHUNK // t, 1)
 
 
-@settings(max_examples=30, deadline=None)
-@given(b=st.integers(1, 4), t=st.integers(1, 9), sigma=st.sampled_from([1e-3, 0.2, 2.0]),
-       seed=st.integers(0, 2**31), data=st.data())
-def test_stacked_objective_is_bitwise_each_videos_own_call(b, t, sigma, seed, data):
-    # video i draws with seed cfg.seed + i, whatever the stack around it
-    n = data.draw(st.one_of(st.integers(1, 64), st.integers(_block(t) - 2, _block(t) + 300)),
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 9), t=st.integers(1, 9), sigma=st.sampled_from([1e-3, 0.2, 2.0]),
+       seed=st.integers(0, 2**31), quantise=st.booleans(), data=st.data())
+def test_stacked_objective_is_bitwise_each_videos_own_call(b, t, sigma, seed, quantise, data):
+    # video i draws with seed cfg.seed + i, whatever the stack around it:
+    # n near a half and a third of T's block puts two or three whole
+    # videos in a block and leaves the last block partial, n past the
+    # block spreads each video over several; T from 1 to 9 takes every
+    # ranking path (looked up, coded, sorted)
+    block = _block(t)
+    n = data.draw(st.one_of(st.integers(1, 64), st.integers(block // 3 - 2, block // 3 + 2),
+                            st.integers(block // 2 - 2, block // 2 + 2),
+                            st.integers(block - 2, block + 300)).filter(lambda n: n >= 1),
                   label="n")
     stream = RandomStream(seed)
     s = stream.gaussian((b, t))
+    if quantise:
+        s = np.round(s * 2) / 2  # tied scores
     g = stream.gaussian64((b, t, t))
     cfg = PerturbConfig(sigma=sigma, n_samples=n, seed=seed)
     values, grads = perturbed_objective(s, cfg, g)
@@ -229,6 +238,13 @@ def test_stacked_objective_is_bitwise_each_videos_own_call(b, t, sigma, seed, da
         value, grad = perturbed_objective(s[i], replace(cfg, seed=seed + i), g[i])
         assert values[i] == value
         assert grads[i].tobytes() == grad.tobytes()
+
+
+def test_an_empty_stack_gives_empty_estimates():
+    values, grads = perturbed_objective(np.zeros((0, 4), F32), PerturbConfig(0.1, 50, seed=0),
+                                        np.zeros((0, 4, 4)))
+    assert values.shape == (0,) and values.dtype == np.float64
+    assert grads.shape == (0, 4) and grads.dtype == F32
 
 
 def test_stacked_objective_rejects_bad_scores_and_gradient_matrices():
@@ -307,9 +323,10 @@ def test_sampler_is_bitwise_the_one_shot_reference_at_each_ts_block_edge(edge, t
 
 
 def _walk(s, cfg, g):
-    # the walk's products and draws over the whole sample; each block's
-    # draws are copied, since the next block overwrites them
-    blocks = [(z.copy(), dots) for z, dots in _objective_blocks(np.asarray(s, np.float64), cfg, g)]
+    # the walk's products and draws over one video's whole sample; each
+    # block's are copied, since the next block may overwrite them
+    blocks = [(z[0].copy(), dots[0].copy())
+              for *_, z, dots in _objective_blocks(np.asarray(s, np.float64), cfg, g)]
     return np.concatenate([dots for _, dots in blocks]), np.concatenate([z for z, _ in blocks])
 
 
@@ -372,7 +389,7 @@ def test_products_are_bitwise_numpys_row_sums(t, edge):
     s = stream.gaussian64(t)
     g = np.exp(stream.gaussian64((t, t)) * 10) * np.sign(stream.gaussian64((t, t)))
     cfg = PerturbConfig(sigma=0.5, n_samples=_block(t) + edge, seed=60 + t)
-    got = np.concatenate([dots for _, dots in _objective_blocks(s, cfg, g)])
+    got = np.concatenate([dots[0].copy() for *_, dots in _objective_blocks(s, cfg, g)])
     assert got.tobytes() == _row_sum_products(s, cfg, g).tobytes()
 
 
@@ -382,7 +399,7 @@ def test_products_of_negative_zeros_are_positive_zero_like_numpys_row_sums(t):
     s = RandomStream(70).gaussian64(t)
     g = np.full((t, t), -0.0)
     cfg = PerturbConfig(sigma=0.5, n_samples=20, seed=71)
-    got = np.concatenate([dots for _, dots in _objective_blocks(s, cfg, g)])
+    got = np.concatenate([dots[0].copy() for *_, dots in _objective_blocks(s, cfg, g)])
     assert got.tobytes() == _row_sum_products(s, cfg, g).tobytes() == np.zeros(20).tobytes()
 
 
@@ -392,19 +409,24 @@ def _tied_keys(t, seed):
     return np.concatenate([key, RandomStream(81).gaussian64((2000, t))])
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_ranking_codes_index_the_stable_sort(t):
-    # every ranking of T frames has its own code
+    # every ranking of T frames has its own code, and its row of the
+    # table holds the cells c T + o of the stable sort's order o
     key = _tied_keys(t, 80 + t)
-    want = np.argsort(key, axis=1, kind="stable")
-    assert np.array_equal(_every_ranking(t)[_ranking_codes(key.T)], want)
-    every = _every_ranking(t)
-    assert len(np.unique(every, axis=0)) == len(every) == math.factorial(t)
-    assert np.array_equal(_ranking_codes(np.argsort(every, axis=1).T.astype(np.float64)),
-                          np.arange(len(every)))
+    want = np.argsort(key, axis=1, kind="stable") + np.arange(t) * t
+    cells = _ranking_cells(t)
+    assert np.array_equal(cells[_ranking_codes(key.T)], want)
+    # one shared table, which no caller can write to
+    assert cells is _ranking_cells(t) and cells.dtype == np.uint8 and not cells.flags.writeable
+    order = cells % t
+    assert np.array_equal(cells // t, np.broadcast_to(np.arange(t), cells.shape))
+    assert len(np.unique(order, axis=0)) == len(order) == math.factorial(t)
+    assert np.array_equal(_ranking_codes(np.argsort(order, axis=1).T.astype(np.float64)),
+                          np.arange(len(order)))
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_ranking_codes_are_a_plain_loops_lehmer_codes(t):
     # the codes of a row-by-row loop in Python integers, from keys with
     # planted ties, frame by frame in contiguous or strided rows, in the
@@ -444,6 +466,11 @@ def test_sampler_memory_stays_within_a_few_blocks():
     g = RandomStream(8).gaussian64((t, t))
     bound = 5 * numerics._CHUNK * 8  # five of the walk's blocks
     assert bound < n * 8 / 5
+    # 400 videos of 1000 draws, eight to a block: the stack's draws are 12.8 MB
+    stack = PerturbConfig(sigma=0.05, n_samples=1000, seed=9)
+    videos = RandomStream(10).gaussian((400, t))
+    targets = RandomStream(11).gaussian64((400, t, t))
+    assert bound < 400 * 1000 * t * 8 / 5
     tracemalloc.start()
     try:
         perturbed_rank(s, cfg)
@@ -451,8 +478,13 @@ def test_sampler_memory_stays_within_a_few_blocks():
         tracemalloc.reset_peak()
         _objective_sums(s, cfg, g, spread=True)
         _, sums_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        perturbed_objective(videos, stack, targets)
+        _, stack_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rank_peak < bound
     # the streamed value, gradient and moments hold nothing of size n
     assert sums_peak < bound
+    # a stack holds a block's draws at a time, not its own
+    assert stack_peak < bound
