@@ -6,11 +6,12 @@ ranking gradient), ``forward`` (run the model on a video tensor),
 ``flops`` (analytic cost reports and ratios), ``toy-train`` (planted
 saliency training curve), ``selftest`` (per-module sanity battery).
 
-Every command echoes its resolved configuration and, given the same
-inputs and seeds, produces byte-identical output; nothing time- or
-path-dependent is ever printed.  Exit codes: 0 success, 1 a verification
-check failed, 2 invalid input or configuration, 3 statistically
-insufficient sampling for a requested check.
+Given the same inputs and seeds every command produces byte-identical
+output, and all but ``flops`` and ``selftest`` echo their resolved
+configuration once their checks pass; nothing time- or path-dependent
+is ever printed.  Exit codes: 0 success, 1 a verification check failed,
+2 invalid input or configuration, 3 statistically insufficient sampling
+for a requested check.
 
 The only environment variable consulted is ``DRCA_SEED``, an optional
 default seed, and its effect is always visible in the echoed

@@ -12,8 +12,8 @@ the smoothed ranking of the ranking module (``perturbed_objective``).
 The score-net forward and backward also take a stack of videos with a
 leading axis, and each video of a stack gets bitwise its own call's
 scores and gradients.  The toy trainer uses this to run the training
-and holdout splits in fixed blocks of ``_VIDEO_BLOCK`` videos, and
-passes each training block's stacked scores to one
+and holdout splits in stacks of one ``numerics._CHUNK`` of token values
+(at least one video), and passes each training stack's scores to one
 ``perturbed_objective`` call.
 """
 
@@ -336,20 +336,28 @@ def toy_train_bytes(train: int, holdout: int, frames: int) -> int:
 # checks it before building a dataset
 MAX_TRAIN_VIDEOS = 100_000
 
-# videos per score-net call: a cache-sized block; the whole split in one
-# stack would raise the trainer's peak memory for no further speed
-_VIDEO_BLOCK = 32
+
+def _check_top_k(videos: list[PlantedVideo], k: int) -> None:
+    if not videos:
+        raise ValueError("selection accuracy needs at least one video")
+    t = videos[0].tokens.shape[0]
+    if not 1 <= k <= t:
+        raise ValueError(f"k must be in [1, T] = [1, {t}], got {k}")
 
 
 def selection_accuracy(p: ScoreNetParams, videos: list[PlantedVideo], k: int) -> float:
     """Mean fraction of planted frames recovered by the hard top-k split.
     The videos share one shape and one planted count, and are scored and
-    ranked in blocks of stacked videos: each block's rankings are one
-    stable sort of its float64 scores, row by row the order ``hard_rank``
-    gives each video, and each video's fraction is added in video order."""
+    ranked in stacks of one ``numerics._CHUNK`` of token values (at least
+    one video): each stack's rankings are one stable sort of its float64
+    scores, row by row the order ``hard_rank`` gives each video, and each
+    video's fraction is added in video order.  An empty list, or k outside
+    [1, T], raises a ValueError."""
+    _check_top_k(videos, k)
     hits = 0.0
-    for lo in range(0, len(videos), _VIDEO_BLOCK):
-        block = videos[lo:lo + _VIDEO_BLOCK]
+    per = max(numerics._CHUNK // videos[0].tokens.size, 1)
+    for lo in range(0, len(videos), per):
+        block = videos[lo:lo + per]
         scores = score_net_forward(np.stack([v.tokens for v in block]), p).scores
         top = np.argsort(-_check_scores(scores, stacked=True), axis=1, kind="stable")[:, :k]
         salient = np.stack([v.salient_times for v in block])
@@ -385,19 +393,22 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
     the holdout split with the hard top-k.
 
     The training split is stacked once and run through the score-net in
-    blocks of ``_VIDEO_BLOCK`` videos; the per-video gradients are summed
-    in video order, so the result is bitwise the one-video-at-a-time
-    loop's.  The smoothed ranking takes each block's stacked scores in
-    one call, and video i draws with seed ``cfg.seed + i``: one frozen
-    draw per video, shared by the loss and its gradient and reused
-    across steps, so full-batch descent walks a fixed sampled objective
-    and the loss trace stays free of resampling jitter.
+    stacks of one ``numerics._CHUNK`` of token values (at least one
+    video); the per-video gradients are summed in video order, so the
+    result is bitwise the one-video-at-a-time loop's.  The smoothed
+    ranking takes each stack's scores in one call, and video i draws with
+    seed ``cfg.seed + i``: one frozen draw per video, shared by the loss
+    and its gradient and reused across steps, so full-batch descent walks
+    a fixed sampled objective and the loss trace stays free of resampling
+    jitter.
 
-    A run that diverges raises a ValueError naming the step whose
-    training scores are not finite; the overflows on the way there raise
-    no floating-point warnings."""
+    Empty splits and a k outside [1, T] raise a ValueError before the
+    first step.  A run that diverges raises a ValueError naming the step
+    whose training scores are not finite; the overflows on the way there
+    raise no floating-point warnings."""
     if not train or not holdout:
         raise ValueError("toy training needs at least one training and one holdout video")
+    _check_top_k(holdout, k)
     if len(train) >= MAX_TRAIN_VIDEOS:
         raise ValueError("training set too large for the seed derivation")
     if steps < 0:
@@ -405,18 +416,19 @@ def toy_train_scorenet(train: list[PlantedVideo], holdout: list[PlantedVideo],
     tokens = np.stack([v.tokens for v in train])
     orders = np.stack([v.target_order for v in train])     # [videos, T]
     frames = np.arange(orders.shape[1])[:, None]
+    per = max(numerics._CHUNK // tokens[0].size, 1)
     trace = []
     for step in range(steps + 1):
         loss_sum = 0.0
         grads_sum = None
-        for lo in range(0, len(train), _VIDEO_BLOCK):
-            fwd = score_net_forward(tokens[lo:lo + _VIDEO_BLOCK], p)
+        for lo in range(0, len(train), per):
+            fwd = score_net_forward(tokens[lo:lo + per], p)
             if not np.isfinite(fwd.scores).all():
                 raise ValueError(f"toy training diverged at step {step}: "
                                  "the score-net's scores are not finite")
             # minus each target permutation matrix: entry (o, c) is -1
             # where the video's target order ranks frame o c-th
-            targets = -(orders[lo:lo + _VIDEO_BLOCK, None, :] == frames).astype(F32)
+            targets = -(orders[lo:lo + per, None, :] == frames).astype(F32)
             losses, d_scores = perturbed_objective(
                 fwd.scores, replace(cfg, seed=cfg.seed + lo), targets)
             for loss_v in losses.tolist():

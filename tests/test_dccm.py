@@ -418,10 +418,22 @@ def test_selection_accuracy_hand_case():
     assert selection_accuracy(p, videos, k=2) == pytest.approx(0.5)
 
 
+def test_selection_accuracy_refuses_no_videos_and_k_outside_the_frames():
+    videos = make_planted_dataset(2, frames=4, salient_count=1, grid=2, channels=4)
+    p = ScoreNetParams.init(4, 2, 4, RandomStream(0))
+    with pytest.raises(ValueError, match="at least one video"):
+        selection_accuracy(p, [], 2)
+    for k in (0, 5, -1):
+        with pytest.raises(ValueError, match=rf"k must be in \[1, T\] = \[1, 4\], got {k}$"):
+            selection_accuracy(p, videos, k)
+    assert 0.0 <= selection_accuracy(p, videos, 4) <= 1.0
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_selection_accuracy_is_bitwise_a_per_video_hard_rank_loop(k):
-    # 70 videos span three score-net blocks, the last partial; quantised
-    # scores tie often, and ties go to the smaller frame index
+    # a chunk of 32 videos' token values puts the 70 videos in three
+    # score-net stacks, the last partial; quantised scores tie often, and
+    # ties go to the smaller frame index
     videos = make_planted_dataset(70, frames=6, salient_count=2, grid=2, channels=3, seed=36)
     p = _score_params(37)
     want = 0.0
@@ -438,6 +450,7 @@ def test_selection_accuracy_is_bitwise_a_per_video_hard_rank_loop(k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dccm, "score_net_forward", quantised_scores)
+        mp.setattr(numerics, "_CHUNK", 32 * videos[0].tokens.size)
         assert selection_accuracy(p, videos, k) == want
 
 
@@ -492,8 +505,9 @@ def test_toy_train_step_is_the_in_order_gradient_sum():
 
 def test_toy_train_runs_one_score_net_forward_per_video_per_step(monkeypatch):
     # every step scores each training and holdout video once, in stacks of
-    # at most _VIDEO_BLOCK videos; the backward reuses the training forward
-    # and the last pass runs no backward
+    # as many videos as one numerics._CHUNK of token values holds, and at
+    # least one; the backward reuses the training forward and the last
+    # pass runs no backward
     videos = make_planted_dataset(7, frames=4, salient_count=1, grid=2, channels=4, seed=3)
     train, holdout = videos[:5], videos[5:]
     p0 = ScoreNetParams.init(4, 2, 4, RandomStream(4), scale=0.1)
@@ -514,14 +528,19 @@ def test_toy_train_runs_one_score_net_forward_per_video_per_step(monkeypatch):
 
     monkeypatch.setattr(numerics, "conv3d", counting_conv3d)
     monkeypatch.setattr(dccm, "score_net_backward", counting_backward)
-    for block in (dccm._VIDEO_BLOCK, 2):
-        monkeypatch.setattr(dccm, "_VIDEO_BLOCK", block)
+    values = train[0].tokens.size  # 64 token values a video
+    # the whole split in one stack, stacks of two, and stacks of one
+    # video that alone holds more than a chunk
+    for chunk, widest in ((numerics._CHUNK, 5), (2 * values, 2), (values // 2, 1)):
+        monkeypatch.setattr(numerics, "_CHUNK", chunk)
         for steps in (0, 1, 3):
             scored.update(conv3d=[], backward=[])
             toy_train_scorenet(train, holdout, p0, k=1, steps=steps, lr=0.05, cfg=cfg)
-            assert sum(scored["conv3d"]) == (steps + 1) * 7, (block, steps)
-            assert sum(scored["backward"]) == steps * 5, (block, steps)
-            assert max(scored["conv3d"] + scored["backward"]) <= block, (block, steps)
+            stacks = scored["conv3d"] + scored["backward"]
+            assert sum(scored["conv3d"]) == (steps + 1) * 7, (chunk, steps)
+            assert sum(scored["backward"]) == steps * 5, (chunk, steps)
+            assert all(b * values <= chunk or b == 1 for b in stacks), (chunk, steps)
+            assert max(stacks) == widest, (chunk, steps)
 
 
 def _check_chunked_steps():
@@ -545,14 +564,28 @@ def test_chunked_steps_walk_the_contiguous_trajectory():
 
 
 def test_video_blocks_keep_the_in_order_sum_and_the_trajectory(monkeypatch):
-    # blocks of two split both training sets (3 and 9 videos) mid-way, so
-    # the gradient sum and the trace cross block boundaries
-    monkeypatch.setattr(dccm, "_VIDEO_BLOCK", 2)
+    # a chunk of 128 token values splits both training sets mid-way: the
+    # 3 videos of 64 values run in stacks of 2 and 1, and each of the 9
+    # videos of 192 values, more than a chunk, in a stack of its own, so
+    # the gradient sum and the trace cross stack boundaries
+    monkeypatch.setattr(numerics, "_CHUNK", 128)
+    stacks = []
+    forward = dccm.score_net_forward
+
+    def recording_forward(tokens, p):
+        stacks.append(tokens.shape[0])
+        assert tokens.size <= 128 or tokens.shape[0] == 1
+        return forward(tokens, p)
+
+    monkeypatch.setattr(dccm, "score_net_forward", recording_forward)
     _check_in_order_step()
+    assert stacks == [2, 1, 2] * 2  # training, then holdout, at both steps
+    stacks.clear()
     _check_chunked_steps()
+    assert stacks and set(stacks) == {1}
 
 
-def test_toy_train_validation():
+def test_toy_train_validation(monkeypatch):
     videos = make_planted_dataset(3, frames=4, salient_count=1, grid=2, channels=4)
     p0 = ScoreNetParams.init(4, 2, 4, RandomStream(0))
     cfg = PerturbConfig(sigma=0.3, n_samples=10)
@@ -562,3 +595,12 @@ def test_toy_train_validation():
         toy_train_scorenet(videos, [], p0, k=1, steps=1, lr=0.1, cfg=cfg)
     with pytest.raises(ValueError, match="steps"):
         toy_train_scorenet(videos, videos, p0, k=1, steps=-1, lr=0.1, cfg=cfg)
+
+    # a k outside the 4 frames is refused before the first step
+    def no_forward(tokens, p):
+        raise AssertionError("the score-net ran before k was checked")
+
+    monkeypatch.setattr(dccm, "score_net_forward", no_forward)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match=rf"k must be in \[1, T\] = \[1, 4\], got {k}$"):
+            toy_train_scorenet(videos, videos, p0, k=k, steps=1, lr=0.1, cfg=cfg)
