@@ -476,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="verify the ranking gradient estimator")
     ranged(p, "--frames", _FRAMES, 4, "T for the finite-difference check; ")
     ranged(p, "--sigma", _CHECK_SIGMA, 0.05)
-    p.add_argument("--n-samples", type=int, default=100_000,
-                   help=f"below {MIN_SAMPLES_FOR_CHECKS}: exit 3, too few samples to judge")
+    ranged(p, "--n-samples", _SAMPLES, 100_000,
+           f"below {MIN_SAMPLES_FOR_CHECKS}: exit 3, too few samples to judge; ")
     ranged(p, "--seed", _SEED, None)
     ranged(p, "--trials", _TRIALS, 10, "score pairs for the T=2 check; ")
     p.set_defaults(func=cmd_grad_check)

@@ -171,7 +171,8 @@ def tree_map(fn, kind: type, *trees, aliases: dict[str, str] | None = None,
 # values per piece of every chunked loop (RandomStream.gaussian, gelu,
 # layer_norm's squares, the ranking sampler's T-wide rows, the toy
 # trainer's stacks of videos): 256 KiB of float64 at most, so a loop's
-# few working arrays stay in a core's 2 MiB L2 cache
+# few working arrays stay in a core's 2 MiB L2 cache; every loop reads it
+# here at call time, so one patch of it moves every block boundary
 _CHUNK = 1 << 15
 
 

@@ -12,40 +12,36 @@ command line, which computes it from the scores a forward returns.
 
 One walk, ``_sample_blocks``, makes every sample, for a stack of score
 vectors at once, a vector being the stack of one.  Video i of a stack
-draws from its own stream, seeded ``cfg.seed + i``.  The walk forms the
-perturbed scores and ranks them in blocks of ``_CHUNK // T`` draws (see
-numerics): a block holds as many whole videos' samples as fit, or a run
-of one video's draws where its sample does not fit one block.  Each
-video keeps its own draws and its own seeded stream; everything else,
-the keys, the ranking, the gather of each video's G cells and the
-reductions, runs once per block over all its videos.  Up to eight
-frames a draw's ranking is found by comparisons alone and named by its
-index among all T! rankings; while those are no more than a video's
-draws in a block (up to six frames), the estimate's per-ranking value
-(a <G, Y> product, or the ranking's cells) is formed once per ranking
-and looked up per draw, and past that the index gives the ranking's
-cells from one shared table.  With more frames each block is sorted.
-``perturbed_rank`` adds the block's exact integer counts, so it holds
-nothing whose size grows with ``n_samples``.  ``_objective_blocks``
-forms each product as one gather of a ranking's cells and numpy's own
-sum over them, so it is bitwise a per-draw ``sum`` whichever way the
-ranking was found.
+draws from its own stream, seeded ``cfg.seed + i``.  The walk ranks the
+perturbed scores in blocks of ``numerics._CHUNK // T`` draws, the chunk
+read at each call: as many whole videos' samples as fit, or a run of
+one video's draws where its sample does not fit one block.  Everything
+but each video's draws, the keys, the ranking, the gather of its G
+cells and the reductions, runs once per block over all its videos.  Up
+to eight frames a draw's ranking is found by comparisons alone and
+named by its index among all T! rankings; while those are no more than
+a video's draws in a block (up to six frames), the estimate's
+per-ranking value (a <G, Y> product, or the ranking's cells) is formed
+once per ranking and looked up per draw, and past that the index gives
+the ranking's cells from one shared table.  With more frames each block
+is sorted.  ``perturbed_rank`` adds the block's exact integer counts,
+so it holds nothing whose size grows with ``n_samples``.  The walk
+takes each G as callers hold it and alone stores it transposed, so a
+product is one gather of a ranking's cells and numpy's own sum over
+them: bitwise a per-draw ``sum`` whichever way the ranking was found.
 
 Every objective estimate is one streaming pass, ``_objective_sums``,
-that holds a few blocks and O(T) sums per video: it adds up each
-block's products and draws about the video's first block's mean
-product, which gives the mean, the gradient's centred sum and the
-second moments that ``_standard_error`` turns into either standard
-error, and keeps no draw or product.  A block's videos are reduced
-together, each by its own row sums and its own entry of a stacked gemv,
-so every video's estimate is bitwise that of its own walk: the stack's
-size, and where its videos fall in the blocks, change no bit.
-Successive blocks continue one random stream, so a video's draws,
-products and smoothed ranking are bitwise those of a single [n, T]
-draw; its mean, gradient and moments are too where n fits one block,
-and past that differ from a one-shot reduction by rounding alone.
-``_check_objective`` validates the scores and G once, for one score
-vector or, in ``perturbed_objective``, a stack of them.
+that holds a few blocks and O(T) sums per video, no draw or product,
+and corrects each video's sums about its first block's mean by one
+rule, which changes no bit where the sample is one block.  It gives the
+mean, the gradient's centred sum and the second moments that
+``_standard_error`` turns into either standard error.  Each video's
+estimate is bitwise that of its own walk, whatever the stack around it.
+A video's draws, products and smoothed ranking are bitwise those of a
+single [n, T] draw; its mean, gradient and moments are too where n fits
+one block, and past that differ from a one-shot reduction by rounding
+alone.  ``_check_objective`` validates the scores and G once, for one
+score vector or, in ``perturbed_objective``, a stack of them.
 
 Numeric note: scores and noise are combined and compared in float64
 here (outputs stay float32).  Ranking is decided purely by comparisons,
@@ -64,7 +60,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _CHUNK, F32, RandomStream, ShapeError
+from . import numerics
+from .numerics import F32, RandomStream, ShapeError
 
 
 @dataclass(frozen=True)
@@ -190,23 +187,25 @@ def _ranking_codes(columns: np.ndarray) -> np.ndarray:
     return code
 
 
-def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, gt: np.ndarray | None = None):
+def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray | None = None):
     """The one sampling walk behind every estimate, over a stack of score
     vectors s [B, T], a vector [T] being the stack of one.  Video i takes
     ``cfg.n_samples`` common-random-number draws z from its own stream,
-    seeded ``cfg.seed + i``, and each block holds at most ``_CHUNK // T``
-    draws: as many whole videos' samples as fit, or, where one video's
-    sample does not fit, a run of that video's draws.  For each block it
-    yields (videos, lo, z, values): the slice of the stack that the
-    block's m videos are, the index in each video's sample of the block's
-    first draw, the draws z [m, rows, T], and for each draw a value of
-    the hard ranking of s_i + sigma * z.  Without ``gt`` the values are
-    the ranking's cells [m, rows, T]: cells[j, r, c] = c T + o for the
-    frame o that the ranking puts c-th, the flat index of entry (o, c) of
-    a T x T matrix stored transposed.  With ``gt`` [B, T * T], each
-    video's G stored so, they are the products <G_i, Y> [m, rows]: each
-    video's gather of its cells from its own G, into one buffer, and
-    numpy's own sum over each ranking's T terms.
+    seeded ``cfg.seed + i``, and each block holds at most
+    ``numerics._CHUNK // T`` draws, the chunk read at the call: as many
+    whole videos' samples as fit, or, where one video's sample does not
+    fit, a run of that video's draws.  For each block it yields (videos,
+    lo, z, values): the slice of the stack that the block's m videos are,
+    the index in each video's sample of the block's first draw, the draws
+    z [m, rows, T], and for each draw a value of the hard ranking of
+    s_i + sigma * z.  Without ``g`` the values are the ranking's cells
+    [m, rows, T]: cells[j, r, c] = c T + o for the frame o that the
+    ranking puts c-th, the flat index of entry (o, c) of a T x T matrix
+    stored transposed.  With ``g``, each video's float64 G [(B,) T, T] as
+    callers hold it, they are the products <G_i, Y> [m, rows]: the walk
+    stores each G transposed once, and each video gathers its cells from
+    its own G, into one buffer, with numpy's own sum over each ranking's
+    T terms.
 
     Up to eight frames (``_COMPARED_FRAMES``) a block finds each draw's
     ranking by T (T - 1) / 2 comparisons over all its draws at once
@@ -228,7 +227,7 @@ def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, gt: np.ndarray | None = 
     # a block's noise, keys (which then take its gathered <G, Y> terms) and
     # cells are one chunk each; at T = 4, 16384 rows measured slower on
     # grad-check, 4096 no faster
-    block = max(_CHUNK // t, 1)
+    block = max(numerics._CHUNK // t, 1)
     width = min(block, n)
     group = max(min(block // n, count), 1)  # videos per block
     draws = np.empty((group, width, t))
@@ -251,9 +250,12 @@ def _sample_blocks(s64: np.ndarray, cfg: PerturbConfig, gt: np.ndarray | None = 
         offsets = np.empty((width, t), np.intp)
         offsets[:] = np.arange(t) * t
 
+    if g is not None:  # each G transposed, [B, T * T], as the cells index it
+        gt = np.ascontiguousarray(np.swapaxes(g.reshape(-1, t, t), 1, 2)).reshape(-1, t * t)
+
     def ranking_values(videos, cells):
         # the values of the block's rankings, from their cells [m, P, T]
-        if gt is None:
+        if g is None:
             return cells
         # a block's keys are spent once it is ranked, and their buffer
         # takes its gathered terms
@@ -316,17 +318,6 @@ def _check_objective(s, grad_matrix: np.ndarray, stacked: bool = False):
     return s64, g
 
 
-def _objective_blocks(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray):
-    """The sampling walk's blocks for scores [(B,) T] and their G
-    [(B,) T, T], as ``_check_objective`` returns them: (videos, lo, z,
-    dots), as ``_sample_blocks`` yields them, dots [m, rows] being the
-    float64 Frobenius products <G_i, Y(s_i + sigma z_j)>, which the
-    caller may overwrite and the next block may reuse."""
-    t = s64.shape[-1]
-    gt = np.ascontiguousarray(np.swapaxes(g.reshape(-1, t, t), 1, 2)).reshape(-1, t * t)
-    return _sample_blocks(s64, cfg, gt)
-
-
 class ObjectiveSums(NamedTuple):
     """One streamed estimate over d_j = <G, Y(s + sigma z_j)> per video,
     each field with the scores' leading axes."""
@@ -347,66 +338,59 @@ def _objective_sums(s64: np.ndarray, cfg: PerturbConfig, g: np.ndarray,
     are bitwise those of its own walk.
 
     Each block adds a video's sums about m0, the mean product of its
-    first block: sum d, sum (d - m0)^2 and sum (d - m0) z, with
-    sum (d - m0)^2 z^2 for the spread.  Where a video spans several
-    blocks (it is then a block's only video) they also add sum z
-    (and sum (d - m0) z^2 and sum z^2), and with delta = mean(d) - m0
+    first block: sum d, sum (d - m0)^2, sum (d - m0) z and sum z, with
+    sum (d - m0)^2 z^2, sum (d - m0) z^2 and sum z^2 for the spread.
+    Every video's sums are then corrected by one rule, delta = mean - m0:
 
         sum (d - mean)^2 = sum (d - m0)^2 - n delta^2,
         sum (d - mean) z = sum (d - m0) z - delta sum z,
         sum (d - mean)^2 z^2 = sum (d - m0)^2 z^2
                                - 2 delta sum (d - m0) z^2 + delta^2 sum z^2.
 
-    With one block m0 is the mean, so the centred sum is one gemv,
-    bitwise (d - mean(d)) @ z over the whole sample; past that it differs
-    from that one gemv by rounding alone.  Column sums are gemvs with a
-    vector of ones: numpy's own sum over the rows of a [rows, T] block
-    steps row by row, and took 14 to 34 times as long at T = 2 or 4.
-    The squares and z^2 go into buffers the pass allocates once, which
+    Where a video's sample is one block, m0 is its mean and delta is
+    exactly 0.0, so the correction changes no bit: the moments are
+    bitwise the one-shot sums of (d - mean)^2 and (d - mean)^2 z^2, and
+    the centred sum the one gemv (d - mean) @ z; past one block they
+    differ from those by rounding alone.  Column sums are gemvs with one
+    vector of ones per pass: numpy's own sum over the rows of a [rows, T]
+    block steps row by row, and took 14 to 34 times as long at T = 2 or
+    4.  The squares and z^2 go into buffers the pass allocates once, which
     cut a grad-check op's minor page faults about threefold."""
     lead, t, n = s64.shape[:-1], s64.shape[-1], cfg.n_samples
     count = s64.size // t
     mean, value_moment, centred = np.empty(count), np.empty(count), np.empty((count, t))
     grad_moment = np.empty((count, t)) if spread else None
     squares_buf = None
-    for videos, lo, z, dots in _objective_blocks(s64, cfg, g):
+    for videos, lo, z, dots in _sample_blocks(s64, cfg, g):
         m, rows = dots.shape
         if squares_buf is None:  # the walk's first block is its largest
-            squares_buf = np.empty(dots.shape)
+            squares_buf, ones = np.empty(dots.shape), np.ones(rows)
             z2_buf = np.empty(z.shape) if spread else None
         total = dots.sum(axis=1)
         if lo == 0:
             m0, sums = total / rows, None
-            if rows < n:
-                ones = np.ones(rows)
         dots -= m0[:, None]
         # not dots @ dots: OpenBLAS threads its ddot at this size, and from
         # grad-check's pool threads that nearly doubled run_fd_check's time
         squares = np.square(dots, out=squares_buf[:m, :rows])
         # each sum is named by its terms; past "d" (sum d), d is d - m0
-        block = {"d": total, "dd": squares.sum(axis=1), "dz": (dots[:, None] @ z)[:, 0]}
+        block = {"d": total, "dd": squares.sum(axis=1), "dz": (dots[:, None] @ z)[:, 0],
+                 "z": ones[:rows] @ z}
         if spread:
             z2 = np.square(z, out=z2_buf[:m, :rows])
-            block["ddzz"] = (squares[:, None] @ z2)[:, 0]
-        if rows < n:
-            block["z"] = ones[:rows] @ z
-            if spread:
-                block["dzz"], block["zz"] = (dots[:, None] @ z2)[:, 0], ones[:rows] @ z2
+            block.update(ddzz=(squares[:, None] @ z2)[:, 0], dzz=(dots[:, None] @ z2)[:, 0],
+                         zz=ones[:rows] @ z2)
         sums = block if sums is None else {k: sums[k] + v for k, v in block.items()}
-        if lo + rows < n:
+        if n > lo + rows:
             continue  # the video's sample goes on in the next block
         mean[videos] = sums["d"] / n
-        value_moment[videos], centred[videos] = sums["dd"], sums["dz"]
+        delta = mean[videos] - m0  # exactly 0.0 where the sample is one block
+        value_moment[videos] = sums["dd"] - n * delta * delta
+        delta = delta[:, None]
+        centred[videos] = sums["dz"] - delta * sums["z"]
         if spread:
-            grad_moment[videos] = sums["ddzz"]
-        if rows < n:
-            delta = mean[videos] - m0
-            value_moment[videos] -= n * delta * delta
-            delta = delta[:, None]
-            centred[videos] -= delta * sums["z"]
-            if spread:
-                grad_moment[videos] = (sums["ddzz"] - 2 * delta * sums["dzz"]
-                                       + delta * delta * sums["zz"])
+            grad_moment[videos] = (sums["ddzz"] - 2 * delta * sums["dzz"]
+                                   + delta * delta * sums["zz"])
     return ObjectiveSums(mean.reshape(lead), value_moment.reshape(lead),
                          centred.reshape(lead + (t,)),
                          None if grad_moment is None else grad_moment.reshape(lead + (t,)))

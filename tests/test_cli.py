@@ -114,6 +114,13 @@ def test_grad_check_refuses_underpowered_runs(capsys):
     assert "grad-check:" not in captured.out
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_grad_check_refuses_a_sample_count_below_one_like_every_count_flag(capsys, count):
+    # no sample at all is a bad value (exit 2), not an underpowered run (exit 3)
+    assert main(["grad-check", "--n-samples", count]) == EXIT_BAD_INPUT
+    assert _one_line_error(capsys, "--n-samples", count) == ""
+
+
 # --- forward ---------------------------------------------------------------
 
 def test_forward_toy_prints_and_writes(tmp_path, capsys):
@@ -430,11 +437,9 @@ _RANGED = [(command, name, action) for command, name, action in _arguments()
 
 
 def test_every_numeric_flag_has_a_rule():
-    # grad-check's --n-samples alone takes any integer: below 1000 the
-    # check refuses to run with exit 3, not 2
     unchecked = [(command, name) for command, name, action in _arguments()
                  if action.type in (int, float)]
-    assert unchecked == [("grad-check", "--n-samples")]
+    assert unchecked == []
     for command, name, action in _RANGED:
         if action.default is not None:
             assert action.type(str(action.default)) == action.default, (command, name)

@@ -144,7 +144,7 @@ def test_vjp_matches_production_estimator():
     assert grad.tobytes() == ranking._score_gradient(centred, cfg).tobytes()
     _, ds = perturbed_objective(s, cfg, g)
     assert grad.astype(F32).tobytes() == ds.tobytes()
-    (*_, (dots,)), = ranking._objective_blocks(s.astype(np.float64), cfg, g)  # one block
+    (*_, (dots,)), = ranking._sample_blocks(s.astype(np.float64), cfg, g)  # one block
     z = RandomStream(cfg.seed).gaussian64((cfg.n_samples, 5))
     assert grad.tobytes() == ((dots - dots.mean()) @ z / (600 * 0.05)).tobytes()
 

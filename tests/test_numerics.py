@@ -2,9 +2,11 @@
 float64 twins) plus the flop-counting contract."""
 
 import ast
+import importlib
 import inspect
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -696,6 +698,15 @@ def test_chunked_gaussian_is_the_one_shot_draw(monkeypatch, shape):
         assert got.tobytes() == want.tobytes()
     scaled = stream.gaussian(shape, 0.02)
     assert scaled.tobytes() == (gen.standard_normal(shape).astype(F32) * F32(0.02)).tobytes()
+
+
+def test_only_numerics_holds_the_chunk_size():
+    # every chunked loop reads numerics._CHUNK at the call; a module that
+    # imported it by name would hold a copy that a patch does not reach
+    names = [module.name for module in pkgutil.iter_modules(drca.__path__)]
+    holders = [name for name in names
+               if hasattr(importlib.import_module(f"drca.{name}"), "_CHUNK")]
+    assert holders == ["numerics"]
 
 
 def test_gaussian_at_the_default_chunk_is_the_one_shot_draw():

@@ -17,9 +17,9 @@ from drca.numerics import F32, RandomStream, ShapeError
 from drca.ranking import (
     PerturbConfig,
     _ranking_cells,
-    _objective_blocks,
     _objective_sums,
     _ranking_codes,
+    _sample_blocks,
     hard_rank,
     perturbed_objective,
     perturbed_rank,
@@ -326,7 +326,7 @@ def _walk(s, cfg, g):
     # the walk's products and draws over one video's whole sample; each
     # block's are copied, since the next block may overwrite them
     blocks = [(z[0].copy(), dots[0].copy())
-              for *_, z, dots in _objective_blocks(np.asarray(s, np.float64), cfg, g)]
+              for *_, z, dots in _sample_blocks(np.asarray(s, np.float64), cfg, g)]
     return np.concatenate([dots for _, dots in blocks]), np.concatenate([z for z, _ in blocks])
 
 
@@ -368,6 +368,57 @@ def _check_sampler_against_one_shot(n, t, seed, sigma, quantise):
     assert grad.tobytes() == (centred / (n * sigma)).astype(F32).tobytes()
 
 
+def _single_block_cases():
+    # (T, videos, n, saturated): a stack of one or of several videos whose
+    # samples share one block, up to a whole block; saturated rankings put
+    # far-apart scores against an integer G, so every centred term is 0
+    cases = []
+    for t in (2, 4, 8):
+        block = _block(t)
+        cases += [(t, 1, n, False) for n in (1, 2, 37, block)]
+        cases += [(t, b, block // b, False) for b in (2, 3)] + [(t, 5, 37, False)]
+        cases += [(t, 1, 1, True), (t, 1, block, True), (t, 4, block // 4, True)]
+    return cases
+
+
+@pytest.mark.parametrize("t,b,n,saturated", _single_block_cases())
+def test_single_block_moments_are_bitwise_the_one_shot_formulas(t, b, n, saturated):
+    # where a video's sample is one block, delta = mean(d) - m0 is exactly
+    # 0.0 and the correction changes no bit, signed zeros included
+    stream = RandomStream(90 + t + b + n)
+    if saturated:
+        s = np.arange(b * t, dtype=np.float64).reshape(b, t)[:, ::-1] * 100.0
+        g = np.round(stream.gaussian64((b, t, t)) * 4)
+    else:
+        s = stream.gaussian64((b, t))
+        g = stream.gaussian64((b, t, t))
+    cfg = PerturbConfig(sigma=0.05 if saturated else 0.5, n_samples=n, seed=91 + n)
+    assert b * n <= _block(t)
+    sums = _objective_sums(s, cfg, g, spread=True)
+    for i in range(b):
+        d, z, _ = _one_shot_reference(s[i], replace(cfg, seed=cfg.seed + i), g[i])
+        c = d - d.mean()
+        if saturated:
+            assert not c.any()
+        assert sums.mean[i] == d.mean()
+        assert sums.value_moment[i].tobytes() == np.square(c).sum().tobytes()
+        assert sums.centred[i].tobytes() == (c @ z).tobytes()
+        assert sums.grad_moment[i].tobytes() == (np.square(c) @ np.square(z)).tobytes()
+
+
+def test_patching_numerics_chunk_moves_the_sampler_blocks(monkeypatch):
+    # the walk reads numerics._CHUNK at the call, so the one patch that moves
+    # every other chunked loop moves the sampler's block boundaries too
+    s = RandomStream(92).gaussian64((3, 4))
+    cfg = PerturbConfig(sigma=0.1, n_samples=10, seed=93)
+    assert len(list(_sample_blocks(s[0], cfg))) == 1
+    monkeypatch.setattr(numerics, "_CHUNK", 8)  # blocks of two draws at T = 4
+    assert [lo for _, lo, *_ in _sample_blocks(s[0], cfg)] == [0, 2, 4, 6, 8]
+    monkeypatch.setattr(numerics, "_CHUNK", 16)  # two 2-draw videos to a block
+    blocks = _sample_blocks(s, replace(cfg, n_samples=2))
+    assert [(videos.start, videos.stop) for videos, *_ in blocks] == [(0, 2), (2, 3)]
+
+
 def _row_sum_products(s, cfg, g):
     # the products as numpy's per-row reduce forms them: one one-shot
     # sort, one [n, T] gather of the cells from G stored transposed
@@ -389,7 +440,7 @@ def test_products_are_bitwise_numpys_row_sums(t, edge):
     s = stream.gaussian64(t)
     g = np.exp(stream.gaussian64((t, t)) * 10) * np.sign(stream.gaussian64((t, t)))
     cfg = PerturbConfig(sigma=0.5, n_samples=_block(t) + edge, seed=60 + t)
-    got = np.concatenate([dots[0].copy() for *_, dots in _objective_blocks(s, cfg, g)])
+    got = np.concatenate([dots[0].copy() for *_, dots in _sample_blocks(s, cfg, g)])
     assert got.tobytes() == _row_sum_products(s, cfg, g).tobytes()
 
 
@@ -399,7 +450,7 @@ def test_products_of_negative_zeros_are_positive_zero_like_numpys_row_sums(t):
     s = RandomStream(70).gaussian64(t)
     g = np.full((t, t), -0.0)
     cfg = PerturbConfig(sigma=0.5, n_samples=20, seed=71)
-    got = np.concatenate([dots[0].copy() for *_, dots in _objective_blocks(s, cfg, g)])
+    got = np.concatenate([dots[0].copy() for *_, dots in _sample_blocks(s, cfg, g)])
     assert got.tobytes() == _row_sum_products(s, cfg, g).tobytes() == np.zeros(20).tobytes()
 
 
